@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .model import Bar, Driver, Joint, LinkageSpec, Tracer
+from .solver import Configuration
 
 F = Fraction
 
@@ -38,10 +39,16 @@ class CatalogEntry:
     seed: dict[str, tuple[float, float]]
     sweep: tuple[float, float]
     window: tuple[float, float]
-    closed: bool
-    mirror_symmetric: bool
     description: str
     table_model: Optional[str]  # column in the parts table, None if absent
+
+    def seed_config(self) -> Configuration:
+        """The seed at theta_ref, anchored joints included."""
+        anchored = {
+            j.id: (float(j.anchor[0]), float(j.anchor[1]))
+            for j in self.spec.anchored_joints
+        }
+        return Configuration({**anchored, **self.seed})
 
 
 def _anchor(jid: str, x, y) -> Joint:
@@ -62,8 +69,6 @@ def _compass() -> CatalogEntry:
         seed={"T": (4.0, 0.0)},
         sweep=(0.0, TAU),
         window=(0.3, 1.3),
-        closed=True,
-        mirror_symmetric=True,
         description="Single pinned bar; the pen at its free end draws a circle of radius 4 units.",
         table_model="compass",
     )
@@ -91,8 +96,6 @@ def _chebyshev() -> CatalogEntry:
         seed={"C": (2.0, 8.0), "D": (-2.0, 8.0)},
         sweep=(0.66, 1.75),
         window=(0.80, 1.60),
-        closed=False,
-        mirror_symmetric=False,
         description="Crossed four-bar; the coupler midpoint runs nearly straight across the top.",
         table_model="chebyshev",
     )
@@ -106,8 +109,6 @@ def _chebyshev_open() -> CatalogEntry:
         seed={"C": (2.0, 8.0), "D": (94.0 / 17.0, 168.0 / 17.0)},
         sweep=(0.66, 1.75),
         window=(0.90, 1.50),
-        closed=False,
-        mirror_symmetric=False,
         description="Open-branch assembly of the same four-bar; draws the rounded lobe of the sextic.",
         table_model="chebyshev",
     )
@@ -135,8 +136,6 @@ def _chebyshev_lambda() -> CatalogEntry:
         seed={"A": (0.0, 2.0), "B": (4.0, 5.0), "T": (8.0, 8.0)},
         sweep=(0.0, TAU),
         window=(2.1, 3.3),
-        closed=True,
-        mirror_symmetric=False,
         description="Lambda-shaped four-bar: a full crank turn redraws the crossed four-bar's curve in one movement.",
         table_model="chebyshev_lambda",
     )
@@ -161,8 +160,6 @@ def _watt() -> CatalogEntry:
         seed={"C": (0.0, 4.0), "D": (1.0, 4.0 - _S15)},
         sweep=(-0.80, 0.80),
         window=(-0.15, 0.65),
-        closed=False,
-        mirror_symmetric=True,
         description="Watt's four-bar: the coupler midpoint spans a near-straight stretch of roughly 7 cm at 8 mm per unit.",
         table_model="watt",
     )
@@ -213,8 +210,6 @@ def _hart_inversor() -> CatalogEntry:
         },
         sweep=(3.02, 4.21),
         window=(3.10, 4.10),
-        closed=False,
-        mirror_symmetric=True,
         description="Hart's antiparallelogram inversor: the pen joint draws an exactly straight segment a few centimeters long.",
         table_model="hart_inversor",
     )
@@ -265,8 +260,6 @@ def _hart_aframe() -> CatalogEntry:
         # y = 8); sweeping past it reports the boundary
         sweep=(0.90, 1.60),
         window=(1.00, 1.50),
-        closed=False,
-        mirror_symmetric=False,
         description="Hart's A-frame: the pen at the apex runs exactly along the frame's centerline, about 4.5 cm of it over the default sweep.",
         table_model=None,
     )
@@ -301,43 +294,3 @@ def builtin(name: str) -> LinkageSpec:
     """The validated spec of a builtin model."""
     return entry(name).spec
 
-
-# committed per-model bar lengths; the catalog test asserts specs match this
-# table and that every entry is an integer or half-integer of beam spans
-EXPECTED_LENGTHS: dict[str, dict[str, Fraction]] = {
-    "compass": {"arm": F(4)},
-    "chebyshev": {"rocker1": F(10), "coupler": F(4), "rocker2": F(10)},
-    "chebyshev_open": {"rocker1": F(10), "coupler": F(4), "rocker2": F(10)},
-    "chebyshev_lambda": {
-        "crank": F(2),
-        "beam_a": F(5),
-        "beam_b": F(5),
-        "beam": F(10),
-        "rocker": F(5),
-    },
-    "watt": {"rocker1": F(8), "coupler": F(4), "rocker2": F(8)},
-    "hart_inversor": {
-        "ao": F(4),
-        "ob": F(4),
-        "ab": F(8),
-        "bq": F(2),
-        "qc": F(2),
-        "bc": F(4),
-        "cd": F(8),
-        "dp": F(2),
-        "pa": F(2),
-        "da": F(4),
-        "crank": F(4),
-    },
-    "hart_aframe": {
-        "l1a": F(6),
-        "l1b": F(2),
-        "l1": F(8),
-        "l2a": F(6),
-        "l2b": F(2),
-        "l2": F(8),
-        "cross": F(4),
-        "w1": F(4),
-        "w2": F(4),
-    },
-}

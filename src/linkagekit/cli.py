@@ -4,8 +4,9 @@ Subcommands: models, trace, locus, certify, bom. Model arguments accept a
 builtin name or a path to a linkage file. Data goes to stdout, diagnostics
 to stderr, and identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 usage error, 2 validation or parse error,
-3 numeric failure, 4 symbolic budget exhaustion.
+Exit codes: 0 success, 1 usage error (bad flags, solver settings or
+straightness window), 2 validation or parse error, 3 numeric failure,
+4 symbolic budget exhaustion.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .locus import (
 from .poly import PairBudgetExceededError
 from .solver import (
     MM_PER_UNIT,
-    Configuration,
+    DegenerateWindow,
     NonConvergence,
     NoSeed,
     SingularJacobian,
@@ -77,16 +78,6 @@ def _resolve(name: str) -> tuple[model.LinkageSpec, Optional[catalog.CatalogEntr
     )
 
 
-def _seed_config(entry: Optional[catalog.CatalogEntry]) -> Optional[Configuration]:
-    if entry is None:
-        return None
-    anchored = {
-        j.id: (float(j.anchor[0]), float(j.anchor[1]))
-        for j in entry.spec.anchored_joints
-    }
-    return Configuration({**anchored, **entry.seed})
-
-
 def _run_trace(spec, entry, args):
     if args.theta_from is None or args.theta_to is None:
         if entry is None:
@@ -98,12 +89,18 @@ def _run_trace(spec, entry, args):
         end = args.theta_to if args.theta_to is not None else end
     else:
         start, end = args.theta_from, args.theta_to
-    settings = SolverSettings(
-        tol=args.tol, initial_step=args.step, min_step=args.min_step
-    )
-    seed = _seed_config(entry)
-    theta_ref = entry.theta_ref if entry is not None else None
-    return trace(spec, start, end, settings, seed=seed, seed_theta=theta_ref)
+    try:
+        settings = SolverSettings(
+            tol=args.tol, initial_step=args.step, min_step=args.min_step
+        )
+    except ValueError as ex:
+        raise _CliError(
+            EXIT_USAGE,
+            f"{ex} (--step {args.step:g}, --min-step {args.min_step:g}, --tol {args.tol:g})",
+        )
+    if entry is None:
+        return trace(spec, start, end, settings)
+    return trace(spec, start, end, settings, seed=entry.seed_config(), seed_theta=entry.theta_ref)
 
 
 def _report_events(tr) -> None:
@@ -414,6 +411,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except EmptyElimination as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)
         return EXIT_INVALID
+    except DegenerateWindow as ex:
+        print(f"linkagekit: {ex}", file=sys.stderr)
+        return EXIT_USAGE
     except (NoSeed, NonConvergence, SingularJacobian) as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)
         return EXIT_NUMERIC

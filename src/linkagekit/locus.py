@@ -8,6 +8,10 @@ curve. Peeling exact linear factors off that polynomial and checking which
 component the numeric trace actually follows turns "looks straight" into a
 yes/no certificate: a straight segment shares infinitely many points with
 the curve, so by Bezout's theorem it can only lie on a linear component.
+
+The constraint rows come from model.reduced_constraints, the one encoding
+the numeric solver shares. Linear factors are peeled off with poly.divide,
+which runs the poly layer's one division engine.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import LinkageSpec, collinear_triples
+from .model import LinkageSpec, reduced_constraints
 from .poly import MultiPoly, PairBudgetExceededError, divide, eliminate
-from .solver import Trace, TraceSample, straightness_stats
+from .solver import DegenerateWindow, Trace, TraceSample, straightness_stats
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -50,10 +54,10 @@ class ConstraintIdeal:
     distinguished variables x, y, placed last. Anchored coordinates are
     substituted as exact constants. Every bar contributes its squared-length
     equation, the driver bar included: no angle is pinned, so the system
-    describes the whole curve over all driver positions. A collinear bar
-    triple is reduced to its outer quadric plus the two affine rows placing
-    the interior joint; the raw per-bar system would be rank-deficient on
-    the collinear set and its ideal non-radical.
+    describes the whole curve over all driver positions. The rows come from
+    model.reduced_constraints, the encoding the numeric solver uses too:
+    collinear triples become affine rows, and the tracer adds two rows when
+    it sits on a bar.
     """
 
     variables: tuple[str, ...]
@@ -61,8 +65,7 @@ class ConstraintIdeal:
 
 
 def constraint_ideal(spec: LinkageSpec) -> ConstraintIdeal:
-    triples = collinear_triples(spec)
-    inner = {bid for t in triples for bid in t.inner_bars}
+    triples, quadrics = reduced_constraints(spec)
     tracer = spec.tracer
 
     names: list[str] = []
@@ -89,11 +92,7 @@ def constraint_ideal(spec: LinkageSpec) -> ConstraintIdeal:
         m, a, b = pt(t.mid), pt(t.a), pt(t.b)
         for i in (0, 1):
             gens.append(m[i] - ((1 - t.t) * a[i] + t.t * b[i]))
-    for bar in spec.bars:
-        if bar.id in inner:
-            continue
-        if spec.joint(bar.a).is_anchored and spec.joint(bar.b).is_anchored:
-            continue
+    for bar in quadrics:
         a, b = pt(bar.a), pt(bar.b)
         gens.append((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 - bar.length**2)
     if tracer.on_bar:
@@ -336,7 +335,7 @@ def certify(
     """
     samples = trace.windowed(window)
     if len(samples) < 10:
-        raise ValueError(
+        raise DegenerateWindow(
             f"straightness window {window} holds {len(samples)} samples; need at least 10"
         )
     stats = straightness_stats(trace, window)

@@ -128,7 +128,7 @@ def collinear_triples(spec: LinkageSpec) -> list[CollinearTriple]:
     """Detect all collinear bar triples of a spec.
 
     A bar may belong to at most one triple; overlapping triples raise, since
-    the reduction used by the solver and the locus builder would be ambiguous.
+    reduced_constraints would be ambiguous.
     """
     by_pair: dict[frozenset[str], Bar] = {}
     for b in spec.bars:
@@ -164,6 +164,28 @@ def collinear_triples(spec: LinkageSpec) -> list[CollinearTriple]:
                     )
                 )
     return triples
+
+
+def reduced_constraints(spec: LinkageSpec) -> tuple[list[CollinearTriple], list[Bar]]:
+    """The constraint encoding shared by the solver and the locus builder.
+
+    Each collinear triple becomes two affine rows mid = (1-t)*a + t*b, and its
+    outer bar keeps its squared-length quadric. The inner bars are dropped:
+    the raw triple encoding has an everywhere-singular Jacobian and a
+    non-radical ideal. Bars joining two anchors are dropped too, since they
+    constrain nothing (validate checks them against the anchor distance).
+    Returns the triples, ordered by interior joint, and the quadric bars in
+    spec order; in a validated spec the driver bar is a quadric bar.
+    """
+    triples = collinear_triples(spec)
+    inner = {bid for t in triples for bid in t.inner_bars}
+    quadrics = [
+        b
+        for b in spec.bars
+        if b.id not in inner
+        and not (spec.joint(b.a).is_anchored and spec.joint(b.b).is_anchored)
+    ]
+    return triples, quadrics
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +329,18 @@ def validate(spec: LinkageSpec) -> ValidationReport:
     check("tracer", tracer_ok, tracer_detail)
 
     try:
-        collinear_triples(spec)
+        triples = collinear_triples(spec)
         check("triples", True, "collinear bar triples are disjoint")
     except ValueError as e:
+        triples = []
         check("triples", False, str(e))
+    # the solver swaps the driver's quadric for the two driver-angle rows,
+    # which needs the driver to keep its quadric in reduced_constraints
+    check(
+        "driver-outer",
+        all(spec.driver.bar not in t.inner_bars for t in triples),
+        "driver bar is not an inner bar of a collinear triple",
+    )
 
     return ValidationReport(tuple(checks))
 

@@ -8,10 +8,14 @@ with multivariate division with quotient tracking, Buchberger's algorithm with
 the coprime-lead and chain criteria, and elimination ideals via the block
 order. Everything here is exact; no floating point enters any coefficient.
 
-The Buchberger loop works internally on integer-coefficient primitive
-polynomials (denominators cleared, content stripped after every reduction) to
-keep bignum growth under control. Public results are monic with Fraction
-coefficients.
+One division engine serves division, reduction and the Buchberger loop: the
+standard algorithm (Cox, Little and O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 2 section 3) run fraction-free on integer-coefficient
+primitive polynomials (denominators cleared, content stripped after every
+Buchberger reduction) to keep bignum growth under control. ``divide`` rescales
+its integer quotients and remainder back to rationals; Buchberger results are
+monic with Fraction coefficients. ``spoly`` stays a plain rational
+computation, independent of the engine, so tests can check bases with it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Rat = Fraction
 Exponents = tuple[int, ...]
@@ -400,42 +404,29 @@ def divide(
     """Multivariate division: returns (quotients, remainder) with
     p == sum(q_i * g_i) + r and no remainder term divisible by any divisor lead.
 
-    Divisors are tried in list order, so the result is deterministic.
+    Divisors are tried in list order, so the result is deterministic. The work
+    runs in the fraction-free engine on primitive integer forms; quotients and
+    remainder are rescaled to p and the divisors afterwards.
     """
     for g in divisors:
         p._check(g)
         if g.is_zero:
             raise ZeroDivisionError("zero divisor in division")
     key = order.key(p.vars)
-    leads = [max(g.terms, key=lambda t: key(t[0])) for g in divisors]
-    quots: list[dict[Exponents, Fraction]] = [dict() for _ in divisors]
-    rem: dict[Exponents, Fraction] = {}
-    work = dict(p.terms)
-
-    def pop_lead() -> tuple[Exponents, Fraction]:
-        e = max(work, key=key)
-        return e, work.pop(e)
-
-    while work:
-        exp, coeff = pop_lead()
-        for i, (eg, cg) in enumerate(leads):
-            if all(a >= b for a, b in zip(exp, eg)):
-                shift = tuple(a - b for a, b in zip(exp, eg))
-                factor = coeff / cg
-                quots[i][shift] = quots[i].get(shift, Fraction(0)) + factor
-                for e2, c2 in divisors[i].terms:
-                    if (e2, c2) == (eg, cg):
-                        continue
-                    e = tuple(a + b for a, b in zip(shift, e2))
-                    v = work.get(e, Fraction(0)) - factor * c2
-                    if v:
-                        work[e] = v
-                    else:
-                        work.pop(e, None)
-                break
-        else:
-            rem[exp] = rem.get(exp, Fraction(0)) + coeff
-    return [MultiPoly(p.vars, q) for q in quots], MultiPoly(p.vars, rem)
+    content, pt = _to_int_terms(p, key)
+    ints = [_to_int_terms(g, key) for g in divisors]
+    quots: list[dict[Exponents, int]] = [dict() for _ in divisors]
+    rem, scale = _normal_form_int(pt, [t for _, t in ints], key, quots)
+    # scale * prim(p) == sum(q_i * prim(g_i)) + rem, where p = content * prim(p)
+    # and g_i = c_i * prim(g_i)
+    factor = content / scale
+    return (
+        [
+            MultiPoly(p.vars, {e: factor / c * v for e, v in q.items()})
+            for q, (c, _) in zip(quots, ints)
+        ],
+        MultiPoly(p.vars, {e: factor * c for _, e, c in rem}),
+    )
 
 
 def spoly(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:
@@ -450,17 +441,18 @@ def spoly(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPo
 
 
 # ---------------------------------------------------------------------------
-# fraction-free engine used by reduce/buchberger
+# fraction-free engine used by divide, reduce and buchberger
 
 # internal term list: [(key, exp, int_coeff)] sorted descending by key
 _Terms = list
 
 
-def _to_int_terms(p: MultiPoly, key: Callable) -> _Terms:
-    _, prim = p.content_and_primitive()
+def _to_int_terms(p: MultiPoly, key: Callable) -> tuple[Fraction, _Terms]:
+    """p as content * (primitive integer terms)."""
+    content, prim = p.content_and_primitive()
     out = [(key(e), e, int(c)) for e, c in prim.terms]
     out.sort(key=lambda t: t[0], reverse=True)
-    return out
+    return content, out
 
 
 def _from_int_terms(varnames, terms: _Terms) -> MultiPoly:
@@ -513,13 +505,17 @@ def _scale_merge(a: int, p: _Terms, b: int, q: _Terms, shift: Exponents, key: Ca
 
 
 def _normal_form_int(
-    p: _Terms, basis: Sequence[_Terms], key: Callable, track_scale: bool = False
-):
+    p: _Terms,
+    basis: Sequence[_Terms],
+    key: Callable,
+    quots: Optional[list[dict[Exponents, int]]] = None,
+) -> tuple[_Terms, int]:
     """Full normal form of p against basis, fraction-free.
 
-    With track_scale the result is (terms, s) where terms is the exact integer
-    normal form of s*p (s a positive integer); otherwise the terms come back
-    content-stripped with a positive lead.
+    Returns (terms, s): terms is the exact integer normal form of s*p, s a
+    positive integer. Basis elements are tried in list order. When quots
+    holds one dict per basis element, the integer quotients are added to
+    them, so that s*p == sum(quots[i] * basis[i]) + terms.
     """
     rem: _Terms = []
     work = list(p)
@@ -527,7 +523,7 @@ def _normal_form_int(
     while work:
         kw, ew, cw = work[0]
         reducer = None
-        for g in basis:
+        for i, g in enumerate(basis):
             eg = g[0][1]
             ok = True
             for x, y in zip(ew, eg):
@@ -553,30 +549,26 @@ def _normal_form_int(
             scale *= a
             if rem:
                 rem = [(k, e, c * a) for k, e, c in rem]
-    if track_scale:
-        return rem, scale
-    return _strip_content(rem)
+        if quots is not None:
+            # a * (old work) == -b * x^shift * reducer + (new work)
+            if a != 1:
+                for q in quots:
+                    for e in q:
+                        q[e] *= a
+            quots[i][shift] = -b
+    return rem, scale
 
 
 def reduce(p: MultiPoly, basis: Sequence[MultiPoly], order: MonomialOrder = GREVLEX) -> MultiPoly:
     """Remainder of p on division by basis: p minus the remainder lies in the
     ideal generated by the basis and no remainder term is divisible by any
-    basis leading term. Matches divide() but skips quotient bookkeeping."""
+    basis leading term. Zero basis elements are ignored."""
     for g in basis:
         p._check(g)
     gens = [g for g in basis if not g.is_zero]
     if p.is_zero or not gens:
         return p
-    key = order.key(p.vars)
-    content, prim = p.content_and_primitive()
-    int_basis = [_to_int_terms(g, key) for g in gens]
-    pt = [(key(e), e, int(c)) for e, c in prim.terms]
-    pt.sort(key=lambda t: t[0], reverse=True)
-    nf, scale = _normal_form_int(pt, int_basis, key, track_scale=True)
-    if not nf:
-        return MultiPoly.zero(p.vars)
-    factor = content / scale
-    return MultiPoly(p.vars, {e: factor * c for _, e, c in nf})
+    return divide(p, gens, order)[1]
 
 
 def _lcm_exp(a: Exponents, b: Exponents) -> Exponents:
@@ -615,11 +607,7 @@ def _buchberger(
         g._check(gens[0])
     key = order.key(varnames)
 
-    basis: list[_Terms] = []
-    for g in gens:
-        t = _to_int_terms(g, key)
-        if t:
-            basis.append(t)
+    basis = [_to_int_terms(g, key)[1] for g in gens]
 
     def lead(i: int) -> Exponents:
         return basis[i][0][1]
@@ -673,7 +661,7 @@ def _buchberger(
         )
         # the two lead terms cancel by construction; drop the residual lead if present
         s = [t for t in s if t[2]]
-        s = _normal_form_int(_strip_content(s), basis, key)
+        s = _strip_content(_normal_form_int(_strip_content(s), basis, key)[0])
         if s:
             basis.append(s)
             push_pairs(len(basis) - 1)
@@ -712,7 +700,7 @@ def _reduce_basis(varnames, basis: list[_Terms], order: MonomialOrder) -> list[M
     reduced: list[_Terms] = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
-        nf = _normal_form_int(g, others, key) if others else _strip_content(g)
+        nf = _strip_content(_normal_form_int(g, others, key)[0])
         if nf:
             reduced.append(nf)
     out = []

@@ -2,12 +2,15 @@
 
 The bar-length system is solved by damped Newton iteration at a fixed driver
 angle, and curves are traced by continuation: each angle step is seeded from
-the previous solution, halving the step on failure until a workspace boundary
-is declared. Collinear bar triples (rigid beams with interior joints) are
-rewritten into affine rows plus the outer bar's quadric before Newton runs;
-the raw triple encoding has an everywhere-singular Jacobian, so it cannot be
-iterated on directly. Convergence is always measured against the full
-original constraint set, never the rewritten rows.
+the previous solution, halving the step on failure. One continuation loop
+both carries the seed to the sweep start and sweeps the window; a stall is
+NoSeed in the first use and a workspace boundary in the second. Newton runs
+on the rows of model.reduced_constraints, the encoding the locus builder
+shares: collinear bar triples (rigid beams with interior joints) become
+affine rows plus the outer bar's quadric, since the raw triple encoding has
+an everywhere-singular Jacobian, and the driver's quadric gives way to two
+driver-angle rows. Convergence is always measured against the full original
+constraint set, never the rewritten rows.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Bar, LinkageSpec, collinear_triples
+from .model import Bar, LinkageSpec, reduced_constraints
 
 MM_PER_UNIT = 8.0
 
@@ -42,7 +45,7 @@ class SingularJacobian(RuntimeError):
 
 
 class DegenerateWindow(ValueError):
-    """The windowed samples cannot define a line."""
+    """The window holds too few samples, or samples that cannot define a line."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,9 @@ class SolverSettings:
     condition_threshold: float = 1e10
 
     def __post_init__(self):
-        if min(self.tol, self.max_newton_iters, self.initial_step, self.min_step) <= 0:
-            raise ValueError("solver settings must be positive")
+        values = (self.tol, self.max_newton_iters, self.initial_step, self.min_step)
+        if not all(0 < v < math.inf for v in values):  # false for NaN too
+            raise ValueError("solver settings must be positive and finite")
         if self.min_step > self.initial_step:
             raise ValueError("min_step must not exceed initial_step")
 
@@ -223,23 +227,15 @@ def _compile(spec: LinkageSpec) -> _Compiled:
     free = [j.id for j in spec.joints if not j.is_anchored]
     col = {j: 2 * i for i, j in enumerate(free)}
 
-    triples = collinear_triples(spec)
-    inner = {bid for t in triples for bid in t.inner_bars}
+    triples, quadrics = reduced_constraints(spec)
     driver_bar = spec.bar(spec.driver.bar)
-    if driver_bar.id in inner:
-        raise ValueError("driver bar may not be an inner bar of a collinear triple")
     if spec.joint(driver_bar.a).is_anchored:
         anchor_id, free_id = driver_bar.a, driver_bar.b
     else:
         anchor_id, free_id = driver_bar.b, driver_bar.a
 
-    quad_bars = [
-        b
-        for b in spec.bars
-        if b.id not in inner
-        and b.id != driver_bar.id
-        and not (spec.joint(b.a).is_anchored and spec.joint(b.b).is_anchored)
-    ]
+    # the driver's quadric gives way to the two driver-angle rows
+    quad_bars = [b for b in quadrics if b.id != driver_bar.id]
     affine = [(t.mid, t.a, t.b, float(t.t)) for t in triples]
     return _Compiled(
         spec=spec,
@@ -383,34 +379,33 @@ def flip_branch(
 # continuation tracing
 
 
-def _walk(comp, x, theta_from: float, theta_to: float, settings) -> np.ndarray:
-    """Continuation without sampling; used to carry a seed to the sweep start."""
-    theta = theta_from
-    x, _, _, _, ok = _newton(comp, theta, x, settings)
-    if not ok:
-        raise NoSeed(f"no solvable configuration at theta={theta_from:.6g}")
-    if theta_to == theta_from:
-        return x
-    sign = 1.0 if theta_to > theta_from else -1.0
+def _steps(
+    comp: _Compiled, x: np.ndarray, theta: float, theta_to: float, settings: SolverSettings
+):
+    """Continuation from the solution x at theta toward theta_to.
+
+    Yields (theta, x, max_cond) after every accepted step. A failed step is
+    retried with half the step length, and an accepted one grows a shortened
+    step back toward the initial step. The generator ends at theta_to, or at
+    the last accepted angle once the step falls below the minimum (a stall).
+    """
+    sign = 1.0 if theta_to > theta else -1.0
     step = settings.initial_step * sign
     while theta != theta_to:
         nxt = theta + step
         if (theta_to - nxt) * sign < 0:
             nxt = theta_to
-        xn, _, _, _, ok = _newton(comp, nxt, x, settings)
+        xn, _, _, max_cond, ok = _newton(comp, nxt, x, settings)
         if ok:
             theta = nxt
             x = xn
+            yield theta, x, max_cond
             if abs(step) < settings.initial_step:
                 step = sign * min(abs(step) * 1.5, settings.initial_step)
         else:
             step /= 2
             if abs(step) < settings.min_step:
-                raise NoSeed(
-                    f"continuation from theta={theta_from:.6g} stalled at "
-                    f"theta={theta:.6g} before reaching {theta_to:.6g}"
-                )
-    return x
+                return
 
 
 def trace(
@@ -424,10 +419,11 @@ def trace(
     """Sweep the driver angle, recording the tracer point at every solved step.
 
     The seed (default: a geometric layout guess) is first carried to
-    theta_start by continuation. During the sweep a failed step is retried
-    with half the step length; below the minimum step a workspace boundary is
-    recorded and the sweep ends. Near-singular Jacobians are flagged as
-    singular-configuration events without stopping or switching branches.
+    theta_start by continuation; a stall there raises NoSeed. During the
+    sweep a failed step is retried with half the step length; below the
+    minimum step a workspace boundary is recorded and the sweep ends.
+    Near-singular Jacobians are flagged as singular-configuration events
+    without stopping or switching branches.
     """
     settings = settings or SolverSettings()
     comp = _compile(spec)
@@ -437,7 +433,17 @@ def trace(
     elif seed_theta is None:
         seed_theta = theta_start
 
-    x = _walk(comp, comp.to_vec(seed), seed_theta, theta_start, settings)
+    x, _, _, _, ok = _newton(comp, seed_theta, comp.to_vec(seed), settings)
+    if not ok:
+        raise NoSeed(f"no solvable configuration at theta={seed_theta:.6g}")
+    theta = seed_theta
+    for theta, x, _ in _steps(comp, x, theta, theta_start, settings):
+        pass
+    if theta != theta_start:
+        raise NoSeed(
+            f"continuation from theta={seed_theta:.6g} stalled at "
+            f"theta={theta:.6g} before reaching {theta_start:.6g}"
+        )
 
     samples: list[TraceSample] = []
     events: list[BranchEvent] = []
@@ -448,36 +454,19 @@ def trace(
             TraceSample(theta, float(px), float(py), comp.full_residual(x, theta))
         )
 
-    record(theta_start, x)
-    if theta_end == theta_start:
-        return Trace(samples, events)
-
-    sign = 1.0 if theta_end > theta_start else -1.0
-    step = settings.initial_step * sign
     theta = theta_start
+    record(theta, x)
     near_singular = False
-    while theta != theta_end:
-        nxt = theta + step
-        if (theta_end - nxt) * sign < 0:
-            nxt = theta_end
-        xn, _, _, max_cond, ok = _newton(comp, nxt, x, settings)
-        if ok:
-            theta = nxt
-            x = xn
-            record(theta, x)
-            if max_cond > settings.condition_threshold:
-                if not near_singular:
-                    events.append(BranchEvent(theta, EventKind.SINGULAR_CONFIGURATION))
-                    near_singular = True
-            else:
-                near_singular = False
-            if abs(step) < settings.initial_step:
-                step = sign * min(abs(step) * 1.5, settings.initial_step)
+    for theta, x, max_cond in _steps(comp, x, theta, theta_end, settings):
+        record(theta, x)
+        if max_cond > settings.condition_threshold:
+            if not near_singular:
+                events.append(BranchEvent(theta, EventKind.SINGULAR_CONFIGURATION))
+                near_singular = True
         else:
-            step /= 2
-            if abs(step) < settings.min_step:
-                events.append(BranchEvent(theta, EventKind.WORKSPACE_BOUNDARY))
-                break
+            near_singular = False
+    if theta != theta_end:
+        events.append(BranchEvent(theta, EventKind.WORKSPACE_BOUNDARY))
     return Trace(samples, events)
 
 

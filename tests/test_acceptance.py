@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import catalog_seed, catalog_trace
+from conftest import catalog_trace
 from linkagekit.bom import format_price, price, shipped
 from linkagekit.catalog import entry, names
 from linkagekit.locus import Verdict, certify, constraint_ideal, locus_equation
@@ -161,7 +161,7 @@ def test_flipped_branch_rides_the_sextic_not_the_line(traces, loci):
     # regular configuration and confirm the pen leaves the straight branch
     e = entry("hart_inversor")
     settings = SolverSettings()
-    base = solve_configuration(e.spec, 3.6, catalog_seed(e), settings)
+    base = solve_configuration(e.spec, 3.6, e.seed_config(), settings)
     flipped = solve_configuration(
         e.spec, 3.6, flip_branch(base, "C", ("B", "D")), settings
     )

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output text, JSON payloads, exit codes."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -279,3 +280,34 @@ def test_locus_from_file_matches_builtin(capsys, tmp_path):
     code_builtin, out_builtin, _ = run(capsys, "locus", "compass")
     assert code_file == code_builtin == 0
     assert out_file == out_builtin
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("trace", "watt", "--step", "0"), "solver settings must be positive and finite"),
+        (("trace", "watt", "--step", "nan"), "solver settings must be positive and finite"),
+        (("trace", "watt", "--tol", "inf"), "solver settings must be positive and finite"),
+        (("trace", "watt", "--min-step", "1", "--step", "0.5"),
+         "min_step must not exceed initial_step"),
+        (("certify", "watt", "--window", "0", "0.01"), "holds 1 samples; need at least 10"),
+        (("certify", "compass", "--window", "5", "5.001"),
+         "holds 0 samples; need at least 10"),
+    ],
+)
+def test_bad_numeric_arguments_exit_one(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("linkagekit: ")
+    assert message in err
+
+
+def test_inner_bar_driver_file_exits_two(capsys, tmp_path):
+    spec = replace(entry("hart_aframe").spec, driver=Driver("l1a"))
+    path = tmp_path / "aframe_l1a.json"
+    path.write_text(model.save(spec))
+    code, _, err = run(capsys, "trace", str(path), "--from", "1.0", "--to", "1.1")
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("linkagekit: ")
+    assert "driver bar is not an inner bar of a collinear triple" in err

@@ -1,20 +1,24 @@
 """Constraint ideals, symbolic locus equations, and straightness certificates."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import sympy_divide
 from linkagekit.catalog import entry, names
 from linkagekit.locus import (
     EmptyElimination,
     Verdict,
+    _candidate_lines,
     certify,
     constraint_ideal,
     extract_linear_factors,
     locus_equation,
 )
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer
-from linkagekit.poly import MultiPoly, eliminate
+from linkagekit.poly import MultiPoly, divide, eliminate
+from linkagekit.solver import solve_configuration
 
 V2 = ("x", "y")
 X = MultiPoly.variable(V2, "x")
@@ -91,6 +95,33 @@ def test_constraint_ideal_compass():
     assert [g.text() for g in ci.generators] == ["x^2 + y^2 - 16"]
 
 
+def test_solved_configuration_zeroes_constraint_ideal():
+    # cross-check of the two halves: the numeric solution at theta_ref must
+    # satisfy every exact generator, each residual scaled by its term sizes
+    for name in names():
+        e = entry(name)
+        cfg = solve_configuration(e.spec, e.theta_ref, e.seed_config())
+        tracer = e.spec.tracer
+        if tracer.on_bar:
+            bar, off = e.spec.bar(tracer.bar), float(tracer.offset)
+            pen = [(1 - off) * a + off * b for a, b in zip(cfg[bar.a], cfg[bar.b])]
+        else:
+            pen = cfg[tracer.joint]
+        ci = constraint_ideal(e.spec)
+        point = []
+        for v in ci.variables:
+            if v in ("x", "y"):
+                point.append(pen[v == "y"])
+            else:
+                jid, axis = v.rsplit("_", 1)
+                point.append(cfg[jid][axis == "y"])
+        for g in ci.generators:
+            terms = [
+                float(c) * math.prod(p**k for p, k in zip(point, exp)) for exp, c in g.terms
+            ]
+            assert abs(sum(terms)) <= 1e-9 * sum(abs(t) for t in terms), (name, g.text())
+
+
 def test_locus_goldens(loci):
     for name in names():
         res = loci[name]
@@ -126,6 +157,16 @@ def test_factor_product_reconstructs_locus(loci):
         for f, mult in res.factors:
             prod = prod * f**mult
         assert prod * res.residual_cofactor == res.locus, name
+
+
+def test_candidate_line_division_matches_sympy(loci):
+    pytest.importorskip("sympy")
+    for name in names():
+        p = loci[name].locus
+        for a, b, c in _candidate_lines(p, ()):
+            line = a * X + b * Y + MultiPoly.const(V2, c)
+            (q,), r = divide(p, [line])
+            assert ([q.as_dict()], r.as_dict()) == sympy_divide(p, [line]), (name, line.text())
 
 
 def test_elimination_generators_vanish_on_traces(traces):

@@ -1,6 +1,7 @@
 """Spec construction, validation, triples, and the file format round-trip."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,46 @@ from linkagekit.model import (
 )
 
 
+# committed per-model bar lengths; the builtin specs must match this table
+EXPECTED_LENGTHS = {
+    "compass": {"arm": F(4)},
+    "chebyshev": {"rocker1": F(10), "coupler": F(4), "rocker2": F(10)},
+    "chebyshev_open": {"rocker1": F(10), "coupler": F(4), "rocker2": F(10)},
+    "chebyshev_lambda": {
+        "crank": F(2),
+        "beam_a": F(5),
+        "beam_b": F(5),
+        "beam": F(10),
+        "rocker": F(5),
+    },
+    "watt": {"rocker1": F(8), "coupler": F(4), "rocker2": F(8)},
+    "hart_inversor": {
+        "ao": F(4),
+        "ob": F(4),
+        "ab": F(8),
+        "bq": F(2),
+        "qc": F(2),
+        "bc": F(4),
+        "cd": F(8),
+        "dp": F(2),
+        "pa": F(2),
+        "da": F(4),
+        "crank": F(4),
+    },
+    "hart_aframe": {
+        "l1a": F(6),
+        "l1b": F(2),
+        "l1": F(8),
+        "l2a": F(6),
+        "l2b": F(2),
+        "l2": F(8),
+        "cross": F(4),
+        "w1": F(4),
+        "w2": F(4),
+    },
+}
+
+
 def test_every_builtin_validates():
     for name in catalog.names():
         report = validate(catalog.builtin(name))
@@ -28,7 +69,7 @@ def test_every_builtin_validates():
 
 
 def test_builtin_bar_lengths_match_committed_table():
-    for name, lengths in catalog.EXPECTED_LENGTHS.items():
+    for name, lengths in EXPECTED_LENGTHS.items():
         spec = catalog.builtin(name)
         assert {b.id: b.length for b in spec.bars} == lengths
 
@@ -116,3 +157,11 @@ def test_duplicate_joint_id_rejected():
 
 def test_save_uses_exact_rationals():
     assert "." not in save(catalog.builtin("chebyshev_lambda"))
+
+
+def test_inner_bar_driver_rejected():
+    spec = replace(catalog.builtin("hart_aframe"), driver=Driver("l1a"))
+    report = validate(spec)
+    assert [c.name for c in report.failures] == ["driver-outer"]
+    with pytest.raises(ValidationError, match="not an inner bar"):
+        load(save(spec))

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import sympy_divide
 from linkagekit.poly import (
     BlockElim,
     GREVLEX,
@@ -89,6 +90,20 @@ def test_division_reexpansion_random():
             for d in divisors:
                 lead = d.leading_term(GREVLEX)[0]
                 assert not all(a >= b for a, b in zip(e, lead))
+
+
+def test_division_matches_sympy_reduced():
+    pytest.importorskip("sympy")
+    rng = random.Random(4711)
+    cases = 0
+    while cases < 300:
+        f = random_poly(rng, max_terms=6)
+        divisors = [random_poly(rng, max_terms=3, max_deg=2) for _ in range(rng.randint(1, 3))]
+        if f.is_zero or any(d.is_zero for d in divisors):
+            continue
+        cases += 1
+        qs, r = divide(f, divisors, GREVLEX)
+        assert ([q.as_dict() for q in qs], r.as_dict()) == sympy_divide(f, divisors)
 
 
 def test_spoly_cancels_leads():

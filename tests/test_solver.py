@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import catalog_seed, catalog_trace
+from conftest import catalog_trace
 from linkagekit.catalog import entry, names
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer
 from linkagekit.solver import (
@@ -57,7 +57,7 @@ def test_theta_strictly_monotone(traces):
 def test_compass_closed_form():
     e = entry("compass")
     for theta, expect in ((0.0, (4.0, 0.0)), (math.pi / 2, (0.0, 4.0))):
-        cfg = solve_configuration(e.spec, theta, catalog_seed(e), SolverSettings())
+        cfg = solve_configuration(e.spec, theta, e.seed_config(), SolverSettings())
         assert cfg["T"] == pytest.approx(expect, abs=1e-12)
 
 
@@ -113,7 +113,7 @@ def test_mirror_symmetry_axis_anchored():
         lo, hi = e.sweep
         base = catalog_trace(name)
         mirrored_seed = Configuration(
-            {jid: (-x, y) for jid, (x, y) in catalog_seed(e).positions.items()}
+            {jid: (-x, y) for jid, (x, y) in e.seed_config().positions.items()}
         )
         mirrored = trace(
             e.spec, math.pi - lo, math.pi - hi, SolverSettings(),
@@ -131,7 +131,7 @@ def test_mirror_symmetry_watt_swaps_rockers():
     # watt anchors sit off-axis, so the mirror image drives the other rocker
     e = entry("watt")
     spec2 = replace(e.spec, driver=Driver("rocker2"))
-    seed = catalog_seed(e)
+    seed = e.seed_config()
     seed2 = Configuration(
         {
             "W1": seed["W1"], "W2": seed["W2"],
@@ -155,7 +155,7 @@ def test_mirror_symmetry_watt_swaps_rockers():
 
 def test_flip_branch_switches_assembly():
     e = entry("hart_inversor")
-    base = solve_configuration(e.spec, 3.6, catalog_seed(e), SolverSettings())
+    base = solve_configuration(e.spec, 3.6, e.seed_config(), SolverSettings())
     flipped = solve_configuration(
         e.spec, 3.6, flip_branch(base, "C", ("B", "D")), SolverSettings()
     )
@@ -204,7 +204,7 @@ def test_straightness_stats_exact_on_hart(traces):
 
 def test_tracer_on_bar_midpoint(traces):
     e = entry("watt")
-    cfg = solve_configuration(e.spec, 0.1, catalog_seed(e), SolverSettings())
+    cfg = solve_configuration(e.spec, 0.1, e.seed_config(), SolverSettings())
     mid = ((cfg["C"][0] + cfg["D"][0]) / 2, (cfg["C"][1] + cfg["D"][1]) / 2)
     tr = trace(e.spec, 0.1, 0.1, SolverSettings(), seed=cfg, seed_theta=0.1)
     assert tr.samples[0].x == pytest.approx(mid[0], abs=1e-12)
