@@ -4,9 +4,10 @@ Subcommands: models, trace, locus, certify, bom. Model arguments accept a
 builtin name or a path to a linkage file. Data goes to stdout, diagnostics
 to stderr, and identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 usage error (bad flags, solver settings or
-straightness window), 2 validation or parse error, 3 numeric failure,
-4 symbolic budget exhaustion.
+Exit codes: 0 success, 1 usage error (bad flags, solver settings, pair
+budget or straightness window), 2 validation or parse error, 3 numeric
+failure, 4 symbolic failure (pair budget exhausted, or minimal-degree
+elimination generators that disagree on straightness).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import catalog, model
 from .exports import trace_csv, trace_svg
 from .locus import (
     DEFAULT_PAIR_BUDGET,
+    CertificateDisagreement,
     EmptyElimination,
     Verdict,
     certify,
@@ -76,6 +78,14 @@ def _resolve(name: str) -> tuple[model.LinkageSpec, Optional[catalog.CatalogEntr
         f"unknown model {name!r} (not a builtin, not a file); "
         f"builtins: {', '.join(catalog.names())}",
     )
+
+
+def _pair_budget(args) -> int:
+    if args.pair_budget < 0:
+        raise _CliError(
+            EXIT_USAGE, f"--pair-budget must be non-negative, got {args.pair_budget}"
+        )
+    return args.pair_budget
 
 
 def _run_trace(spec, entry, args):
@@ -188,7 +198,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_locus(args) -> int:
     spec, _ = _resolve(args.model)
-    res = locus_equation(spec, pair_budget=args.pair_budget)
+    res = locus_equation(spec, pair_budget=_pair_budget(args))
     n = len(res.factors)
     if args.json:
         payload = {
@@ -219,6 +229,7 @@ def _cmd_locus(args) -> int:
 
 def _cmd_certify(args) -> int:
     spec, entry = _resolve(args.model)
+    budget = _pair_budget(args)
     if args.window is not None:
         window = tuple(args.window)
     elif entry is not None:
@@ -227,7 +238,7 @@ def _cmd_certify(args) -> int:
         raise _CliError(EXIT_USAGE, "--window is required for file-based models")
     tr = _run_trace(spec, entry, args)
     _report_events(tr)
-    cert = certify(spec, tr, window, pair_budget=args.pair_budget)
+    cert = certify(spec, tr, window, pair_budget=budget)
 
     if args.json:
         payload = {
@@ -422,6 +433,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             f"linkagekit: {ex}; raise --pair-budget to keep going",
             file=sys.stderr,
         )
+        return EXIT_SYMBOLIC
+    except CertificateDisagreement as ex:
+        print(f"linkagekit: {ex}", file=sys.stderr)
         return EXIT_SYMBOLIC
     except OSError as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)

@@ -16,15 +16,32 @@ Buchberger reduction) to keep bignum growth under control. ``divide`` rescales
 its integer quotients and remainder back to rationals; Buchberger results are
 monic with Fraction coefficients. ``spoly`` stays a plain rational
 computation, independent of the engine, so tests can check bases with it.
+
+Every monomial order here is a weight order (Cox, Little and O'Shea, ch. 2
+section 2), so each packs exactly into one Python int: ``key(e) = sum(e_i *
+w_i)`` with weights built from 32-bit digits. Grevlex weighs variable i by
+``2^(32n) - 2^(32i)``, lex by ``2^(32(n-1-i))``, and the block order puts the
+front block's grevlex weights above the back block's. Comparing packed keys
+orders monomials exactly like the textbook comparisons, and equal keys mean
+equal exponents, while every total degree stays below ``DEGREE_LIMIT`` =
+2^32. ``MultiPoly`` rejects a term at or above it with ``ValueError``, and so
+does the engine, once per reduction step, before a shift could create one.
+Because the key is linear, shifting a term by x^s just adds ``key(s)`` to
+its key.
+
+``MultiPoly.subs`` accumulates every term's product into one term map and
+computes each replacement's powers once per call.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 from math import gcd
+from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Rat = Fraction
@@ -37,50 +54,86 @@ class VariableMismatchError(ValueError):
 
 
 class PairBudgetExceededError(RuntimeError):
-    """Raised when Buchberger processes more critical pairs than allowed."""
+    """Raised when Buchberger would process more critical pairs than allowed.
 
-    def __init__(self, budget: int):
-        super().__init__(f"critical pair budget of {budget} exhausted")
+    stage names the Groebner run that was interrupted (the variables being
+    dropped, or the final grevlex run of an elimination); used counts the
+    pairs processed before it stopped, across all stages.
+    """
+
+    def __init__(self, budget: int, stage: str, used: int):
+        super().__init__(
+            f"critical pair budget of {budget} exhausted while {stage} "
+            f"({used} pairs used)"
+        )
         self.budget = budget
+        self.stage = stage
+        self.used = used
 
 
 class _PairCounter:
     """One pair allowance shared by every Buchberger run inside a computation."""
 
-    __slots__ = ("budget", "used")
+    __slots__ = ("budget", "used", "stage")
 
     def __init__(self, budget: int):
+        if budget < 0:
+            raise ValueError(f"pair budget must be non-negative, got {budget}")
         self.budget = budget
         self.used = 0
+        self.stage = ""
 
     def spend(self) -> None:
+        if self.used >= self.budget:
+            raise PairBudgetExceededError(self.budget, self.stage, self.used)
         self.used += 1
-        if self.used > self.budget:
-            raise PairBudgetExceededError(self.budget)
 
 
 # ---------------------------------------------------------------------------
 # monomial orders
 
+_DIGIT_BITS = 32
+DEGREE_LIMIT = 1 << _DIGIT_BITS  # total degrees must stay below this
 
-def _grevlex_key(exp: Exponents) -> tuple:
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+Key = Callable[[Exponents], int]
+
+
+@lru_cache(maxsize=64)
+def _grevlex_weights(n: int) -> tuple[int, ...]:
+    top = 1 << (_DIGIT_BITS * n)
+    return tuple(top - (1 << (_DIGIT_BITS * i)) for i in range(n))
+
+
+def _packed_key(weights: tuple[int, ...]) -> Key:
+    def key(exp: Exponents) -> int:
+        return sum(map(mul, exp, weights))
+
+    return key
+
+
+def _check_degree(degree: int, what: object) -> None:
+    if degree >= DEGREE_LIMIT:
+        raise ValueError(
+            f"total degree {degree} of {what} reaches the limit 2^{_DIGIT_BITS} "
+            "of the packed monomial keys"
+        )
 
 
 @dataclass(frozen=True)
 class GrevLex:
     """Graded reverse lexicographic order."""
 
-    def key(self, varnames: Sequence[str]) -> Callable[[Exponents], tuple]:
-        return _grevlex_key
+    def key(self, varnames: Sequence[str]) -> Key:
+        return _packed_key(_grevlex_weights(len(varnames)))
 
 
 @dataclass(frozen=True)
 class Lex:
     """Pure lexicographic order, earlier variables more significant."""
 
-    def key(self, varnames: Sequence[str]) -> Callable[[Exponents], tuple]:
-        return lambda exp: exp
+    def key(self, varnames: Sequence[str]) -> Key:
+        n = len(varnames)
+        return _packed_key(tuple(1 << (_DIGIT_BITS * (n - 1 - i)) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -94,20 +147,20 @@ class BlockElim:
 
     front: tuple[str, ...]
 
-    def key(self, varnames: Sequence[str]) -> Callable[[Exponents], tuple]:
+    def key(self, varnames: Sequence[str]) -> Key:
         front = [i for i, v in enumerate(varnames) if v in self.front]
         back = [i for i, v in enumerate(varnames) if v not in self.front]
         unknown = set(self.front) - set(varnames)
         if unknown:
             raise VariableMismatchError(f"front variables {sorted(unknown)} not in ring")
-
-        def key(exp: Exponents) -> tuple:
-            return (
-                _grevlex_key(tuple(exp[i] for i in front)),
-                _grevlex_key(tuple(exp[i] for i in back)),
-            )
-
-        return key
+        # the back block's grevlex keys stay below 2^(W*(len(back)+1))
+        lift = 1 << (_DIGIT_BITS * (len(back) + 1))
+        weights = [0] * len(varnames)
+        for i, w in zip(front, _grevlex_weights(len(front))):
+            weights[i] = w * lift
+        for i, w in zip(back, _grevlex_weights(len(back))):
+            weights[i] = w
+        return _packed_key(tuple(weights))
 
 
 MonomialOrder = Union[GrevLex, Lex, BlockElim]
@@ -144,9 +197,11 @@ class MultiPoly:
                 raise ValueError(f"exponent vector {exp} does not match {n} variables")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
+            _check_degree(sum(exp), exp)
             c = Fraction(coeff)
             if c:
                 clean[exp] = clean.get(exp, Fraction(0)) + c
+        key = _packed_key(_grevlex_weights(n))
         object.__setattr__(self, "vars", tuple(varnames))
         object.__setattr__(
             self,
@@ -154,7 +209,7 @@ class MultiPoly:
             tuple(
                 sorted(
                     ((e, c) for e, c in clean.items() if c),
-                    key=lambda t: _grevlex_key(t[0]),
+                    key=lambda t: key(t[0]),
                     reverse=True,
                 )
             ),
@@ -242,12 +297,7 @@ class MultiPoly:
             c = Fraction(other)
             return MultiPoly(self.vars, {e: k * c for e, k in self.terms})
         self._check(other)
-        acc: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.vars, acc)
+        return MultiPoly(self.vars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -290,25 +340,38 @@ class MultiPoly:
         return total
 
     def subs(self, replacements: Mapping[str, Union["MultiPoly", Scalar]]) -> "MultiPoly":
-        """Substitute polynomials or constants for variables, exactly."""
-        basis: list[MultiPoly] = []
-        for v in self.vars:
+        """Substitute polynomials or constants for variables, exactly.
+
+        Every term's product accumulates into one term map; the powers of each
+        replacement are computed once per call and cached.
+        """
+        zero = (0,) * len(self.vars)
+        # powers[i][k] holds replacement i to the k-th power, as (exp, coeff) pairs
+        powers: dict[int, list[Sequence[tuple[Exponents, Fraction]]]] = {}
+        for i, v in enumerate(self.vars):
             rep = replacements.get(v)
             if rep is None:
-                basis.append(MultiPoly.variable(self.vars, v))
-            elif isinstance(rep, MultiPoly):
+                continue
+            if isinstance(rep, MultiPoly):
                 self._check(rep)
-                basis.append(rep)
+                base = list(rep.terms)
             else:
-                basis.append(MultiPoly.const(self.vars, rep))
-        out = MultiPoly.zero(self.vars)
+                c = Fraction(rep)
+                base = [(zero, c)] if c else []
+            powers[i] = [[(zero, Fraction(1))], base]
+        acc: dict[Exponents, Fraction] = {}
         for exp, coeff in self.terms:
-            term = MultiPoly.const(self.vars, coeff)
-            for b, e in zip(basis, exp):
-                for _ in range(e):
-                    term = term * b
-            out = out + term
-        return out
+            kept = tuple(0 if i in powers else e for i, e in enumerate(exp))
+            term = [(kept, coeff)]
+            for i, pw in powers.items():
+                e = exp[i]
+                if e:
+                    while len(pw) <= e:
+                        pw.append(_mul_terms(pw[-1], pw[1]).items())
+                    term = _mul_terms(term, pw[e]).items()
+            for m, c in term:
+                acc[m] = acc.get(m, 0) + c
+        return MultiPoly(self.vars, acc)
 
     def restrict(self, varnames: Sequence[str]) -> "MultiPoly":
         """Re-express over a sub-list of variables; unused variables must be absent."""
@@ -394,6 +457,18 @@ class MultiPoly:
         return " ".join(pieces)
 
 
+def _mul_terms(
+    p: Iterable[tuple[Exponents, Fraction]], q: Sequence[tuple[Exponents, Fraction]]
+) -> dict[Exponents, Fraction]:
+    """Product of two term lists as an unsorted term map (zeros possible)."""
+    acc: dict[Exponents, Fraction] = {}
+    for e1, c1 in p:
+        for e2, c2 in q:
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # division
 
@@ -415,8 +490,9 @@ def divide(
     key = order.key(p.vars)
     content, pt = _to_int_terms(p, key)
     ints = [_to_int_terms(g, key) for g in divisors]
+    degs = [g.total_degree() for g in divisors]
     quots: list[dict[Exponents, int]] = [dict() for _ in divisors]
-    rem, scale = _normal_form_int(pt, [t for _, t in ints], key, quots)
+    rem, scale = _normal_form_int(pt, [t for _, t in ints], degs, key, quots)
     # scale * prim(p) == sum(q_i * prim(g_i)) + rem, where p = content * prim(p)
     # and g_i = c_i * prim(g_i)
     factor = content / scale
@@ -443,11 +519,11 @@ def spoly(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPo
 # ---------------------------------------------------------------------------
 # fraction-free engine used by divide, reduce and buchberger
 
-# internal term list: [(key, exp, int_coeff)] sorted descending by key
+# internal term list: [(key, exp, int_coeff)] sorted descending by packed key
 _Terms = list
 
 
-def _to_int_terms(p: MultiPoly, key: Callable) -> tuple[Fraction, _Terms]:
+def _to_int_terms(p: MultiPoly, key: Key) -> tuple[Fraction, _Terms]:
     """p as content * (primitive integer terms)."""
     content, prim = p.content_and_primitive()
     out = [(key(e), e, int(c)) for e, c in prim.terms]
@@ -457,6 +533,16 @@ def _to_int_terms(p: MultiPoly, key: Callable) -> tuple[Fraction, _Terms]:
 
 def _from_int_terms(varnames, terms: _Terms) -> MultiPoly:
     return MultiPoly(varnames, {e: Fraction(c) for _, e, c in terms})
+
+
+def _max_degree(terms: _Terms) -> int:
+    return max(sum(e) for _, e, _ in terms)
+
+
+def _check_shift(shift: Exponents, degree: int) -> None:
+    """Guard one shift: x^shift times a polynomial of total degree at most
+    degree must keep every packed key exact."""
+    _check_degree(sum(shift) + degree, f"x^{shift} times a degree-{degree} polynomial")
 
 
 def _strip_content(terms: _Terms) -> _Terms:
@@ -472,19 +558,27 @@ def _strip_content(terms: _Terms) -> _Terms:
     return [(k, e, c // g) for k, e, c in terms]
 
 
-def _scale_merge(a: int, p: _Terms, b: int, q: _Terms, shift: Exponents, key: Callable) -> _Terms:
-    """a*p + b*(x^shift * q), both inputs sorted descending; result sorted."""
+def _shift_terms(t: _Terms, shift: Exponents, kshift: int) -> _Terms:
+    """x^shift * t; kshift is key(shift)."""
+    if not any(shift):
+        return t
+    return [(k + kshift, tuple(map(add, e, shift)), c) for k, e, c in t]
+
+
+def _scale_merge(
+    a: int, p: _Terms, start: int, b: int, g: _Terms, shift: Exponents, kshift: int
+) -> _Terms:
+    """a*p[start:] + b*(x^shift * g[1:]), where g's lead is the term that
+    cancelled. Both inputs are sorted descending, and so is the result;
+    kshift is key(shift)."""
     out: _Terms = []
-    i = j = 0
+    # multiplying by a monomial preserves term order, so q stays sorted
+    q = _shift_terms(g, shift, kshift)
+    i, j = start, 1
     np_, nq = len(p), len(q)
-    qk: _Terms = []
-    for k, e, c in q:
-        e2 = tuple(x + y for x, y in zip(e, shift))
-        qk.append((key(e2), e2, c))
-    # multiplying by a monomial preserves term order, so qk stays sorted
     while i < np_ and j < nq:
         kp, ep, cp = p[i]
-        kq, eq, cq = qk[j]
+        kq, eq, cq = q[j]
         if kp > kq:
             out.append((kp, ep, a * cp))
             i += 1
@@ -497,45 +591,42 @@ def _scale_merge(a: int, p: _Terms, b: int, q: _Terms, shift: Exponents, key: Ca
                 out.append((kp, ep, c))
             i += 1
             j += 1
-    for k, e, c in itertools.islice(p, i, None):
-        out.append((k, e, a * c))
-    for k, e, c in itertools.islice(qk, j, None):
-        out.append((k, e, b * c))
+    out.extend((k, e, a * c) for k, e, c in islice(p, i, None))
+    out.extend((k, e, b * c) for k, e, c in islice(q, j, None))
     return out
 
 
 def _normal_form_int(
     p: _Terms,
     basis: Sequence[_Terms],
-    key: Callable,
+    degs: Sequence[int],
+    key: Key,
     quots: Optional[list[dict[Exponents, int]]] = None,
 ) -> tuple[_Terms, int]:
     """Full normal form of p against basis, fraction-free.
 
     Returns (terms, s): terms is the exact integer normal form of s*p, s a
-    positive integer. Basis elements are tried in list order. When quots
-    holds one dict per basis element, the integer quotients are added to
-    them, so that s*p == sum(quots[i] * basis[i]) + terms.
+    positive integer. Basis elements are tried in list order; degs[i] is the
+    maximal total degree of basis[i]. When quots holds one dict per basis
+    element, the integer quotients are added to them, so that
+    s*p == sum(quots[i] * basis[i]) + terms.
     """
     rem: _Terms = []
-    work = list(p)
+    work = p
+    w = 0  # work[w:] is still to be reduced
     scale = 1
-    while work:
-        kw, ew, cw = work[0]
-        reducer = None
+    while w < len(work):
+        kw, ew, cw = work[w]
         for i, g in enumerate(basis):
-            eg = g[0][1]
-            ok = True
-            for x, y in zip(ew, eg):
+            for x, y in zip(ew, g[0][1]):
                 if x < y:
-                    ok = False
                     break
-            if ok:
+            else:
                 reducer = g
                 break
-        if reducer is None:
-            rem.append(work[0])
-            work = work[1:]
+        else:
+            rem.append(work[w])
+            w += 1
             continue
         _, eg, cg = reducer[0]
         m = gcd(cw, cg)
@@ -543,8 +634,10 @@ def _normal_form_int(
         b = -(cw // m)
         if a < 0:
             a, b = -a, -b
-        shift = tuple(x - y for x, y in zip(ew, eg))
-        work = _scale_merge(a, work[1:], b, reducer[1:], shift, key)
+        shift = tuple(map(sub, ew, eg))
+        _check_shift(shift, degs[i])
+        work = _scale_merge(a, work, w + 1, b, reducer, shift, key(shift))
+        w = 0
         if a != 1:
             scale *= a
             if rem:
@@ -589,16 +682,19 @@ def buchberger(
     Uses the coprime-lead criterion and the chain criterion to discard
     unnecessary pairs, selects pairs by minimal lcm degree, and strips integer
     content after every S-polynomial reduction. Raises PairBudgetExceededError
-    once more than pair_budget pairs have been processed.
+    when a pair beyond the first pair_budget ones would be processed, and
+    ValueError for a negative pair_budget.
     """
-    return _buchberger(gens, order, _PairCounter(pair_budget))
+    return _buchberger(gens, order, _PairCounter(pair_budget), "computing a Groebner basis")
 
 
 def _buchberger(
     gens: Sequence[MultiPoly],
     order: MonomialOrder,
     counter: _PairCounter,
+    stage: str,
 ) -> list[MultiPoly]:
+    counter.stage = stage
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
@@ -608,6 +704,7 @@ def _buchberger(
     key = order.key(varnames)
 
     basis = [_to_int_terms(g, key)[1] for g in gens]
+    degs = [g.total_degree() for g in gens]
 
     def lead(i: int) -> Exponents:
         return basis[i][0][1]
@@ -651,32 +748,22 @@ def _buchberger(
         ci = basis[i][0][2]
         cj = basis[j][0][2]
         m = gcd(ci, cj)
+        si = tuple(map(sub, lcm, li))
+        sj = tuple(map(sub, lcm, lj))
+        _check_shift(si, degs[i])
+        _check_shift(sj, degs[j])
         s = _scale_merge(
-            cj // m,
-            _shift_terms(basis[i], tuple(a - b for a, b in zip(lcm, li)), key),
-            -(ci // m),
-            basis[j][1:],
-            tuple(a - b for a, b in zip(lcm, lj)),
-            key,
+            cj // m, _shift_terms(basis[i], si, key(si)), 1, -(ci // m), basis[j], sj, key(sj)
         )
         # the two lead terms cancel by construction; drop the residual lead if present
         s = [t for t in s if t[2]]
-        s = _strip_content(_normal_form_int(_strip_content(s), basis, key)[0])
+        s = _strip_content(_normal_form_int(_strip_content(s), basis, degs, key)[0])
         if s:
             basis.append(s)
+            degs.append(_max_degree(s))
             push_pairs(len(basis) - 1)
 
     return _reduce_basis(varnames, basis, order)
-
-
-def _shift_terms(t: _Terms, shift: Exponents, key: Callable) -> _Terms:
-    if all(s == 0 for s in shift):
-        return t[1:]
-    out = []
-    for k, e, c in t[1:]:
-        e2 = tuple(x + y for x, y in zip(e, shift))
-        out.append((key(e2), e2, c))
-    return out
 
 
 def _reduce_basis(varnames, basis: list[_Terms], order: MonomialOrder) -> list[MultiPoly]:
@@ -697,10 +784,11 @@ def _reduce_basis(varnames, basis: list[_Terms], order: MonomialOrder) -> list[M
         if not redundant:
             keep.append(g)
     # tail-reduce each against the others
+    degs = [_max_degree(g) for g in keep]
     reduced: list[_Terms] = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
-        nf = _strip_content(_normal_form_int(g, others, key)[0])
+        nf = _strip_content(_normal_form_int(g, others, degs[:i] + degs[i + 1 :], key)[0])
         if nf:
             reduced.append(nf)
     out = []
@@ -774,8 +862,10 @@ def eliminate(
     back of the ring forward. Elimination ideals compose, so the staged result
     equals a single run under a full block order while each intermediate basis
     stays small. Degree-1 generators are substituted away before every stage,
-    and one pair budget is shared across all stages.
+    and one pair budget is shared across all stages; PairBudgetExceededError
+    names the stage it stopped in.
     """
+    counter = _PairCounter(pair_budget)
     gens = [g for g in gens if not g.is_zero]
     keep = set(keep)
     if not gens:
@@ -788,7 +878,6 @@ def eliminate(
         raise VariableMismatchError(f"kept variables {sorted(missing)} not in ring")
     keep_order = tuple(v for v in varnames if v in keep)
 
-    counter = _PairCounter(pair_budget)
     work = list(gens)
     while True:
         ring = work[0].vars
@@ -804,7 +893,7 @@ def eliminate(
         if not front_used:
             break
         drop = tuple(front_used[-2:])
-        basis = _buchberger(work, BlockElim(drop), counter)
+        basis = _buchberger(work, BlockElim(drop), counter, f"dropping {', '.join(drop)}")
         dropset = set(drop)
         work = [
             g
@@ -816,7 +905,7 @@ def eliminate(
         shrunk = [v for v in live if v not in dropset]
         work = [g.restrict(shrunk) for g in work]
 
-    basis = _buchberger(work, GREVLEX, counter)
+    basis = _buchberger(work, GREVLEX, counter, "running the final grevlex basis")
     out = []
     for g in basis:
         gused = {v for v, m in zip(g.vars, _used_mask(g)) if m}

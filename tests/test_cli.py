@@ -9,6 +9,7 @@ import pytest
 from linkagekit import model
 from linkagekit.catalog import entry
 from linkagekit.cli import main
+from linkagekit.locus import CertificateDisagreement
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer
 
 
@@ -270,7 +271,21 @@ def test_file_trace_requires_sweep_bounds(capsys, tmp_path):
 def test_budget_exhaustion_exits_four(capsys):
     code, _, err = run(capsys, "locus", "hart_aframe", "--pair-budget", "30")
     assert code == 4
+    assert err.count("\n") == 1 and err.startswith("linkagekit: ")
+    assert "while dropping T2_x, T2_y (30 pairs used)" in err
     assert "raise --pair-budget" in err
+
+
+def test_certificate_disagreement_exits_four(capsys, monkeypatch):
+    def disagree(*args, **kwargs):
+        raise CertificateDisagreement("minimal-degree generators disagree: p says line")
+
+    monkeypatch.setattr("linkagekit.cli.certify", disagree)
+    code, out, err = run(capsys, "certify", "watt")
+    assert code == 4
+    assert out == ""
+    assert err.endswith("linkagekit: minimal-degree generators disagree: p says line\n")
+    assert err.count("linkagekit: ") == 1
 
 
 def test_locus_from_file_matches_builtin(capsys, tmp_path):
@@ -293,6 +308,8 @@ def test_locus_from_file_matches_builtin(capsys, tmp_path):
         (("certify", "watt", "--window", "0", "0.01"), "holds 1 samples; need at least 10"),
         (("certify", "compass", "--window", "5", "5.001"),
          "holds 0 samples; need at least 10"),
+        (("locus", "watt", "--pair-budget", "-5"), "--pair-budget must be non-negative, got -5"),
+        (("certify", "watt", "--pair-budget", "-1"), "--pair-budget must be non-negative, got -1"),
     ],
 )
 def test_bad_numeric_arguments_exit_one(capsys, argv, message):

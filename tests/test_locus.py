@@ -270,6 +270,14 @@ def test_certify_fallback_approximate(traces):
     assert cert.max_deviation == pytest.approx(APPROX_DEVIATIONS["watt"], rel=1e-3)
 
 
+def test_certify_rejects_negative_pair_budget(traces):
+    # a negative budget is an error, not an exhausted budget that would
+    # silently send certify down its fallback path
+    e = entry("watt")
+    with pytest.raises(ValueError, match="non-negative"):
+        certify(e.spec, traces["watt"], e.window, pair_budget=-1)
+
+
 def test_certify_rejects_thin_window(traces):
     with pytest.raises(ValueError, match="at least 10"):
         certify(entry("watt").spec, traces["watt"], (0.30, 0.301))

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import sympy_divide
+from linkagekit.catalog import entry
+from linkagekit.locus import constraint_ideal
 from linkagekit.poly import (
     BlockElim,
     GREVLEX,
@@ -186,6 +188,16 @@ def test_pair_budget_exhaustion():
     with pytest.raises(PairBudgetExceededError) as ei:
         buchberger(gens, GREVLEX, pair_budget=2)
     assert ei.value.budget == 2
+    assert ei.value.used == 2
+
+
+def test_negative_pair_budget_rejected():
+    gens = [X * X + Y, X * Y - Z]
+    with pytest.raises(ValueError, match="non-negative"):
+        buchberger(gens, GREVLEX, pair_budget=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        eliminate(gens, ("y", "z"), pair_budget=-5)
+    assert buchberger([X + Y], GREVLEX, pair_budget=0)  # no pair to process
 
 
 def test_budget_is_shared_across_stages():
@@ -203,8 +215,16 @@ def test_budget_is_shared_across_stages():
         u + v + w - x - y,
     ]
     eliminate(gens, ("x", "y"), pair_budget=200_000)
-    with pytest.raises(PairBudgetExceededError):
+    with pytest.raises(PairBudgetExceededError) as ei:
         eliminate(gens, ("x", "y"), pair_budget=3)
+    assert (ei.value.stage, ei.value.used) == ("dropping v, w", 3)
+    assert "while dropping v, w (3 pairs used)" in str(ei.value)
+    # hart_inversor drops P first (946 pairs), then D (136): each stage fits
+    # in 1000 pairs alone, but their shared budget runs out in the second
+    hart = constraint_ideal(entry("hart_inversor").spec).generators
+    with pytest.raises(PairBudgetExceededError) as ei:
+        eliminate(hart, ("x", "y"), pair_budget=1000)
+    assert (ei.value.stage, ei.value.used) == ("dropping D_x, D_y", 1000)
 
 
 def test_primitive_and_content():
