@@ -9,8 +9,13 @@ on the rows of model.reduced_constraints, the encoding the locus builder
 shares: collinear bar triples (rigid beams with interior joints) become
 affine rows plus the outer bar's quadric, since the raw triple encoding has
 an everywhere-singular Jacobian, and the driver's quadric gives way to two
-driver-angle rows. Convergence is always measured against the full original
-constraint set, never the rewritten rows.
+driver-angle rows. _compile turns those rows, once per solve or trace, into
+integer index tables over one coordinate list (free coordinates, then
+anchors) that the residuals read as Python floats; the Jacobian copies a
+template of its constant rows. Convergence is always measured against the
+full original constraint set, never the rewritten rows. Condition numbers
+cost one batched SVD per Newton call and are computed only where they are
+read: on the sweep's accepted steps and on a failed solve_configuration.
 """
 
 from __future__ import annotations
@@ -113,111 +118,96 @@ class Trace:
 # system compilation
 
 
+def _on_coordinates(rows):
+    """Run a row method on the coordinate list of x as Python floats. A float
+    ** 2 past the float range raises OverflowError; the method then runs again
+    on numpy scalars, which read the overflow as inf."""
+
+    def run(comp: _Compiled, x: np.ndarray, drive: tuple[float, ...]):
+        try:
+            return rows(comp, x.tolist() + comp.anchor_xy, drive)
+        except OverflowError:
+            return rows(comp, list(x) + comp.anchor_xy, drive)
+
+    return run
+
+
 @dataclass
 class _Compiled:
-    spec: LinkageSpec
-    free: list[str]
-    col: dict[str, int]
+    """model.reduced_constraints as integer index tables over one coordinate
+    list: the free coordinates x first, the anchor coordinates after them. A
+    joint at index i has its x there and its y at i + 1."""
+
+    free: list[str]  # free[k] owns x[2k], x[2k + 1]
     anchors: dict[str, tuple[float, float]]
-    affine: list[tuple[str, str, str, float]]  # mid = (1-t)*a + t*b
-    quad_bars: list[Bar]
-    driver_free: str
+    anchor_xy: list[float]
+    affine: list[tuple[int, int, int, float, float]]  # mid, a, b, 1-t, t: mid = (1-t)*a + t*b
+    quad: list[tuple[int, int, float]]  # a, b, length**2 of the reduced quadric rows
+    bars: list[tuple[int, int, float]]  # a, b, length**2 of every bar, for the full check
+    driver: int  # index of the driven joint
     driver_anchor: tuple[float, float]
     driver_length: float
-
-    def pos(self, x: np.ndarray, jid: str) -> tuple[float, float]:
-        if jid in self.col:
-            i = self.col[jid]
-            return (x[i], x[i + 1])
-        return self.anchors[jid]
+    tracer: tuple[int, Optional[int], float]  # a, b, offset; b is None for a joint tracer
+    template: np.ndarray  # Jacobian over every coordinate: constant affine and driver rows
+    slots: np.ndarray  # flat template indices of the quadric gradients, as jacobian lists them
 
     def to_vec(self, cfg: Configuration) -> np.ndarray:
         missing = [j for j in self.free if j not in cfg]
         if missing:
             raise ValueError(f"seed missing free joints {missing}")
+        bad = [j for j in self.free if not all(map(math.isfinite, cfg[j]))]
+        if bad:
+            raise ValueError(f"seed coordinates of {bad} are not finite")
         x = np.empty(2 * len(self.free))
-        for j in self.free:
-            i = self.col[j]
-            x[i], x[i + 1] = cfg[j]
+        for k, j in enumerate(self.free):
+            x[2 * k], x[2 * k + 1] = cfg[j]
         return x
 
     def to_config(self, x: np.ndarray) -> Configuration:
-        positions = dict(self.anchors)
-        for j in self.free:
-            i = self.col[j]
-            positions[j] = (float(x[i]), float(x[i + 1]))
-        return Configuration(positions)
+        v = x.tolist()
+        return Configuration({**self.anchors, **dict(zip(self.free, zip(v[::2], v[1::2])))})
 
-    def reduced_residual(self, x: np.ndarray, theta: float) -> np.ndarray:
+    def drive(self, theta: float) -> tuple[float, float, float, float]:
+        """L cos(theta), L sin(theta), and the driven joint's target."""
+        c, s = self.driver_length * math.cos(theta), self.driver_length * math.sin(theta)
+        ax, ay = self.driver_anchor
+        return c, s, ax + c, ay + s
+
+    @_on_coordinates
+    def reduced_residual(self, v: list[float], drive: tuple[float, ...]) -> list[float]:
         rows = []
-        for mid, a, b, t in self.affine:
-            mx, my = self.pos(x, mid)
-            ax, ay = self.pos(x, a)
-            bx, by = self.pos(x, b)
-            rows.append(mx - (1 - t) * ax - t * bx)
-            rows.append(my - (1 - t) * ay - t * by)
-        for bar in self.quad_bars:
-            pax, pay = self.pos(x, bar.a)
-            pbx, pby = self.pos(x, bar.b)
-            rows.append((pax - pbx) ** 2 + (pay - pby) ** 2 - float(bar.length) ** 2)
-        fx, fy = self.pos(x, self.driver_free)
-        ax, ay = self.driver_anchor
-        rows.append(fx - (ax + self.driver_length * math.cos(theta)))
-        rows.append(fy - (ay + self.driver_length * math.sin(theta)))
-        return np.array(rows)
+        for mid, a, b, u, t in self.affine:
+            rows += (v[mid] - u * v[a] - t * v[b], v[mid + 1] - u * v[a + 1] - t * v[b + 1])
+        rows += [(v[a] - v[b]) ** 2 + (v[a + 1] - v[b + 1]) ** 2 - sq for a, b, sq in self.quad]
+        f = self.driver
+        rows += (v[f] - drive[2], v[f + 1] - drive[3])
+        return rows
 
-    def jacobian(self, x: np.ndarray, theta: float) -> np.ndarray:
-        n = 2 * len(self.free)
-        m = 2 * len(self.affine) + len(self.quad_bars) + 2
-        J = np.zeros((m, n))
-        r = 0
-        for mid, a, b, t in self.affine:
-            for jid, w in ((mid, 1.0), (a, -(1 - t)), (b, -t)):
-                if jid in self.col:
-                    i = self.col[jid]
-                    J[r, i] += w
-                    J[r + 1, i + 1] += w
-            r += 2
-        for bar in self.quad_bars:
-            pax, pay = self.pos(x, bar.a)
-            pbx, pby = self.pos(x, bar.b)
-            dx, dy = pax - pbx, pay - pby
-            if bar.a in self.col:
-                i = self.col[bar.a]
-                J[r, i] += 2 * dx
-                J[r, i + 1] += 2 * dy
-            if bar.b in self.col:
-                i = self.col[bar.b]
-                J[r, i] -= 2 * dx
-                J[r, i + 1] -= 2 * dy
-            r += 1
-        i = self.col[self.driver_free]
-        J[r, i] = 1.0
-        J[r + 1, i + 1] = 1.0
-        return J
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        v = x.tolist() + self.anchor_xy
+        grad = []
+        for a, b, _ in self.quad:
+            gx, gy = 2 * (v[a] - v[b]), 2 * (v[a + 1] - v[b + 1])
+            grad += (gx, gy, -gx, -gy)
+        J = self.template.copy()
+        # added to the zero slots, so a -0.0 gradient is stored as 0.0
+        J.reshape(-1)[self.slots] += grad
+        return J[:, : len(x)]
 
-    def full_residual(self, x: np.ndarray, theta: float) -> float:
-        worst = 0.0
-        for bar in self.spec.bars:
-            pax, pay = self.pos(x, bar.a)
-            pbx, pby = self.pos(x, bar.b)
-            v = abs((pax - pbx) ** 2 + (pay - pby) ** 2 - float(bar.length) ** 2)
-            worst = max(worst, v)
-        fx, fy = self.pos(x, self.driver_free)
+    @_on_coordinates
+    def full_residual(self, v: list[float], drive: tuple[float, ...]) -> float:
+        f = self.driver
         ax, ay = self.driver_anchor
-        worst = max(worst, abs(fx - ax - self.driver_length * math.cos(theta)))
-        worst = max(worst, abs(fy - ay - self.driver_length * math.sin(theta)))
-        return worst
+        bars = [abs((v[a] - v[b]) ** 2 + (v[a + 1] - v[b + 1]) ** 2 - sq) for a, b, sq in self.bars]
+        # builtin max skips NaN rows after the leading 0.0
+        return max([0.0, *bars, abs(v[f] - ax - drive[0]), abs(v[f + 1] - ay - drive[1])])
 
     def tracer_point(self, x: np.ndarray) -> tuple[float, float]:
-        t = self.spec.tracer
-        if t.on_bar:
-            bar = self.spec.bar(t.bar)
-            off = float(t.offset)
-            pax, pay = self.pos(x, bar.a)
-            pbx, pby = self.pos(x, bar.b)
-            return ((1 - off) * pax + off * pbx, (1 - off) * pay + off * pby)
-        return self.pos(x, t.joint)
+        v = x.tolist() + self.anchor_xy
+        a, b, off = self.tracer
+        if b is None:
+            return v[a], v[a + 1]
+        return ((1 - off) * v[a] + off * v[b], (1 - off) * v[a + 1] + off * v[b + 1])
 
 
 def _compile(spec: LinkageSpec) -> _Compiled:
@@ -225,7 +215,7 @@ def _compile(spec: LinkageSpec) -> _Compiled:
         j.id: (float(j.anchor[0]), float(j.anchor[1])) for j in spec.joints if j.is_anchored
     }
     free = [j.id for j in spec.joints if not j.is_anchored]
-    col = {j: 2 * i for i, j in enumerate(free)}
+    at = {j: 2 * k for k, j in enumerate([*free, *anchors])}
 
     triples, quadrics = reduced_constraints(spec)
     driver_bar = spec.bar(spec.driver.bar)
@@ -234,19 +224,41 @@ def _compile(spec: LinkageSpec) -> _Compiled:
     else:
         anchor_id, free_id = driver_bar.b, driver_bar.a
 
+    def table(bars: Sequence[Bar]) -> list[tuple[int, int, float]]:
+        return [(at[b.a], at[b.b], float(b.length) ** 2) for b in bars]
+
     # the driver's quadric gives way to the two driver-angle rows
-    quad_bars = [b for b in quadrics if b.id != driver_bar.id]
-    affine = [(t.mid, t.a, t.b, float(t.t)) for t in triples]
+    quad = table([b for b in quadrics if b.id != driver_bar.id])
+    width = 2 * len(at)
+    template = np.zeros((2 * len(triples) + len(quad) + 2, width))
+    affine = []
+    for r, tri in enumerate(triples):
+        t = float(tri.t)
+        affine.append((at[tri.mid], at[tri.a], at[tri.b], 1 - t, t))
+        for jid, w in ((tri.mid, 1.0), (tri.a, -(1 - t)), (tri.b, -t)):
+            template[2 * r, at[jid]] += w
+            template[2 * r + 1, at[jid] + 1] += w
+    template[-2, at[free_id]] = 1.0
+    template[-1, at[free_id] + 1] = 1.0
+    rows = range(2 * len(triples), len(template))
+    slots = [r * width + i for r, (a, b, _) in zip(rows, quad) for i in (a, a + 1, b, b + 1)]
+
+    tr = spec.tracer
+    bar = spec.bar(tr.bar) if tr.on_bar else None
+    tracer = (at[bar.a], at[bar.b], float(tr.offset)) if bar else (at[tr.joint], None, 0.0)
     return _Compiled(
-        spec=spec,
         free=free,
-        col=col,
         anchors=anchors,
+        anchor_xy=[c for xy in anchors.values() for c in xy],
         affine=affine,
-        quad_bars=quad_bars,
-        driver_free=free_id,
+        quad=quad,
+        bars=table(spec.bars),
+        driver=at[free_id],
         driver_anchor=anchors[anchor_id],
         driver_length=float(driver_bar.length),
+        tracer=tracer,
+        template=template,
+        slots=np.array(slots, dtype=np.intp),
     )
 
 
@@ -254,36 +266,51 @@ def _compile(spec: LinkageSpec) -> _Compiled:
 # Newton iteration
 
 
-def _newton(comp: _Compiled, theta: float, x0: np.ndarray, settings: SolverSettings):
-    """Damped Newton from x0. Returns (x, iterations, residual, max_cond, ok)."""
-    x = x0.copy()
-    max_cond = 0.0
+def _inf_norm(rows: list[float]) -> float:
+    """max |row|, or NaN if a row is NaN, as np.linalg.norm(rows, np.inf)."""
+    mags = list(map(abs, rows))
+    return math.nan if math.isnan(sum(mags)) else max(mags)
+
+
+def _max_condition(jacobians: Sequence[np.ndarray]) -> float:
+    """The largest 2-norm condition number of the Jacobians, from one batched
+    SVD: inf for an exactly singular one, 0.0 for none, NaN ones skipped."""
+    if not jacobians:
+        return 0.0
+    sv = np.linalg.svd(np.array(jacobians), compute_uv=False)
+    low = sv[:, -1]
+    cond = np.divide(sv[:, 0], low, out=np.full(len(sv), math.inf), where=low != 0)
+    return max([0.0, *cond.tolist()])
+
+
+def _newton(comp: _Compiled, theta: float, x: np.ndarray, settings: SolverSettings):
+    """Damped Newton from x. Returns (x, iterations, residual, jacobians, ok),
+    with the Jacobian of every iteration run, for _max_condition."""
+    drive = comp.drive(theta)
+    jacobians: list[np.ndarray] = []
     for it in range(settings.max_newton_iters + 1):
-        full = comp.full_residual(x, theta)
+        full = comp.full_residual(x, drive)
         if full < settings.tol:
-            return x, it, full, max_cond, True
+            return x, it, full, jacobians, True
         if it == settings.max_newton_iters:
-            return x, it, full, max_cond, False
-        r = comp.reduced_residual(x, theta)
-        J = comp.jacobian(x, theta)
-        sv = np.linalg.svd(J, compute_uv=False)
-        cond = math.inf if sv[-1] == 0 else float(sv[0] / sv[-1])
-        max_cond = max(max_cond, cond)
+            return x, it, full, jacobians, False
+        r = comp.reduced_residual(x, drive)
+        J = comp.jacobian(x)
+        jacobians.append(J)
         try:
-            delta = np.linalg.solve(J, -r)
+            delta = np.linalg.solve(J, -np.array(r))
         except np.linalg.LinAlgError:
-            return x, it, full, max_cond, False
-        base = float(np.linalg.norm(r, np.inf))
+            return x, it, full, jacobians, False
+        base = _inf_norm(r)
         scale = 1.0
         for _ in range(20):
             xn = x + scale * delta
-            if float(np.linalg.norm(comp.reduced_residual(xn, theta), np.inf)) < base:
+            if _inf_norm(comp.reduced_residual(xn, drive)) < base:
                 break
             scale /= 2
         else:
-            return x, it, full, max_cond, False
+            return x, it, full, jacobians, False
         x = xn
-    return x, settings.max_newton_iters, comp.full_residual(x, theta), max_cond, False
 
 
 def solve_configuration(
@@ -295,10 +322,11 @@ def solve_configuration(
     """Solve all bar constraints plus the driver angle; raises on failure."""
     settings = settings or SolverSettings()
     comp = _compile(spec)
-    x, it, residual, max_cond, ok = _newton(comp, theta, comp.to_vec(seed), settings)
+    x, it, residual, jacobians, ok = _newton(comp, theta, comp.to_vec(seed), settings)
     if not ok:
-        if max_cond > settings.condition_threshold:
-            raise SingularJacobian(max_cond)
+        condition = _max_condition(jacobians)
+        if condition > settings.condition_threshold:
+            raise SingularJacobian(condition)
         raise NonConvergence(it, residual)
     return comp.to_config(x)
 
@@ -384,10 +412,11 @@ def _steps(
 ):
     """Continuation from the solution x at theta toward theta_to.
 
-    Yields (theta, x, max_cond) after every accepted step. A failed step is
-    retried with half the step length, and an accepted one grows a shortened
-    step back toward the initial step. The generator ends at theta_to, or at
-    the last accepted angle once the step falls below the minimum (a stall).
+    Yields (theta, x, jacobians) after every accepted step, with the Jacobians
+    of its Newton call. A failed step is retried with half the step length,
+    and an accepted one grows a shortened step back toward the initial step.
+    The generator ends at theta_to, or at the last accepted angle once the
+    step falls below the minimum (a stall).
     """
     sign = 1.0 if theta_to > theta else -1.0
     step = settings.initial_step * sign
@@ -395,11 +424,11 @@ def _steps(
         nxt = theta + step
         if (theta_to - nxt) * sign < 0:
             nxt = theta_to
-        xn, _, _, max_cond, ok = _newton(comp, nxt, x, settings)
+        xn, _, _, jacobians, ok = _newton(comp, nxt, x, settings)
         if ok:
             theta = nxt
             x = xn
-            yield theta, x, max_cond
+            yield theta, x, jacobians
             if abs(step) < settings.initial_step:
                 step = sign * min(abs(step) * 1.5, settings.initial_step)
         else:
@@ -450,16 +479,14 @@ def trace(
 
     def record(theta: float, x: np.ndarray) -> None:
         px, py = comp.tracer_point(x)
-        samples.append(
-            TraceSample(theta, float(px), float(py), comp.full_residual(x, theta))
-        )
+        samples.append(TraceSample(theta, px, py, comp.full_residual(x, comp.drive(theta))))
 
     theta = theta_start
     record(theta, x)
     near_singular = False
-    for theta, x, max_cond in _steps(comp, x, theta, theta_end, settings):
+    for theta, x, jacobians in _steps(comp, x, theta, theta_end, settings):
         record(theta, x)
-        if max_cond > settings.condition_threshold:
+        if _max_condition(jacobians) > settings.condition_threshold:
             if not near_singular:
                 events.append(BranchEvent(theta, EventKind.SINGULAR_CONFIGURATION))
                 near_singular = True

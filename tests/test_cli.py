@@ -136,6 +136,13 @@ def test_trace_outputs_are_deterministic(capsys, tmp_path):
     )
 
 
+def test_trace_csv_cells_are_floats(capsys, tmp_path, traces):
+    path = tmp_path / "watt.csv"
+    run(capsys, "trace", "watt", "--csv", str(path))
+    rows = [tuple(map(float, line.split(","))) for line in path.read_text().splitlines()[1:]]
+    assert rows == [(s.theta, s.x, s.y, s.residual) for s in traces["watt"].samples]
+
+
 def test_trace_json(capsys):
     code, out, _ = run(capsys, "trace", "hart_inversor", "--json")
     payload = json.loads(out)

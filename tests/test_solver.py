@@ -1,5 +1,6 @@
 """Newton solving, continuation tracing, events, and straightness statistics."""
 
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction as F
@@ -11,10 +12,14 @@ from conftest import catalog_trace
 from linkagekit.catalog import entry, names
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer
 from linkagekit.solver import (
+    BranchEvent,
     Configuration,
     EventKind,
     NoSeed,
+    SingularJacobian,
     SolverSettings,
+    _inf_norm,
+    _max_condition,
     flip_branch,
     solve_configuration,
     straightness_stats,
@@ -39,6 +44,33 @@ def nearest_theta_pairs(a, b, tol=1e-9, map_b=lambda t: t, min_fraction=0.5):
             pairs.append((s, best))
     assert len(pairs) >= min_fraction * len(a)
     return pairs
+
+
+# sha256 of each catalog trace: one line per sample with float.hex of theta, x,
+# y and residual, then one line per event with float.hex of theta and the kind.
+# Recorded on x86-64 Linux, CPython 3.11, numpy 2.4; another libm or LAPACK
+# build may move the last bit.
+TRACE_SHA256 = {
+    "compass": "cfad1fefddffee6525f2f03aa0fba00e9b76dea3fe5da456720657484de355dc",
+    "chebyshev": "1cb0953d5a850a47ed7b35dc3ed8a4662804a2707a7833649d7e610a6b1d6946",
+    "chebyshev_open": "4e40730b63325a9509a45c019b374af30471952e40f5251c394e62b104864d12",
+    "chebyshev_lambda": "45ecdc4e56508b860848af3474cbec34c57a9df8a7163bca6454b27d472dd20b",
+    "watt": "0258fb4eb2c16242fbc13c235c510162ed8169b1e7f57c7ead5409b50b9f9ea2",
+    "hart_inversor": "409e4da8d9182fac3ae6a37367fb1bf36a31f5588c4e33c2392f6ebec3daf728",
+    "hart_aframe": "5205eb94cdb88e6be83b811f9be7c2154e501adb94144af2bda907a74ed2f9d8",
+}
+
+
+def test_catalog_traces_are_pinned_bit_for_bit(traces):
+    assert set(traces) == set(TRACE_SHA256)
+    for name, tr in traces.items():
+        lines = [
+            " ".join(float.hex(v) for v in (s.theta, s.x, s.y, s.residual))
+            for s in tr.samples
+        ]
+        lines += [f"{float.hex(e.theta)} {e.kind.value}" for e in tr.events]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == TRACE_SHA256[name], name
 
 
 def test_every_sample_converged(traces):
@@ -209,3 +241,67 @@ def test_tracer_on_bar_midpoint(traces):
     tr = trace(e.spec, 0.1, 0.1, SolverSettings(), seed=cfg, seed_theta=0.1)
     assert tr.samples[0].x == pytest.approx(mid[0], abs=1e-12)
     assert tr.samples[0].y == pytest.approx(mid[1], abs=1e-12)
+
+
+def watt_seed(**joints):
+    e = entry("watt")
+    return e.spec, Configuration({**e.seed_config().positions, **joints})
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_seed_keeps_its_errors():
+    # (1e200 - x) ** 2 is past the float range: the row reads as inf, and a
+    # trial point with an inf or NaN residual is refused
+    spec, seed = watt_seed(C=(1e200, 4.0))
+    with pytest.raises(SingularJacobian, match=r"^constraint Jacobian is singular "
+                       r"\(condition 6\.497e\+200\)$"):
+        solve_configuration(spec, 0.0, seed)
+    with pytest.raises(NoSeed, match=r"^no solvable configuration at theta=0$"):
+        trace(spec, 0.0, 0.1, seed=seed, seed_theta=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_seed_is_refused(bad):
+    spec, seed = watt_seed(D=(1.0, bad))
+    with pytest.raises(ValueError, match=r"^seed coordinates of \['D'\] are not finite$"):
+        solve_configuration(spec, 0.0, seed)
+    with pytest.raises(ValueError, match=r"^seed coordinates of \['D'\] are not finite$"):
+        trace(spec, 0.0, 0.1, seed=seed, seed_theta=0.0)
+
+
+def test_max_condition_matches_per_matrix_svd():
+    rng = np.random.default_rng(5)
+    mats = [rng.normal(size=(4, 4)) for _ in range(6)]
+    mats += [np.diag([3.0, 2.0, 1.0, 0.0]), np.zeros((4, 4))]
+    conds = []
+    for m in mats:
+        sv = np.linalg.svd(m, compute_uv=False)
+        conds.append(math.inf if sv[-1] == 0 else float(sv[0] / sv[-1]))
+    assert conds[-2:] == [math.inf, math.inf]
+    for k in range(len(mats)):
+        assert _max_condition(mats[: k + 1]) == max([0.0, *conds[: k + 1]])
+    assert _max_condition([np.zeros((4, 4))]) == math.inf
+    assert _max_condition([]) == 0.0
+
+
+def test_inf_norm_matches_numpy():
+    # a trial point whose residual has a NaN row must be refused, wherever the row is
+    nan, inf = math.nan, math.inf
+    for rows in ([1.0, -3.0, 2.0], [0.0], [1.0, nan, 5.0], [nan, 1.0], [-inf, 1.0], [inf, nan]):
+        want, got = float(np.linalg.norm(rows, np.inf)), _inf_norm(rows)
+        assert got == want or (math.isnan(got) and math.isnan(want)), rows
+
+
+def test_singular_seed_raises_singular_jacobian():
+    # the coupler's ends coincide, so its quadric row has a zero gradient
+    spec, seed = watt_seed(D=(0.0, 4.0))
+    with pytest.raises(SingularJacobian, match=r"\(condition inf\)$") as err:
+        solve_configuration(spec, 0.0, seed)
+    assert err.value.condition == math.inf
+
+
+def test_condition_threshold_flags_singular_configuration():
+    e = entry("watt")
+    tr = trace(e.spec, -0.1, 0.1, SolverSettings(condition_threshold=1.0),
+               seed=e.seed_config(), seed_theta=0.0)
+    assert tr.events == [BranchEvent(tr.samples[1].theta, EventKind.SINGULAR_CONFIGURATION)]
