@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import bom as bom_mod
@@ -30,7 +29,7 @@ from .locus import (
     certify,
     locus_equation,
 )
-from .poly import PairBudgetExceededError
+from .poly import MultiPoly, PairBudgetExceededError
 from .solver import (
     MM_PER_UNIT,
     DegenerateWindow,
@@ -108,29 +107,19 @@ def _run_trace(spec, entry, args):
             EXIT_USAGE,
             f"{ex} (--step {args.step:g}, --min-step {args.min_step:g}, --tol {args.tol:g})",
         )
-    if entry is None:
-        return trace(spec, start, end, settings)
-    return trace(spec, start, end, settings, seed=entry.seed_config(), seed_theta=entry.theta_ref)
+    try:
+        if entry is None:
+            return trace(spec, start, end, settings)
+        return trace(spec, start, end, settings, seed=entry.seed_config(),
+                     seed_theta=entry.theta_ref)
+    except ValueError as ex:
+        raise _CliError(EXIT_USAGE, f"{ex} (--from {start:g}, --to {end:g})")
 
 
 def _report_events(tr) -> None:
     for ev in tr.events:
         print(f"{ev.kind.value.replace('_', ' ')} at theta = {ev.theta:.6f}",
               file=sys.stderr)
-
-
-def _line_text(line: tuple[Fraction, Fraction, Fraction]) -> str:
-    parts = []
-    for coeff, var in zip(line, ("x", "y", "")):
-        if not coeff:
-            continue
-        mag = abs(coeff)
-        body = var if mag == 1 and var else (f"{mag}*{var}" if var else f"{mag}")
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if coeff > 0 else '-'} {body}")
-    return " ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +244,9 @@ def _cmd_certify(args) -> int:
         print(json.dumps(payload, indent=2))
         return EXIT_OK
     if cert.verdict is Verdict.EXACT_LINE:
-        print(f"EXACT LINE: {_line_text(cert.line)} = 0")
+        a, b, c = cert.line
+        line = MultiPoly(("x", "y"), {(1, 0): a, (0, 1): b, (0, 0): c})
+        print(f"EXACT LINE: {line.text()} = 0")
     else:
         print(
             f"APPROXIMATE: max deviation {cert.max_deviation:.4e} units "

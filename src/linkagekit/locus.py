@@ -10,8 +10,12 @@ yes/no certificate: a straight segment shares infinitely many points with
 the curve, so by Bezout's theorem it can only lie on a linear component.
 
 The constraint rows come from model.reduced_constraints, the one encoding
-the numeric solver shares. Linear factors are peeled off with poly.divide,
-which runs the poly layer's one division engine.
+the numeric solver shares. The linear-factor search uses integer arithmetic
+only and is complete: a factor's direction divides the top-degree form, and
+the factor crosses a transverse slice at a rational root, so both come from
+exact rational roots of univariate polynomials (Sturm counting and integer
+bisection). Candidates are peeled off with poly.divide, which runs the poly
+layer's one division engine.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .model import LinkageSpec, reduced_constraints
 from .poly import MultiPoly, PairBudgetExceededError, divide, eliminate
@@ -122,11 +124,7 @@ class LocusResult:
     alternates: tuple[MultiPoly, ...] = ()
 
 
-def locus_equation(
-    spec: LinkageSpec,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-    hints: Sequence[Line] = (),
-) -> LocusResult:
+def locus_equation(spec: LinkageSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LocusResult:
     """Eliminate every joint coordinate, keeping the tracer's x, y."""
     ci = constraint_ideal(spec)
     basis = eliminate(ci.generators, ("x", "y"), pair_budget=pair_budget)
@@ -138,7 +136,7 @@ def locus_equation(
     dmin = min(g.total_degree() for g in basis)
     minimal = [g.primitive() for g in basis if g.total_degree() == dmin]
     locus = minimal[0]
-    factors, cofactor = extract_linear_factors(locus, hints=hints)
+    factors, cofactor = extract_linear_factors(locus)
     return LocusResult(
         locus=locus,
         total_degree=dmin,
@@ -146,11 +144,6 @@ def locus_equation(
         residual_cofactor=cofactor,
         alternates=tuple(minimal[1:]),
     )
-
-
-# probe values for univariate slices; plenty for the degree-7 loci here,
-# whose leading-coefficient curves can kill only finitely many probes
-_PROBES = tuple(Fraction(v) for v in (0, 1, -1, 2, -2, Fraction(1, 2), 3, -3))
 
 
 def _norm_line(a: Fraction, b: Fraction, c: Fraction) -> Optional[Line]:
@@ -167,63 +160,99 @@ def _norm_line(a: Fraction, b: Fraction, c: Fraction) -> Optional[Line]:
     return (Fraction(ia), Fraction(ib), Fraction(ic))
 
 
-def _slice_roots(p: MultiPoly, root_var: int) -> list[tuple[Fraction, Fraction]]:
-    """Rationalized real roots of p sliced at probe values of the other
-    variable; pairs (root, probe) as points (x, y) in ring order."""
-    other = 1 - root_var
-    deg = max(e[root_var] for e, _ in p.terms)
-    points: list[tuple[Fraction, Fraction]] = []
-    good = 0
-    for probe in _PROBES:
-        if good == 2:
-            break
-        coeffs = [Fraction(0)] * (deg + 1)
-        for e, c in p.terms:
-            coeffs[e[root_var]] += c * probe ** e[other]
-        if coeffs[deg] == 0:
+def _derivative(f: MultiPoly) -> MultiPoly:
+    return MultiPoly(f.vars, {(e - 1,): e * c for (e,), c in f.terms if e})
+
+
+def _rational_roots(f: MultiPoly) -> list[Fraction]:
+    """Distinct rational roots of a univariate f, ascending, exactly.
+
+    The primitive square-free part of f, of degree d and leading coefficient
+    lc, has the roots s/lc for the integer roots s of the monic integer
+    polynomial g(s) = lc^(d-1) * f(s/lc). Sturm's theorem counts g's real
+    roots in (lo, hi]; integer bisection from a power-of-two bound narrows
+    every interval that holds one to width 1, and its right end is checked.
+    """
+    if f.total_degree() < 1:
+        return []
+    a, b = f, _derivative(f)
+    while not b.is_zero:
+        a, b = b, divide(a, [b])[1].primitive()
+    f = divide(f, [a])[0][0].primitive()
+    d = f.total_degree()
+    lc = int(f.terms[0][1])
+    g = MultiPoly(f.vars, {e: c * Fraction(lc) ** (d - 1 - e[0]) for e, c in f.terms})
+    seq = [g, _derivative(g)]
+    while seq[-1].total_degree() > 0:
+        # -rem scaled by a positive constant keeps the Sturm signs
+        content, prim = (-divide(seq[-2], [seq[-1]])[1]).content_and_primitive()
+        seq.append(prim if content > 0 else -prim)
+    rows = [[int(p.coefficient((i,))) for i in range(p.total_degree(), -1, -1)] for p in seq]
+
+    def value(row: list[int], s: int) -> int:
+        v = 0
+        for c in row:
+            v = v * s + c
+        return v
+
+    def changes(s: int) -> int:
+        signs = [v > 0 for v in (value(r, s) for r in rows) if v]
+        return sum(u != w for u, w in zip(signs, signs[1:]))
+
+    bound = 1 << (max(abs(int(c)) for _, c in f.terms).bit_length() + 1)
+    roots = []
+    stack = [(-bound, bound, changes(-bound), changes(bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
             continue
-        good += 1
-        vec = np.array([float(c) for c in coeffs[::-1]])
-        vec /= np.abs(vec).max()
-        for r in np.roots(vec):
-            if abs(r.imag) > 1e-7 * (1.0 + abs(r.real)):
-                continue
-            rat = Fraction(float(r.real)).limit_denominator(10**6)
-            pt = (rat, probe) if root_var == 0 else (probe, rat)
-            points.append(pt)
-    return points
+        if hi - lo == 1:
+            if value(rows[0], hi) == 0:
+                roots.append(Fraction(hi, lc))
+            continue
+        mid = (lo + hi) // 2
+        vmid = changes(mid)
+        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return sorted(roots)
 
 
-def _candidate_lines(p: MultiPoly, hints: Sequence[Line]) -> list[Line]:
+def _candidate_lines(p: MultiPoly) -> list[Line]:
+    """Every rational line that can divide p, normalized and sorted; see
+    extract_linear_factors for why the list is complete."""
+    vx, vy = p.vars
+    d = p.total_degree()
+    top = MultiPoly(p.vars, {e: c for e, c in p.terms if sum(e) == d})
+    dirs = [(Fraction(1), -r) for r in _rational_roots(top.subs({vy: 1}).restrict((vx,)))]
+    if not top.coefficient((d, 0)):
+        dirs.append((Fraction(0), Fraction(1)))
+    slices: dict[int, tuple[int, list[Fraction]]] = {}
     cands: set[Line] = set()
-    for a, b, c in hints:
-        n = _norm_line(Fraction(a), Fraction(b), Fraction(c))
-        if n:
-            cands.add(n)
-    for axis in (0, 1):
-        pts = _slice_roots(p, axis)
-        for i in range(len(pts)):
-            x1, y1 = pts[i]
-            for j in range(i + 1, len(pts)):
-                x2, y2 = pts[j]
-                if (x1, y1) == (x2, y2):
-                    continue
-                n = _norm_line(y1 - y2, x2 - x1, x1 * y2 - x2 * y1)
-                if n:
-                    cands.add(n)
+    for a, b in dirs:
+        # slice at x = k when the line is not vertical, else at y = k
+        axis = 0 if b else 1
+        if axis not in slices:
+            k = 0
+            while (cut := p.subs({p.vars[axis]: k})).is_zero:
+                k += 1
+            slices[axis] = (k, _rational_roots(cut.restrict((p.vars[1 - axis],))))
+        k, roots = slices[axis]
+        for r in roots:
+            x0, y0 = (k, r) if axis == 0 else (r, k)
+            cands.add(_norm_line(a, b, -(a * x0 + b * y0)))
     return sorted(cands)
 
 
-def extract_linear_factors(
-    p: MultiPoly, hints: Sequence[Line] = ()
-) -> tuple[list[tuple[MultiPoly, int]], MultiPoly]:
+def extract_linear_factors(p: MultiPoly) -> tuple[list[tuple[MultiPoly, int]], MultiPoly]:
     """All exact rational lines a*x + b*y + c dividing p, with multiplicity,
     plus the exact cofactor.
 
-    Candidates come from rational points on univariate slices of p at two
-    probe values per axis, and from externally fitted lines passed as hints;
-    a candidate only counts after exact division leaves a zero remainder, so
-    a wrong guess costs time, never correctness.
+    The search is exact and complete. A factor's direction a*x + b*y divides
+    the top-degree form p_d of p, so it is x - r*y for a rational root r of
+    p_d(t, 1), or y when p has no x^d term. The factor then meets the slice
+    x = k of p (y = k for the direction x), where k is the first of 0, 1,
+    2, ... on which p does not vanish identically, at a rational root of
+    that slice, which fixes c. Every candidate still has to leave a zero
+    remainder under exact division before it counts.
     """
     if len(p.vars) != 2:
         raise ValueError(f"expected a bivariate polynomial, got variables {p.vars}")
@@ -232,7 +261,7 @@ def extract_linear_factors(
     vx, vy = (MultiPoly.variable(p.vars, v) for v in p.vars)
     factors: list[tuple[MultiPoly, int]] = []
     work = p
-    for a, b, c in _candidate_lines(p, hints):
+    for a, b, c in _candidate_lines(p):
         line = a * vx + b * vy + MultiPoly.const(p.vars, c)
         mult = 0
         while not work.is_zero:
@@ -298,7 +327,7 @@ def _vanishing_factor(
 
 
 def _tls_hints(line: tuple[float, float, float]) -> list[Line]:
-    """Rationalizations of a floating TLS line, as factor-search hints."""
+    """Rationalizations of a floating TLS line, as fallback candidates."""
     a, b, c = line
     scale = max(abs(a), abs(b), abs(c), 1e-30)
     hints = []
@@ -320,16 +349,17 @@ def certify(
     trace: Trace,
     window: tuple[float, float],
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    fallback_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> StraightnessCertificate:
     """Decide whether the windowed trace segment is exactly straight.
 
     Primary path: compute the locus polynomial and test the windowed samples
-    against each exact linear factor. If elimination exhausts pair_budget,
-    fall back to certify-by-candidate: rationalize the fitted line, confirm
-    it numerically, then substitute it into the constraint system and
-    eliminate down to the line's free coordinate (budgeted separately by
-    fallback_budget, since this system is far smaller). An empty elimination
+    against each exact linear factor; the factor search is complete, so an
+    APPROXIMATE verdict here proves no rational line contains the segment.
+    If elimination exhausts pair_budget, fall back to certify-by-candidate:
+    rationalize the fitted line, confirm it numerically, then substitute it
+    into the constraint system and eliminate down to the line's free
+    coordinate (budgeted separately by DEFAULT_PAIR_BUDGET, since this
+    system is far smaller). An empty elimination
     ideal there means the curve meets the line in infinitely many points,
     which makes the line a component of the locus without ever computing it.
     """
@@ -340,13 +370,13 @@ def certify(
         )
     stats = straightness_stats(trace, window)
     try:
-        res = locus_equation(spec, pair_budget=pair_budget, hints=_tls_hints(stats.line))
+        res = locus_equation(spec, pair_budget=pair_budget)
     except PairBudgetExceededError:
-        return _certify_fallback(spec, samples, stats, window, fallback_budget)
+        return _certify_fallback(spec, samples, stats, window)
 
     hit = _vanishing_factor(res.factors, samples)
     for alt in res.alternates:
-        alt_factors, _ = extract_linear_factors(alt, hints=_tls_hints(stats.line))
+        alt_factors, _ = extract_linear_factors(alt)
         alt_hit = _vanishing_factor(alt_factors, samples)
         if (hit is None) != (alt_hit is None):
             raise CertificateDisagreement(
@@ -379,7 +409,7 @@ def certify(
     )
 
 
-def _certify_fallback(spec, samples, stats, window, fallback_budget) -> StraightnessCertificate:
+def _certify_fallback(spec, samples, stats, window) -> StraightnessCertificate:
     approx_base = "locus elimination exceeded its pair budget; "
     if stats.max_deviation >= EXACT_LINE_TOL:
         return StraightnessCertificate(
@@ -418,7 +448,7 @@ def _certify_fallback(spec, samples, stats, window, fallback_budget) -> Straight
     else:
         rep, keep = {"x": (y * (-b) + MultiPoly.const(ring, -c)) * (1 / a)}, "y"
     substituted = [g.subs(rep) for g in ci.generators]
-    leftover = eliminate(substituted, (keep,), pair_budget=fallback_budget)
+    leftover = eliminate(substituted, (keep,), pair_budget=DEFAULT_PAIR_BUDGET)
     line_text = (a * x + b * y + MultiPoly.const(ring, c)).restrict(("x", "y")).text()
     if leftover:
         return StraightnessCertificate(

@@ -234,10 +234,6 @@ class MultiPoly:
         exp = tuple(1 if i == idx else 0 for i in range(len(varnames)))
         return cls(varnames, {exp: Fraction(1)})
 
-    @classmethod
-    def gens(cls, varnames: Sequence[str]) -> list["MultiPoly"]:
-        return [cls.variable(varnames, v) for v in varnames]
-
     # -- basic queries
 
     @property
@@ -387,22 +383,6 @@ class MultiPoly:
             if any(e and i not in keep for i, e in enumerate(exp)):
                 raise VariableMismatchError("polynomial uses variables outside the restriction")
             acc[tuple(exp[i] for i in pos)] = coeff
-        return MultiPoly(varnames, acc)
-
-    def embed(self, varnames: Sequence[str]) -> "MultiPoly":
-        """Re-express over a larger variable list containing this one's."""
-        varnames = tuple(varnames)
-        idx = []
-        for v in self.vars:
-            if v not in varnames:
-                raise VariableMismatchError(f"{v} missing from target ring")
-            idx.append(varnames.index(v))
-        acc: dict[Exponents, Fraction] = {}
-        for exp, coeff in self.terms:
-            big = [0] * len(varnames)
-            for i, e in zip(idx, exp):
-                big[i] = e
-            acc[tuple(big)] = coeff
         return MultiPoly(varnames, acc)
 
     # -- normal forms

@@ -452,8 +452,13 @@ def trace(
     sweep a failed step is retried with half the step length; below the
     minimum step a workspace boundary is recorded and the sweep ends.
     Near-singular Jacobians are flagged as singular-configuration events
-    without stopping or switching branches.
+    without stopping or switching branches. A NaN or infinite theta_start,
+    theta_end or seed_theta raises ValueError before any step is taken.
     """
+    for name, value in (("theta_start", theta_start), ("theta_end", theta_end),
+                        ("seed_theta", seed_theta)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     settings = settings or SolverSettings()
     comp = _compile(spec)
     if seed is None:
@@ -505,16 +510,7 @@ def trace(
 class StraightnessStats:
     line: tuple[float, float, float]  # a*x + b*y + c fit, a^2 + b^2 = 1
     max_deviation: float  # perpendicular distance, units
-    rms_deviation: float
     n_samples: int
-
-    @property
-    def max_deviation_mm(self) -> float:
-        return self.max_deviation * MM_PER_UNIT
-
-    @property
-    def rms_deviation_mm(self) -> float:
-        return self.rms_deviation * MM_PER_UNIT
 
 
 def straightness_stats(trace: Trace, window: tuple[float, float]) -> StraightnessStats:
@@ -536,6 +532,5 @@ def straightness_stats(trace: Trace, window: tuple[float, float]) -> Straightnes
     return StraightnessStats(
         line=(a, b, c),
         max_deviation=float(dev.max()),
-        rms_deviation=float(math.sqrt(float((dev**2).mean()))),
         n_samples=len(pts),
     )

@@ -1,8 +1,12 @@
 """End-to-end command-line behavior: output text, JSON payloads, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,13 @@ def test_certify_hart_exact(capsys):
     assert lines[0] == "EXACT LINE: 2*y + 3 = 0"
     assert "all 100 windowed samples vanish on the linear factor" in lines[1]
     assert "workspace boundary at theta = 4.207028" in err
+
+
+@pytest.mark.parametrize("budget", [[], ["--pair-budget", "30"]], ids=["primary", "fallback"])
+def test_certify_aframe_exact_text(capsys, budget):
+    code, out, _ = run(capsys, "certify", "hart_aframe", *budget)
+    assert code == 0
+    assert out.splitlines()[0] == "EXACT LINE: x = 0"
 
 
 def test_certify_chebyshev_approximate(capsys):
@@ -335,3 +346,25 @@ def test_inner_bar_driver_file_exits_two(capsys, tmp_path):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("linkagekit: ")
     assert "driver bar is not an inner bar of a collinear triple" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("trace", "compass", "--to", "nan"), "theta_end must be finite, got nan"),
+        (("trace", "compass", "--to", "inf"), "theta_end must be finite, got inf"),
+        (("trace", "compass", "--from", "nan"), "theta_start must be finite, got nan"),
+        (("certify", "compass", "--to", "nan"), "theta_end must be finite, got nan"),
+    ],
+)
+def test_non_finite_sweep_bounds_exit_one(argv, message):
+    # a subprocess with a timeout: a sweep toward a non-finite bound never ends
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "linkagekit.cli", *argv],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("linkagekit: ")
+    assert message in proc.stderr

@@ -4,13 +4,16 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import sympy_divide
 from linkagekit.catalog import entry, names
 from linkagekit.locus import (
     EmptyElimination,
     Verdict,
-    _candidate_lines,
+    _factor_coeffs,
+    _norm_line,
+    _rational_roots,
     certify,
     constraint_ideal,
     extract_linear_factors,
@@ -159,11 +162,20 @@ def test_factor_product_reconstructs_locus(loci):
         assert prod * res.residual_cofactor == res.locus, name
 
 
+# both true factors of the catalog loci (2*y + 3 and x) and lines that divide
+# none, so the division oracle sees zero and nonzero remainders alike
+DIVISION_LINES = [
+    (0, 2, 3), (1, 0, 0), (1, 0, 4), (1, 0, -4), (0, 1, 0), (0, 1, 4), (0, 1, -4),
+    (1, 1, 0), (1, -1, 0), (1, 1, 7), (3, -2, 5), (2, 0, 3), (0, 3, -1), (1, 2, -8),
+    (4, 1, 16), (5, -7, 11), (7, 3, -2), (1, -3, 12), (2, 5, 1), (6, 1, -9),
+]
+
+
 def test_candidate_line_division_matches_sympy(loci):
     pytest.importorskip("sympy")
     for name in names():
         p = loci[name].locus
-        for a, b, c in _candidate_lines(p, ()):
+        for a, b, c in DIVISION_LINES:
             line = a * X + b * Y + MultiPoly.const(V2, c)
             (q,), r = divide(p, [line])
             assert ([q.as_dict()], r.as_dict()) == sympy_divide(p, [line]), (name, line.text())
@@ -191,12 +203,86 @@ def test_extract_linear_factors_with_multiplicity():
     assert cofactor == X**2 + Y**2 + 1
 
 
-def test_extract_linear_factors_ignores_bad_hint(loci):
-    factors, cofactor = extract_linear_factors(
-        loci["compass"].locus, hints=[(F(1), F(1), F(7))]
-    )
-    assert factors == []
-    assert cofactor == loci["compass"].locus
+T = ("t",)
+TV = MultiPoly.variable(T, "t")
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        (TV - 2) ** 3 * (3 * TV + 1) ** 2,
+        TV**2 * (TV**2 - 2) * (5 * TV - 4),
+        (123456789012 * TV - 987654321) * (10**9 * TV + 7) * (TV**2 + TV + 1),
+        -(2 * TV - 1) * (TV + 5) * (TV - F(1, 3)),
+        TV**4 + 1,
+        (TV**2 + 3) * (TV**2 - 2),
+        MultiPoly.const(T, 7),
+    ],
+    ids=["repeated", "zero", "large-lead", "negative-lead", "no-real", "irrational", "constant"],
+)
+def test_rational_roots_match_sympy(f):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**e for (e,), c in f.terms)
+    want = set()
+    for g, _ in sympy.factor_list(expr, t)[1]:
+        g = sympy.Poly(g, t)
+        if g.degree() == 1:
+            r = -g.nth(0) / g.nth(1)
+            want.add(F(int(r.p), int(r.q)))
+    assert _rational_roots(f) == sorted(want)
+
+
+_COEFF = st.one_of(st.just(0), st.integers(-10**7, 10**7))
+_LINES = st.lists(
+    st.tuples(
+        st.tuples(_COEFF, _COEFF, _COEFF).filter(lambda abc: abc[0] or abc[1]),
+        st.integers(1, 2),
+    ),
+    max_size=3,
+)
+_COFACTORS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: sum(e) <= 3),
+    st.integers(-20, 20),
+    max_size=6,
+).map(lambda terms: MultiPoly(V2, terms)).filter(lambda q: not q.is_zero)
+
+
+def sympy_linear_factors(p):
+    """Normalized (a, b, c) of every linear factor sympy finds, with multiplicity."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    expr = sum(int(c) * x**i * y**j for (i, j), c in p.terms)
+    found: dict = {}
+    for g, mult in sympy.factor_list(expr, x, y)[1]:
+        g = sympy.Poly(g, x, y)
+        if g.total_degree() == 1:
+            line = _norm_line(*(F(int(g.coeff_monomial(m))) for m in (x, y, 1)))
+            found[line] = found.get(line, 0) + mult
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=_LINES, cofactor=_COFACTORS)
+# float probes rounded to denominators of 10^6 missed this factor
+@example(lines=[((1234567, -7654321, 1), 1)], cofactor=X**2 + Y**2 + 1)
+# x divides p, so the slice for the non-vertical directions moves off x = 0
+@example(
+    lines=[((1, 0, 0), 2), ((0, 3, -7), 2), ((2, 5, 1), 1)],
+    cofactor=X**2 - 2 * Y**2 + 3 * Y + 1,
+)
+# two factors share the direction x + y
+@example(lines=[((1, 1, 0), 1), ((1, 1, 1), 1)], cofactor=MultiPoly.const(V2, 1))
+def test_planted_linear_factors_match_sympy(lines, cofactor):
+    p = cofactor
+    for (a, b, c), mult in lines:
+        p = p * (a * X + b * Y + MultiPoly.const(V2, c)) ** mult
+    factors, rest = extract_linear_factors(p)
+    assert {_factor_coeffs(f): m for f, m in factors} == sympy_linear_factors(p)
+    prod = rest
+    for f, mult in factors:
+        prod = prod * f**mult
+    assert prod == p
 
 
 def test_extract_linear_factors_needs_two_variables():

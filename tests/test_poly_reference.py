@@ -175,6 +175,7 @@ def test_degree_guard_in_products_and_engine():
         divide(x * x, [g, tail], LEX)
     # the S-polynomial of g and x*z shifts g by z, g first or second in the pair
     xz = MultiPoly(("x", "y", "z"), {(1, 0, 1): 1})
-    for gens in ([g.embed(xz.vars), xz], [xz, g.embed(xz.vars)]):
+    g3 = MultiPoly(xz.vars, {(1, 0, 0): 1, (0, DEGREE_LIMIT - 1, 0): -1})
+    for gens in ([g3, xz], [xz, g3]):
         with pytest.raises(ValueError, match=r"x\^\(0, 0, 1\) times a degree-4294967295"):
             buchberger(gens, LEX)
