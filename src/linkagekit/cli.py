@@ -5,9 +5,9 @@ builtin name or a path to a linkage file. Data goes to stdout, diagnostics
 to stderr, and identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 usage error (bad flags, solver settings, pair
-budget or straightness window), 2 validation or parse error, 3 numeric
-failure, 4 symbolic failure (pair budget exhausted, or minimal-degree
-elimination generators that disagree on straightness).
+budget, sweep or straightness window), 2 validation or parse error (a
+locus that is not a curve included), 3 numeric failure, 4 pair budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from . import catalog, model
 from .exports import trace_csv, trace_svg
 from .locus import (
     DEFAULT_PAIR_BUDGET,
-    CertificateDisagreement,
     EmptyElimination,
+    FiniteLocus,
     Verdict,
     certify,
     locus_equation,
@@ -410,7 +410,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # KeyError wraps its message in quotes; unwrap for readability
         print(f"linkagekit: {ex.args[0]}", file=sys.stderr)
         return EXIT_INVALID
-    except EmptyElimination as ex:
+    except (EmptyElimination, FiniteLocus) as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)
         return EXIT_INVALID
     except DegenerateWindow as ex:
@@ -424,9 +424,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             f"linkagekit: {ex}; raise --pair-budget to keep going",
             file=sys.stderr,
         )
-        return EXIT_SYMBOLIC
-    except CertificateDisagreement as ex:
-        print(f"linkagekit: {ex}", file=sys.stderr)
         return EXIT_SYMBOLIC
     except OSError as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)

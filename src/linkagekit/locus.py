@@ -44,8 +44,9 @@ class EmptyElimination(RuntimeError):
     so the linkage is under-constrained."""
 
 
-class CertificateDisagreement(RuntimeError):
-    """Minimal-degree elimination generators disagree on straightness."""
+class FiniteLocus(RuntimeError):
+    """The elimination basis has a constant gcd: the tracer reaches only
+    finitely many points, not a curve."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class ConstraintIdeal:
     describes the whole curve over all driver positions. The rows come from
     model.reduced_constraints, the encoding the numeric solver uses too:
     collinear triples become affine rows, and the tracer adds two rows when
-    it sits on a bar.
+    it sits on a bar or on an anchor.
     """
 
     variables: tuple[str, ...]
@@ -97,6 +98,9 @@ def constraint_ideal(spec: LinkageSpec) -> ConstraintIdeal:
     for bar in quadrics:
         a, b = pt(bar.a), pt(bar.b)
         gens.append((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 - bar.length**2)
+    if tracer.joint is not None and spec.joint(tracer.joint).is_anchored:
+        ax, ay = pt(tracer.joint)
+        gens += [MultiPoly.variable(ring, "x") - ax, MultiPoly.variable(ring, "y") - ay]
     if tracer.on_bar:
         bar = spec.bar(tracer.bar)
         a, b = pt(bar.a), pt(bar.b)
@@ -113,19 +117,22 @@ class LocusResult:
     locus is primitive with positive leading coefficient. factors lists the
     exact rational lines dividing it, with multiplicity; the product of all
     factors (to their multiplicities) times residual_cofactor reconstructs
-    locus exactly. alternates holds any further minimal-degree elimination
-    generators; certificates must agree across them.
+    locus exactly.
     """
 
     locus: MultiPoly
     total_degree: int
     factors: tuple[tuple[MultiPoly, int], ...]
     residual_cofactor: MultiPoly
-    alternates: tuple[MultiPoly, ...] = ()
 
 
 def locus_equation(spec: LinkageSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LocusResult:
-    """Eliminate every joint coordinate, keeping the tracer's x, y."""
+    """Eliminate every joint coordinate, keeping the tracer's x, y.
+
+    The elimination ideal is g*J, where g is the gcd of its generators and J
+    cuts out finitely many points (isolated or embedded), so the curve is
+    g = 0. A constant g raises FiniteLocus.
+    """
     ci = constraint_ideal(spec)
     basis = eliminate(ci.generators, ("x", "y"), pair_budget=pair_budget)
     if not basis:
@@ -133,17 +140,34 @@ def locus_equation(spec: LinkageSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) ->
             f"locus of {spec.name!r} is two-dimensional; the linkage does not "
             "constrain its tracer to a curve"
         )
-    dmin = min(g.total_degree() for g in basis)
-    minimal = [g.primitive() for g in basis if g.total_degree() == dmin]
-    locus = minimal[0]
+    locus = basis[0].primitive()
+    for g in basis[1:]:
+        locus = _gcd(locus, g.primitive(), pair_budget)
+    if locus.total_degree() < 1:
+        raise FiniteLocus(
+            f"locus of {spec.name!r} is finite; the tracer reaches only finitely "
+            "many points, not a curve"
+        )
     factors, cofactor = extract_linear_factors(locus)
     return LocusResult(
         locus=locus,
-        total_degree=dmin,
+        total_degree=locus.total_degree(),
         factors=tuple(factors),
         residual_cofactor=cofactor,
-        alternates=tuple(minimal[1:]),
     )
+
+
+def _gcd(f: MultiPoly, g: MultiPoly, pair_budget: int) -> MultiPoly:
+    """Primitive gcd of two polynomials: f*g over their lcm, which generates
+    (t*f, (1 - t)*g) intersected with the ring of f and g (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, section 4.3)."""
+    ring = ("t", *f.vars)
+    t = MultiPoly.variable(ring, "t")
+    f_t, g_t = (MultiPoly(ring, {(0, *e): c for e, c in p.terms}) for p in (f, g))
+    (lcm,) = eliminate([t * f_t, (1 - t) * g_t], f.vars, pair_budget=pair_budget)
+    quots, rem = divide(f * g, [lcm])
+    assert rem.is_zero
+    return quots[0].primitive()
 
 
 def _norm_line(a: Fraction, b: Fraction, c: Fraction) -> Optional[Line]:
@@ -375,15 +399,6 @@ def certify(
         return _certify_fallback(spec, samples, stats, window)
 
     hit = _vanishing_factor(res.factors, samples)
-    for alt in res.alternates:
-        alt_factors, _ = extract_linear_factors(alt)
-        alt_hit = _vanishing_factor(alt_factors, samples)
-        if (hit is None) != (alt_hit is None):
-            raise CertificateDisagreement(
-                f"minimal-degree generators disagree: {res.locus.text()} says "
-                f"{'line' if hit is not None else 'no line'}, {alt.text()} says "
-                f"{'line' if alt_hit is not None else 'no line'}"
-            )
     if hit is not None:
         return StraightnessCertificate(
             verdict=Verdict.EXACT_LINE,

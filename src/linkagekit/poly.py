@@ -838,12 +838,16 @@ def eliminate(
     the subring on the kept variables. Returned polynomials live on exactly the
     kept variables, in their original ring order.
 
-    Variables are dropped in stages, at most two per Groebner run, from the
-    back of the ring forward. Elimination ideals compose, so the staged result
-    equals a single run under a full block order while each intermediate basis
-    stays small. Degree-1 generators are substituted away before every stage,
-    and one pair budget is shared across all stages; PairBudgetExceededError
-    names the stage it stopped in.
+    Variables are dropped in stages, at most two per Groebner run. Each stage
+    drops the two cheapest variables left, where a variable costs the total
+    number of terms in the current generators that contain it (a
+    minimum-degree choice, as in sparse elimination); on a tie the later ring
+    variable goes first. Elimination ideals compose and the reduced basis is
+    unique, so the staged result equals a single run under a full block order
+    whatever the schedule, while each intermediate basis stays small.
+    Degree-1 generators are substituted away before every stage, and one pair
+    budget is shared across all stages; PairBudgetExceededError names the
+    stage it stopped in.
     """
     counter = _PairCounter(pair_budget)
     gens = [g for g in gens if not g.is_zero]
@@ -866,13 +870,17 @@ def eliminate(
             return []
         live = [v for v in ring if v not in removed]
         work = [g.restrict(live) for g in work]
-        used: set[str] = set()
+        # a variable costs the terms of the generators that contain it
+        cost = dict.fromkeys(live, 0)
         for g in work:
-            used |= {v for v, m in zip(g.vars, _used_mask(g)) if m}
-        front_used = [v for v in live if v not in keep and v in used]
+            for v, m in zip(g.vars, _used_mask(g)):
+                cost[v] += m * len(g.terms)
+        front_used = [v for v in live if v not in keep and cost[v]]
         if not front_used:
             break
-        drop = tuple(front_used[-2:])
+        # the two cheapest, the later one first on a tie, dropped in ring order
+        cheapest = sorted(reversed(front_used), key=cost.__getitem__)[:2]
+        drop = tuple(v for v in front_used if v in cheapest)
         basis = _buchberger(work, BlockElim(drop), counter, f"dropping {', '.join(drop)}")
         dropset = set(drop)
         work = [

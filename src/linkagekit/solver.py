@@ -31,6 +31,10 @@ from .model import Bar, LinkageSpec, reduced_constraints
 
 MM_PER_UNIT = 8.0
 
+# trace refuses a leg longer than this many steps at settings.initial_step;
+# the catalog's longest sweep takes 630
+MAX_SWEEP_STEPS = 10**6
+
 
 class NoSeed(RuntimeError):
     """No solvable configuration could be reached at the sweep start."""
@@ -453,7 +457,9 @@ def trace(
     minimum step a workspace boundary is recorded and the sweep ends.
     Near-singular Jacobians are flagged as singular-configuration events
     without stopping or switching branches. A NaN or infinite theta_start,
-    theta_end or seed_theta raises ValueError before any step is taken.
+    theta_end or seed_theta raises ValueError before any step is taken, and
+    so does a leg (seed_theta to theta_start, or theta_start to theta_end)
+    longer than MAX_SWEEP_STEPS steps of settings.initial_step.
     """
     for name, value in (("theta_start", theta_start), ("theta_end", theta_end),
                         ("seed_theta", seed_theta)):
@@ -466,6 +472,12 @@ def trace(
         seed_theta = theta_start
     elif seed_theta is None:
         seed_theta = theta_start
+    for a, b in ((seed_theta, theta_start), (theta_start, theta_end)):
+        if abs(b - a) > MAX_SWEEP_STEPS * settings.initial_step:
+            raise ValueError(
+                f"sweep from theta={a:.6g} to {b:.6g} needs more than "
+                f"{MAX_SWEEP_STEPS} steps of {settings.initial_step:g}"
+            )
 
     x, _, _, _, ok = _newton(comp, seed_theta, comp.to_vec(seed), settings)
     if not ok:

@@ -13,7 +13,6 @@ import pytest
 from linkagekit import model
 from linkagekit.catalog import entry
 from linkagekit.cli import main
-from linkagekit.locus import CertificateDisagreement
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer
 
 
@@ -294,16 +293,17 @@ def test_budget_exhaustion_exits_four(capsys):
     assert "raise --pair-budget" in err
 
 
-def test_certificate_disagreement_exits_four(capsys, monkeypatch):
-    def disagree(*args, **kwargs):
-        raise CertificateDisagreement("minimal-degree generators disagree: p says line")
-
-    monkeypatch.setattr("linkagekit.cli.certify", disagree)
-    code, out, err = run(capsys, "certify", "watt")
-    assert code == 4
+def test_anchored_tracer_locus_exits_two(capsys, tmp_path):
+    # an anchored tracer reaches one point: the basis (x, y) has gcd 1
+    path = tmp_path / "pinned.json"
+    path.write_text(model.save(replace(entry("compass").spec, tracer=Tracer(joint="O"))))
+    code, out, err = run(capsys, "locus", str(path))
+    assert code == 2
     assert out == ""
-    assert err.endswith("linkagekit: minimal-degree generators disagree: p says line\n")
-    assert err.count("linkagekit: ") == 1
+    assert err == (
+        "linkagekit: locus of 'compass' is finite; the tracer reaches only "
+        "finitely many points, not a curve\n"
+    )
 
 
 def test_locus_from_file_matches_builtin(capsys, tmp_path):
@@ -359,6 +359,26 @@ def test_inner_bar_driver_file_exits_two(capsys, tmp_path):
 )
 def test_non_finite_sweep_bounds_exit_one(argv, message):
     # a subprocess with a timeout: a sweep toward a non-finite bound never ends
+    _exits_one_in_subprocess(argv, message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("trace", "compass", "--to", "1e6"),
+         "sweep from theta=0 to 1e+06 needs more than 1000000 steps of 0.01 (--from 0, --to 1e+06)"),
+        (("trace", "compass", "--from", "1e6"),
+         "sweep from theta=0 to 1e+06 needs more than 1000000 steps of 0.01 (--from 1e+06, --to 6.28319)"),
+        (("certify", "compass", "--to", "2e6", "--step", "1"),
+         "sweep from theta=0 to 2e+06 needs more than 1000000 steps of 1 (--from 0, --to 2e+06)"),
+    ],
+)
+def test_huge_sweeps_exit_one(argv, message):
+    # at 1e-2 a step, a sweep to 1e6 would take 1e8 steps and never end in practice
+    _exits_one_in_subprocess(argv, message)
+
+
+def _exits_one_in_subprocess(argv, message):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

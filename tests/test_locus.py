@@ -1,6 +1,7 @@
 """Constraint ideals, symbolic locus equations, and straightness certificates."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,9 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import sympy_divide
 from linkagekit.catalog import entry, names
 from linkagekit.locus import (
+    DEFAULT_PAIR_BUDGET,
     EmptyElimination,
+    FiniteLocus,
     Verdict,
     _factor_coeffs,
+    _gcd,
     _norm_line,
     _rational_roots,
     certify,
@@ -20,7 +24,7 @@ from linkagekit.locus import (
     locus_equation,
 )
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer
-from linkagekit.poly import MultiPoly, divide, eliminate
+from linkagekit.poly import MultiPoly, PairBudgetExceededError, divide, eliminate
 from linkagekit.solver import solve_configuration
 
 V2 = ("x", "y")
@@ -301,6 +305,77 @@ def test_two_dof_tracer_has_no_curve():
     )
     with pytest.raises(EmptyElimination, match="two-dimensional"):
         locus_equation(spec)
+
+
+def test_anchored_tracer_is_finite():
+    # the tracer sits still: the basis (x, y) has a constant gcd
+    spec = replace(entry("compass").spec, tracer=Tracer(joint="O"))
+    with pytest.raises(FiniteLocus, match="finitely many points"):
+        locus_equation(spec)
+
+
+def test_locus_is_gcd_of_elimination_basis():
+    # (P) intersected with the ideal of the point (10, 0): the basis is
+    # [P*y, P*(x - 10)], and its first element would add a spurious line y
+    R = ("t", "x", "y")
+    t, x, y = (MultiPoly.variable(R, v) for v in R)
+    P = x * x + y * y - 16
+    basis = eliminate([t * P, (1 - t) * (x - 10), (1 - t) * y], ("x", "y"))
+    assert [g.text() for g in basis] == [
+        "x^2*y + y^3 - 16*y", "x^3 + x*y^2 - 10*x^2 - 10*y^2 - 16*x + 160",
+    ]
+    locus = _gcd(basis[0], basis[1], DEFAULT_PAIR_BUDGET)
+    assert locus.text() == "x^2 + y^2 - 16"
+    assert extract_linear_factors(locus)[0] == []
+
+
+def test_gcd_keeps_a_common_line():
+    P = X * X + Y * Y - 16
+    g = _gcd((X - 1) * P * Y, (X - 1) * P * (X - 10) * 3, DEFAULT_PAIR_BUDGET)
+    assert g == ((X - 1) * P).primitive()
+    assert [(f.text(), m) for f, m in extract_linear_factors(g)[0]] == [("x - 1", 1)]
+    assert _gcd(X - 1, Y, DEFAULT_PAIR_BUDGET).text() == "1"
+
+
+@settings(max_examples=40, deadline=None)
+@given(common=_COFACTORS, f=_COFACTORS, g=_COFACTORS)
+def test_gcd_matches_sympy(common, f, g):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    f, g = common * f, common * g
+    want = sympy.Poly(sympy.gcd(*(
+        sum(int(c) * x**i * y**j for (i, j), c in p.terms) for p in (f, g)
+    )), x, y)
+    want = MultiPoly(V2, {e: int(c) for e, c in want.as_dict().items()}).primitive()
+    assert _gcd(f, g, DEFAULT_PAIR_BUDGET) == want
+
+
+# critical pairs each catalog elimination needs, pinned from both sides so a
+# schedule change shows
+PAIR_COUNTS = {
+    "chebyshev": 36, "chebyshev_open": 36, "chebyshev_lambda": 36, "watt": 36,
+    "hart_inversor": 574, "hart_aframe": 1155,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_COUNTS))
+def test_elimination_pair_counts(name):
+    gens = constraint_ideal(entry(name).spec).generators
+    pairs = PAIR_COUNTS[name]
+    assert len(eliminate(gens, ("x", "y"), pair_budget=pairs)) == 1
+    with pytest.raises(PairBudgetExceededError):
+        eliminate(gens, ("x", "y"), pair_budget=pairs - 1)
+
+
+@pytest.mark.parametrize("order, pairs", [("ABCDPQ", 574), ("ABDCQP", 835), ("QPDCBA", 835)])
+def test_hart_locus_is_independent_of_ring_order(loci, order, pairs):
+    spec = entry("hart_inversor").spec
+    joints = tuple(j for j in spec.joints if j.is_anchored) + tuple(spec.joint(j) for j in order)
+    res = locus_equation(replace(spec, joints=joints), pair_budget=pairs)
+    want = loci["hart_inversor"]
+    assert res.locus.text() == want.locus.text()
+    assert [(f.text(), m) for f, m in res.factors] == [(f.text(), m) for f, m in want.factors]
+    assert res.residual_cofactor.text() == want.residual_cofactor.text()
 
 
 APPROX_DEVIATIONS = {

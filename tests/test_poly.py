@@ -219,12 +219,22 @@ def test_budget_is_shared_across_stages():
         eliminate(gens, ("x", "y"), pair_budget=3)
     assert (ei.value.stage, ei.value.used) == ("dropping v, w", 3)
     assert "while dropping v, w (3 pairs used)" in str(ei.value)
-    # hart_inversor drops P first (946 pairs), then D (136): each stage fits
-    # in 1000 pairs alone, but their shared budget runs out in the second
+    # hart_inversor drops D first (496 pairs), then P (78): each stage fits
+    # in 550 pairs alone, but their shared budget runs out in the second
     hart = constraint_ideal(entry("hart_inversor").spec).generators
     with pytest.raises(PairBudgetExceededError) as ei:
-        eliminate(hart, ("x", "y"), pair_budget=1000)
-    assert (ei.value.stage, ei.value.used) == ("dropping D_x, D_y", 1000)
+        eliminate(hart, ("x", "y"), pair_budget=550)
+    assert (ei.value.stage, ei.value.used) == ("dropping P_x, P_y", 550)
+
+
+def test_stage_drops_the_cheapest_variables():
+    # a costs 2 terms, b and c 7 each: a goes, and the tie goes to the later c
+    R = ("a", "b", "c", "x", "y")
+    a, b, c, x, y = (mono(tuple(int(i == k) for i in range(5)), varnames=R) for k in range(5))
+    gens = [a * a - x, b * b + c * c + x * x + y * y - mono((0,) * 5, 1, R), b * c - y]
+    with pytest.raises(PairBudgetExceededError) as ei:
+        eliminate(gens, ("x", "y"), pair_budget=0)
+    assert ei.value.stage == "dropping a, c"
 
 
 def test_primitive_and_content():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -279,6 +280,43 @@ def test_non_finite_sweep_bound_is_refused(monkeypatch, arg, bad):
     bounds = {"theta_start": 0.0, "theta_end": 1.0, "seed_theta": e.theta_ref, arg: bad}
     with pytest.raises(ValueError, match=rf"^{arg} must be finite, got {bad}$"):
         trace(e.spec, settings=SolverSettings(), seed=e.seed_config(), **bounds)
+
+
+class _NewtonCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "start, end, seed_theta, leg",
+    [
+        (0.0, 1e6 + 1, 0.0, "theta=0 to 1e+06"),
+        (0.0, -1e6 - 1, 0.0, "theta=0 to -1e+06"),
+        (1e6 + 1, 0.0, 0.0, "theta=0 to 1e+06"),
+        (0.0, 1.0, -1e6 - 1, "theta=-1e+06 to 0"),
+    ],
+)
+def test_sweep_longer_than_the_step_cap_is_refused(monkeypatch, start, end, seed_theta, leg):
+    # refused before the first Newton call: either leg would otherwise take
+    # more than a million steps, each kept as a sample
+    monkeypatch.setattr(solver, "_newton", lambda *args: pytest.fail("continuation ran"))
+    e = entry("compass")
+    with pytest.raises(
+        ValueError, match=rf"^sweep from {re.escape(leg)} needs more than 1000000 steps of 1$"
+    ):
+        trace(e.spec, start, end, SolverSettings(initial_step=1.0),
+              seed=e.seed_config(), seed_theta=seed_theta)
+
+
+def test_sweep_at_the_step_cap_runs(monkeypatch):
+    def newton(*args):
+        raise _NewtonCalled
+
+    monkeypatch.setattr(solver, "_newton", newton)
+    e = entry("compass")
+    assert solver.MAX_SWEEP_STEPS == 10**6
+    with pytest.raises(_NewtonCalled):
+        trace(e.spec, 0.0, 1e6, SolverSettings(initial_step=1.0),
+              seed=e.seed_config(), seed_theta=-1e6)
 
 
 def test_max_condition_matches_per_matrix_svd():
