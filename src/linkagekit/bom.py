@@ -21,6 +21,8 @@ from functools import lru_cache
 from importlib.resources import files
 from typing import Iterable, Mapping, Optional
 
+from .model import UnknownModelError
+
 VENDORS = ("brickowl", "bricklink")
 
 _FIXED_COLUMNS = ("code", "name", "color", "price_brickowl", "price_bricklink")
@@ -31,12 +33,6 @@ Requirements = dict[str, ShoppingList]
 
 class CatalogError(ValueError):
     """Malformed catalog text or a failed catalog invariant."""
-
-
-class UnknownModelError(KeyError):
-    def __init__(self, model: str, known: Iterable[str]):
-        super().__init__(f"unknown model {model!r}; catalog covers: {', '.join(known)}")
-        self.model = model
 
 
 class UnknownPartError(KeyError):

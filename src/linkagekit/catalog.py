@@ -16,20 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import Bar, Driver, Joint, LinkageSpec, Tracer
-from .solver import Configuration
+from .model import Bar, Configuration, Driver, Joint, LinkageSpec, Tracer, UnknownModelError
 
 F = Fraction
 
 TAU = 2 * math.pi
 _S7 = math.sqrt(7.0)
 _S15 = math.sqrt(15.0)
-
-
-class UnknownModelError(KeyError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown model {name!r}; known: {', '.join(names())}")
-        self.model = name
 
 
 @dataclass(frozen=True)
@@ -284,7 +277,7 @@ def names() -> list[str]:
 
 def entry(name: str) -> CatalogEntry:
     if name not in _BUILDERS:
-        raise UnknownModelError(name)
+        raise UnknownModelError(name, names())
     if name not in _CACHE:
         _CACHE[name] = _BUILDERS[name]()
     return _CACHE[name]

@@ -6,8 +6,8 @@ to stderr, and identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 usage error (bad flags, solver settings, pair
 budget, sweep or straightness window), 2 validation or parse error (a
-locus that is not a curve included), 3 numeric failure, 4 pair budget
-exhausted.
+locus that is not a curve included), 3 no solvable configuration reached at
+the sweep start, 4 pair budget exhausted.
 """
 
 from __future__ import annotations
@@ -23,22 +23,15 @@ from . import catalog, model
 from .exports import trace_csv, trace_svg
 from .locus import (
     DEFAULT_PAIR_BUDGET,
+    DegenerateWindow,
     EmptyElimination,
     FiniteLocus,
     Verdict,
     certify,
     locus_equation,
 )
+from .model import MM_PER_UNIT
 from .poly import MultiPoly, PairBudgetExceededError
-from .solver import (
-    MM_PER_UNIT,
-    DegenerateWindow,
-    NonConvergence,
-    NoSeed,
-    SingularJacobian,
-    SolverSettings,
-    trace,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,6 +81,9 @@ def _pair_budget(args) -> int:
 
 
 def _run_trace(spec, entry, args):
+    # the solver brings numpy; only the commands that trace load it
+    from .solver import NoSeed, SolverSettings, trace
+
     if args.theta_from is None or args.theta_to is None:
         if entry is None:
             raise _CliError(
@@ -114,6 +110,8 @@ def _run_trace(spec, entry, args):
                      seed_theta=entry.theta_ref)
     except ValueError as ex:
         raise _CliError(EXIT_USAGE, f"{ex} (--from {start:g}, --to {end:g})")
+    except NoSeed as ex:
+        raise _CliError(EXIT_NUMERIC, str(ex))
 
 
 def _report_events(tr) -> None:
@@ -174,9 +172,10 @@ def _cmd_trace(args) -> int:
         }
         print(json.dumps(payload, indent=2))
         return EXIT_OK
-    pts = tr.points()
-    dx = (pts[:, 0].max() - pts[:, 0].min()) * MM_PER_UNIT
-    dy = (pts[:, 1].max() - pts[:, 1].min()) * MM_PER_UNIT
+    xs = [s.x for s in tr.samples]
+    ys = [s.y for s in tr.samples]
+    dx = (max(xs) - min(xs)) * MM_PER_UNIT
+    dy = (max(ys) - min(ys)) * MM_PER_UNIT
     print(
         f"{len(tr.samples)} samples, theta {tr.samples[0].theta:.6f} to "
         f"{tr.samples[-1].theta:.6f}, pen box {dx:.1f} x {dy:.1f} mm, "
@@ -264,11 +263,11 @@ def _table_models(names: list[str], requirements) -> list[str]:
         if name in catalog.names():
             column = catalog.entry(name).table_model
             if column is None:
-                raise bom_mod.UnknownModelError(name, sorted(requirements))
+                raise model.UnknownModelError(name, sorted(requirements))
         elif name in requirements:
             column = name
         else:
-            raise bom_mod.UnknownModelError(name, sorted(requirements))
+            raise model.UnknownModelError(name, sorted(requirements))
         if column not in out:
             out.append(column)
     return out
@@ -406,7 +405,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (model.ParseError, model.ValidationError, bom_mod.CatalogError) as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)
         return EXIT_INVALID
-    except (bom_mod.UnknownModelError, bom_mod.UnknownPartError, catalog.UnknownModelError) as ex:
+    except (model.UnknownModelError, bom_mod.UnknownPartError) as ex:
         # KeyError wraps its message in quotes; unwrap for readability
         print(f"linkagekit: {ex.args[0]}", file=sys.stderr)
         return EXIT_INVALID
@@ -416,9 +415,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DegenerateWindow as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoSeed, NonConvergence, SingularJacobian) as ex:
-        print(f"linkagekit: {ex}", file=sys.stderr)
-        return EXIT_NUMERIC
     except PairBudgetExceededError as ex:
         print(
             f"linkagekit: {ex}; raise --pair-budget to keep going",

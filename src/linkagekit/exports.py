@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
 from xml.sax.saxutils import escape
 
-from .model import LinkageSpec
-from .solver import MM_PER_UNIT, Trace
+from .model import MM_PER_UNIT, LinkageSpec
+
+if TYPE_CHECKING:
+    from .solver import Trace
 
 # anchor cross arm, in mm on the page
 _CROSS = 3.0

@@ -16,6 +16,11 @@ the factor crosses a transverse slice at a rational root, so both come from
 exact rational roots of univariate polynomials (Sturm counting and integer
 bisection). Candidates are peeled off with poly.divide, which runs the poly
 layer's one division engine.
+
+The numeric side of a certificate, the total-least-squares line through the
+windowed samples, is fitted here too (straightness_stats), in pure Python
+from the closed form of the 2x2 scatter matrix, so this module never loads
+numpy.
 """
 
 from __future__ import annotations
@@ -24,11 +29,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .model import LinkageSpec, reduced_constraints
 from .poly import MultiPoly, PairBudgetExceededError, divide, eliminate
-from .solver import DegenerateWindow, Trace, TraceSample, straightness_stats
+
+if TYPE_CHECKING:
+    from .solver import Trace, TraceSample
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -47,6 +54,10 @@ class EmptyElimination(RuntimeError):
 class FiniteLocus(RuntimeError):
     """The elimination basis has a constant gcd: the tracer reaches only
     finitely many points, not a curve."""
+
+
+class DegenerateWindow(ValueError):
+    """The window holds too few samples, or samples that cannot define a line."""
 
 
 @dataclass(frozen=True)
@@ -297,6 +308,47 @@ def extract_linear_factors(p: MultiPoly) -> tuple[list[tuple[MultiPoly, int]], M
         if mult:
             factors.append((line, mult))
     return factors, work
+
+
+@dataclass(frozen=True)
+class StraightnessStats:
+    line: tuple[float, float, float]  # a*x + b*y + c fit, a^2 + b^2 = 1
+    max_deviation: float  # perpendicular distance, units
+
+
+def straightness_stats(trace: Trace, window: tuple[float, float]) -> StraightnessStats:
+    """Total-least-squares line through the windowed tracer points.
+
+    The line passes through the centroid along the major axis of the scatter
+    matrix [[sxx, sxy], [sxy, syy]] of the centred points, at the angle
+    phi = atan2(2*sxy, sxx - syy) / 2; its unit normal (a, b) is
+    (-sin phi, cos phi), signed so that a > 0, or b > 0 when a is zero.
+    """
+    samples = trace.windowed(window)
+    n = len(samples)
+    if n < 2:
+        raise DegenerateWindow(f"window {window} holds {n} samples; need at least 2")
+    # averaged as offsets from the first sample, so that a coordinate every
+    # sample shares is the centroid's exactly and centres to 0.0
+    x0, y0 = samples[0].x, samples[0].y
+    cx = x0 + math.fsum(s.x - x0 for s in samples) / n
+    cy = y0 + math.fsum(s.y - y0 for s in samples) / n
+    dx = [s.x - cx for s in samples]
+    dy = [s.y - cy for s in samples]
+    sxx = math.fsum(u * u for u in dx)
+    sxy = math.fsum(u * v for u, v in zip(dx, dy))
+    syy = math.fsum(v * v for v in dy)
+    # the largest singular value of the centred points, sqrt(lambda_max)
+    span = math.sqrt((sxx + syy) / 2 + math.hypot((sxx - syy) / 2, sxy))
+    if span <= 1e-12 * (1.0 + math.hypot(cx, cy)):
+        raise DegenerateWindow("all windowed points coincide")
+    phi = math.atan2(2 * sxy, sxx - syy) / 2
+    a, b = -math.sin(phi), math.cos(phi)
+    c = -(a * cx + b * cy)
+    if a < 0 or (a == 0 and b < 0):
+        a, b, c = -a, -b, -c
+    dev = max(abs(a * u + b * v) for u, v in zip(dx, dy))
+    return StraightnessStats(line=(a, b, c), max_deviation=dev)
 
 
 class Verdict(Enum):

@@ -16,9 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Coord = tuple[Fraction, Fraction]
+
+MM_PER_UNIT = 8.0  # one unit (a beam hole pitch) on the page, in mm
 
 
 class ParseError(ValueError):
@@ -31,6 +33,14 @@ class ValidationError(ValueError):
     def __init__(self, report: "ValidationReport"):
         super().__init__("; ".join(c.detail for c in report.failures))
         self.report = report
+
+
+class UnknownModelError(KeyError):
+    """A model name missing from the builtin catalog or from the parts table."""
+
+    def __init__(self, name: str, known: Iterable[str]):
+        super().__init__(f"unknown model {name!r}; catalog covers: {', '.join(known)}")
+        self.model = name
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,19 @@ class LinkageSpec:
 
     def bars_at(self, joint_id: str) -> tuple[Bar, ...]:
         return tuple(b for b in self.bars if joint_id in b.endpoints)
+
+
+@dataclass(frozen=True)
+class Configuration:
+    """One placement of every joint (anchored joints included, as floats)."""
+
+    positions: dict[str, tuple[float, float]]
+
+    def __getitem__(self, joint_id: str) -> tuple[float, float]:
+        return self.positions[joint_id]
+
+    def __contains__(self, joint_id: str) -> bool:
+        return joint_id in self.positions
 
 
 @dataclass(frozen=True)

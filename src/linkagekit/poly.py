@@ -2,8 +2,8 @@
 
 Polynomials are sparse term maps from exponent vectors to ``fractions.Fraction``
 coefficients, kept in a canonical form: no zero coefficients, terms sorted
-strictly descending under graded reverse lexicographic order. Three monomial
-orders are provided (grevlex, lex, and a two-block elimination order), along
+strictly descending under graded reverse lexicographic order. Two monomial
+orders are provided (grevlex and a two-block elimination order), along
 with multivariate division with quotient tracking, Buchberger's algorithm with
 the coprime-lead and chain criteria, and elimination ideals via the block
 order. Everything here is exact; no floating point enters any coefficient.
@@ -14,17 +14,15 @@ Algorithms*, ch. 2 section 3) run fraction-free on integer-coefficient
 primitive polynomials (denominators cleared, content stripped after every
 Buchberger reduction) to keep bignum growth under control. ``divide`` rescales
 its integer quotients and remainder back to rationals; Buchberger results are
-monic with Fraction coefficients. ``spoly`` stays a plain rational
-computation, independent of the engine, so tests can check bases with it.
+monic with Fraction coefficients.
 
 Every monomial order here is a weight order (Cox, Little and O'Shea, ch. 2
 section 2), so each packs exactly into one Python int: ``key(e) = sum(e_i *
 w_i)`` with weights built from 32-bit digits. Grevlex weighs variable i by
-``2^(32n) - 2^(32i)``, lex by ``2^(32(n-1-i))``, and the block order puts the
-front block's grevlex weights above the back block's. Comparing packed keys
-orders monomials exactly like the textbook comparisons, and equal keys mean
-equal exponents, while every total degree stays below ``DEGREE_LIMIT`` =
-2^32. ``MultiPoly`` rejects a term at or above it with ``ValueError``, and so
+``2^(32n) - 2^(32i)``, and the block order puts the front block's grevlex
+weights above the back block's. Comparing packed keys orders monomials
+exactly like the textbook comparisons, and equal keys mean equal exponents,
+while every total degree stays below ``DEGREE_LIMIT`` = 2^32. ``MultiPoly`` rejects a term at or above it with ``ValueError``, and so
 does the engine, once per reduction step, before a shift could create one.
 Because the key is linear, shifting a term by x^s just adds ``key(s)`` to
 its key.
@@ -128,15 +126,6 @@ class GrevLex:
 
 
 @dataclass(frozen=True)
-class Lex:
-    """Pure lexicographic order, earlier variables more significant."""
-
-    def key(self, varnames: Sequence[str]) -> Key:
-        n = len(varnames)
-        return _packed_key(tuple(1 << (_DIGIT_BITS * (n - 1 - i)) for i in range(n)))
-
-
-@dataclass(frozen=True)
 class BlockElim:
     """Elimination order: the front block dominates, grevlex within each block.
 
@@ -163,10 +152,9 @@ class BlockElim:
         return _packed_key(tuple(weights))
 
 
-MonomialOrder = Union[GrevLex, Lex, BlockElim]
+MonomialOrder = Union[GrevLex, BlockElim]
 
 GREVLEX = GrevLex()
-LEX = Lex()
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +304,7 @@ class MultiPoly:
     def __repr__(self) -> str:
         return f"MultiPoly({self.text()!r})"
 
-    # -- evaluation and substitution
-
-    def evaluate(self, point: Mapping[str, Union[float, Scalar]]):
-        """Evaluate at a point; exact if all values are int/Fraction."""
-        missing = [v for v in self.vars if v not in point]
-        if missing:
-            raise ValueError(f"no value for {missing}")
-        vals = [point[v] for v in self.vars]
-        total = None
-        for exp, coeff in self.terms:
-            term = coeff if all(isinstance(v, (int, Fraction)) for v in vals) else float(coeff)
-            for v, e in zip(vals, exp):
-                if e:
-                    term = term * v**e
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0) if all(isinstance(v, (int, Fraction)) for v in vals) else 0.0
-        return total
+    # -- substitution
 
     def subs(self, replacements: Mapping[str, Union["MultiPoly", Scalar]]) -> "MultiPoly":
         """Substitute polynomials or constants for variables, exactly.
@@ -485,19 +456,8 @@ def divide(
     )
 
 
-def spoly(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:
-    """S-polynomial: the lead-cancelling combination of f and g."""
-    f._check(g)
-    ef, cf = f.leading_term(order)
-    eg, cg = g.leading_term(order)
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    mf = MultiPoly(f.vars, {tuple(l - a for l, a in zip(lcm, ef)): 1 / cf})
-    mg = MultiPoly(g.vars, {tuple(l - a for l, a in zip(lcm, eg)): 1 / cg})
-    return mf * f - mg * g
-
-
 # ---------------------------------------------------------------------------
-# fraction-free engine used by divide, reduce and buchberger
+# fraction-free engine used by divide and buchberger
 
 # internal term list: [(key, exp, int_coeff)] sorted descending by packed key
 _Terms = list
@@ -630,18 +590,6 @@ def _normal_form_int(
                         q[e] *= a
             quots[i][shift] = -b
     return rem, scale
-
-
-def reduce(p: MultiPoly, basis: Sequence[MultiPoly], order: MonomialOrder = GREVLEX) -> MultiPoly:
-    """Remainder of p on division by basis: p minus the remainder lies in the
-    ideal generated by the basis and no remainder term is divisible by any
-    basis leading term. Zero basis elements are ignored."""
-    for g in basis:
-        p._check(g)
-    gens = [g for g in basis if not g.is_zero]
-    if p.is_zero or not gens:
-        return p
-    return divide(p, gens, order)[1]
 
 
 def _lcm_exp(a: Exponents, b: Exponents) -> Exponents:

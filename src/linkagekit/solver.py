@@ -16,20 +16,22 @@ template of its constant rows. Convergence is always measured against the
 full original constraint set, never the rewritten rows. Condition numbers
 cost one batched SVD per Newton call and are computed only where they are
 read: on the sweep's accepted steps and on a failed solve_configuration.
+
+This is the one module that imports numpy, and only the commands that trace
+load it. The total-least-squares line through a traced window is fitted in
+locus.straightness_stats, in pure Python.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Bar, LinkageSpec, reduced_constraints
-
-MM_PER_UNIT = 8.0
+from .model import Bar, Configuration, LinkageSpec, reduced_constraints
 
 # trace refuses a leg longer than this many steps at settings.initial_step;
 # the catalog's longest sweep takes 630
@@ -53,10 +55,6 @@ class SingularJacobian(RuntimeError):
         self.condition = condition
 
 
-class DegenerateWindow(ValueError):
-    """The window holds too few samples, or samples that cannot define a line."""
-
-
 @dataclass(frozen=True)
 class SolverSettings:
     tol: float = 1e-12
@@ -71,19 +69,6 @@ class SolverSettings:
             raise ValueError("solver settings must be positive and finite")
         if self.min_step > self.initial_step:
             raise ValueError("min_step must not exceed initial_step")
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """One placement of every joint (anchored joints included, as floats)."""
-
-    positions: dict[str, tuple[float, float]]
-
-    def __getitem__(self, joint_id: str) -> tuple[float, float]:
-        return self.positions[joint_id]
-
-    def __contains__(self, joint_id: str) -> bool:
-        return joint_id in self.positions
 
 
 class EventKind(Enum):
@@ -113,9 +98,6 @@ class Trace:
     def windowed(self, window: tuple[float, float]) -> list[TraceSample]:
         lo, hi = min(window), max(window)
         return [s for s in self.samples if lo <= s.theta <= hi]
-
-    def points(self) -> np.ndarray:
-        return np.array([(s.x, s.y) for s in self.samples], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -388,25 +370,6 @@ def default_layout(spec: LinkageSpec) -> Configuration:
     return Configuration(placed)
 
 
-def flip_branch(
-    config: Configuration, joint: str, across: tuple[str, str]
-) -> Configuration:
-    """Seed transform: reflect one joint across the line of two reference
-    joints, switching the assembly branch the next solve converges to."""
-    p = np.array(config[joint])
-    a = np.array(config[across[0]])
-    b = np.array(config[across[1]])
-    d = b - a
-    n2 = float(d @ d)
-    if n2 < 1e-24:
-        raise ValueError(f"reference joints {across} coincide; no reflection line")
-    proj = a + d * (float((p - a) @ d) / n2)
-    q = 2 * proj - p
-    positions = dict(config.positions)
-    positions[joint] = (float(q[0]), float(q[1]))
-    return Configuration(positions)
-
-
 # ---------------------------------------------------------------------------
 # continuation tracing
 
@@ -513,36 +476,3 @@ def trace(
         events.append(BranchEvent(theta, EventKind.WORKSPACE_BOUNDARY))
     return Trace(samples, events)
 
-
-# ---------------------------------------------------------------------------
-# straightness statistics
-
-
-@dataclass(frozen=True)
-class StraightnessStats:
-    line: tuple[float, float, float]  # a*x + b*y + c fit, a^2 + b^2 = 1
-    max_deviation: float  # perpendicular distance, units
-    n_samples: int
-
-
-def straightness_stats(trace: Trace, window: tuple[float, float]) -> StraightnessStats:
-    """Total-least-squares line through the windowed tracer points."""
-    pts = np.array([(s.x, s.y) for s in trace.windowed(window)], dtype=float)
-    if len(pts) < 2:
-        raise DegenerateWindow(f"window {window} holds {len(pts)} samples; need at least 2")
-    centroid = pts.mean(axis=0)
-    M = pts - centroid
-    _, sv, Vt = np.linalg.svd(M, full_matrices=False)
-    span = float(sv[0])
-    if span <= 1e-12 * (1.0 + float(np.linalg.norm(centroid))):
-        raise DegenerateWindow("all windowed points coincide")
-    a, b = (float(v) for v in Vt[-1])
-    c = -float(a * centroid[0] + b * centroid[1])
-    if a < 0 or (a == 0 and b < 0):
-        a, b, c = -a, -b, -c
-    dev = np.abs(M @ np.array([a, b]))
-    return StraightnessStats(
-        line=(a, b, c),
-        max_deviation=float(dev.max()),
-        n_samples=len(pts),
-    )

@@ -1,13 +1,18 @@
 """Shared fixtures and helpers. Catalog traces and locus results are computed
 once per run. sympy_divide serves oracle tests, which skip themselves when
-sympy is missing."""
+sympy is missing. spoly and reduce are plain rational references, independent
+of poly's integer engine, for checking the bases it produces; Lex, evaluate
+and reflect serve tests only, so the package does not carry them."""
 
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
 from linkagekit.catalog import entry, names
 from linkagekit.locus import locus_equation
+from linkagekit.model import Configuration
+from linkagekit.poly import DEGREE_LIMIT, GREVLEX, MultiPoly
 from linkagekit.solver import SolverSettings, trace
 
 
@@ -52,3 +57,67 @@ def sympy_divide(p, divisors):
         to_sympy(p), [to_sympy(d) for d in divisors], *gens, order="grevlex"
     )
     return [terms(q) for q in quots], terms(rem)
+
+
+class Lex:
+    """Pure lexicographic order as a weight order: variable i of n weighs
+    DEGREE_LIMIT^(n-1-i), so the packed keys compare like exponent tuples."""
+
+    def key(self, varnames):
+        n = len(varnames)
+        weights = tuple(DEGREE_LIMIT ** (n - 1 - i) for i in range(n))
+        return lambda exp: sum(map(mul, exp, weights))
+
+
+LEX = Lex()
+
+
+def evaluate(p, point):
+    """p at a point of floats, keyed by variable name."""
+    vals = [float(point[v]) for v in p.vars]
+    total = 0.0
+    for exp, coeff in p.terms:
+        term = float(coeff)
+        for v, e in zip(vals, exp):
+            if e:
+                term = term * v**e
+        total += term
+    return total
+
+
+def spoly(f, g, order=GREVLEX):
+    """S-polynomial: the lead-cancelling combination of f and g."""
+    ef, cf = f.leading_term(order)
+    eg, cg = g.leading_term(order)
+    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+    mf = MultiPoly(f.vars, {tuple(m - a for m, a in zip(lcm, ef)): 1 / cf})
+    mg = MultiPoly(g.vars, {tuple(m - a for m, a in zip(lcm, eg)): 1 / cg})
+    return mf * f - mg * g
+
+
+def reduce(p, basis, order=GREVLEX):
+    """Remainder of p on division by the nonzero basis elements, by the
+    textbook algorithm over the rationals, one MultiPoly operation a step."""
+    divisors = [(g.leading_term(order), g) for g in basis if not g.is_zero]
+    rem = MultiPoly.zero(p.vars)
+    while not p.is_zero:
+        e, c = p.leading_term(order)
+        for (eg, cg), g in divisors:
+            if all(a >= b for a, b in zip(e, eg)):
+                shift = tuple(a - b for a, b in zip(e, eg))
+                p = p - MultiPoly(p.vars, {shift: c / cg}) * g
+                break
+        else:
+            lead = MultiPoly(p.vars, {e: c})
+            rem, p = rem + lead, p - lead
+    return rem
+
+
+def reflect(config, joint, across):
+    """config with one joint mirrored across the line through two others,
+    a seed for the assembly branch the joint does not sit on."""
+    (px, py), (ax, ay), (bx, by) = config[joint], config[across[0]], config[across[1]]
+    dx, dy = bx - ax, by - ay
+    t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+    return Configuration({**config.positions,
+                          joint: (2 * (ax + t * dx) - px, 2 * (ay + t * dy) - py)})

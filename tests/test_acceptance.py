@@ -14,19 +14,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import catalog_trace
+from conftest import catalog_trace, evaluate, reduce, reflect, spoly
 from linkagekit.bom import format_price, price, shipped
 from linkagekit.catalog import entry, names
-from linkagekit.locus import Verdict, certify, constraint_ideal, locus_equation
-from linkagekit.poly import GREVLEX, MultiPoly, buchberger, divide, reduce, spoly
-from linkagekit.solver import (
-    MM_PER_UNIT,
-    SolverSettings,
-    flip_branch,
-    solve_configuration,
+from linkagekit.locus import (
+    Verdict,
+    certify,
+    constraint_ideal,
+    locus_equation,
     straightness_stats,
-    trace,
 )
+from linkagekit.model import MM_PER_UNIT
+from linkagekit.poly import GREVLEX, MultiPoly, buchberger, divide
+from linkagekit.solver import SolverSettings, solve_configuration, trace
 
 V3 = ("x", "y", "z")
 
@@ -41,7 +41,7 @@ def rand_poly(rng, varnames=V3, max_terms=4, max_deg=3, max_coeff=9):
 
 
 def normalized_residual(g, x, y):
-    num = abs(float(g.evaluate({"x": float(x), "y": float(y)})))
+    num = abs(evaluate(g, {"x": x, "y": y}))
     scale = sum(abs(float(c)) for _, c in g.terms)
     scale *= max(1.0, abs(x), abs(y)) ** g.total_degree()
     return num / scale
@@ -163,7 +163,7 @@ def test_flipped_branch_rides_the_sextic_not_the_line(traces, loci):
     settings = SolverSettings()
     base = solve_configuration(e.spec, 3.6, e.seed_config(), settings)
     flipped = solve_configuration(
-        e.spec, 3.6, flip_branch(base, "C", ("B", "D")), settings
+        e.spec, 3.6, reflect(base, "C", ("B", "D")), settings
     )
     tr = trace(e.spec, 3.6, 4.1, settings, seed=flipped, seed_theta=3.6)
     assert len(tr.samples) >= 50

@@ -306,6 +306,17 @@ def test_anchored_tracer_locus_exits_two(capsys, tmp_path):
     )
 
 
+def test_certify_coincident_window_exits_one(capsys, tmp_path):
+    # a pen on the anchor stays put: the window has samples but no line
+    path = tmp_path / "pinned.json"
+    path.write_text(model.save(replace(entry("compass").spec, tracer=Tracer(joint="O"))))
+    code, out, err = run(capsys, "certify", str(path), "--from", "0", "--to", "1",
+                         "--window", "0", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "linkagekit: all windowed points coincide\n"
+
+
 def test_locus_from_file_matches_builtin(capsys, tmp_path):
     path = tmp_path / "compass.json"
     path.write_text(model.save(entry("compass").spec))
@@ -378,13 +389,43 @@ def test_huge_sweeps_exit_one(argv, message):
     _exits_one_in_subprocess(argv, message)
 
 
-def _exits_one_in_subprocess(argv, message):
+def _subprocess_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _exits_one_in_subprocess(argv, message):
     proc = subprocess.run([sys.executable, "-m", "linkagekit.cli", *argv],
-                          capture_output=True, text=True, timeout=30, env=env)
+                          capture_output=True, text=True, timeout=30, env=_subprocess_env())
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("linkagekit: ")
     assert message in proc.stderr
+
+
+# runs one command in a fresh interpreter, its stdout swallowed, and reports
+# whether numpy got imported
+_NUMPY_PROBE = """
+import contextlib, io, sys
+from linkagekit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (("models",), False),
+        (("bom", "watt"), False),
+        (("locus", "compass"), False),
+        (("trace", "compass"), True),  # the control: tracing runs Newton
+        (("certify", "compass"), True),
+    ],
+)
+def test_numpy_loads_only_for_tracing_commands(argv, loads_numpy):
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    assert proc.stdout == f"0 {loads_numpy}\n"

@@ -4,13 +4,15 @@ import math
 from dataclasses import replace
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import sympy_divide
+from conftest import evaluate, sympy_divide
 from linkagekit.catalog import entry, names
 from linkagekit.locus import (
     DEFAULT_PAIR_BUDGET,
+    DegenerateWindow,
     EmptyElimination,
     FiniteLocus,
     Verdict,
@@ -22,10 +24,11 @@ from linkagekit.locus import (
     constraint_ideal,
     extract_linear_factors,
     locus_equation,
+    straightness_stats,
 )
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer
 from linkagekit.poly import MultiPoly, PairBudgetExceededError, divide, eliminate
-from linkagekit.solver import solve_configuration
+from linkagekit.solver import Trace, TraceSample, solve_configuration
 
 V2 = ("x", "y")
 X = MultiPoly.variable(V2, "x")
@@ -71,7 +74,7 @@ DEGREE = {
 def normalized_residual(g: MultiPoly, x: float, y: float) -> float:
     # scale bounds every monomial, so points where all monomials vanish
     # together (the A-frame's x = 0 branch) stay well-normalized
-    num = abs(float(g.evaluate({"x": float(x), "y": float(y)})))
+    num = abs(evaluate(g, {"x": x, "y": y}))
     scale = sum(abs(float(c)) for _, c in g.terms)
     scale *= max(1.0, abs(x), abs(y)) ** g.total_degree()
     return num / scale
@@ -442,6 +445,97 @@ def test_certify_rejects_negative_pair_budget(traces):
 def test_certify_rejects_thin_window(traces):
     with pytest.raises(ValueError, match="at least 10"):
         certify(entry("watt").spec, traces["watt"], (0.30, 0.301))
+
+
+def svd_fit(points):
+    """The total-least-squares fit by numpy's SVD, as straightness_stats
+    computed it before its closed form: (line, max deviation, singular values,
+    centroid)."""
+    pts = np.array(points, dtype=float)
+    centroid = pts.mean(axis=0)
+    centred = pts - centroid
+    _, sv, vt = np.linalg.svd(centred, full_matrices=False)
+    a, b = (float(v) for v in vt[-1])
+    c = -float(a * centroid[0] + b * centroid[1])
+    if a < 0 or (a == 0 and b < 0):
+        a, b, c = -a, -b, -c
+    dev = float(np.abs(centred @ np.array([a, b])).max())
+    return (a, b, c), dev, sv, centroid
+
+
+def cloud_trace(points):
+    return Trace([TraceSample(float(i), x, y, 0.0) for i, (x, y) in enumerate(points)], [])
+
+
+def assert_same_line(line, want, tol):
+    """line equals want up to orientation: the sign rule keys on the sign of
+    a, which rounding decides when a line is nearly horizontal."""
+    flipped = tuple(-v for v in line)
+    assert line == pytest.approx(want, abs=tol, rel=0) or flipped == pytest.approx(
+        want, abs=tol, rel=0
+    ), (line, want)
+
+
+@pytest.mark.parametrize("name", names())
+def test_straightness_stats_match_svd_on_catalog_windows(traces, name):
+    window = entry(name).window
+    stats = straightness_stats(traces[name], window)
+    line, dev, _, _ = svd_fit([(s.x, s.y) for s in traces[name].windowed(window)])
+    assert stats.line == pytest.approx(line, abs=1e-12, rel=0)
+    assert stats.max_deviation == pytest.approx(dev, abs=1e-12, rel=0)
+
+
+coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False) | st.integers(-9, 9)
+clouds = st.lists(st.tuples(coords, coords), min_size=2, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds)
+@example([(0, 0), (1, 1), (2, 2)])
+@example([(1, 1), (-1, -1), (1, -1), (-1, 1)])  # isotropic: every line fits equally
+def test_straightness_stats_match_svd_on_clouds(points):
+    _, dev, sv, centroid = svd_fit(points)
+    threshold = 1e-12 * (1.0 + float(np.linalg.norm(centroid)))
+    if sv[0] < threshold / 2:
+        with pytest.raises(DegenerateWindow, match="coincide"):
+            straightness_stats(cloud_trace(points), (0, len(points)))
+        return
+    assume(sv[0] > 2 * threshold)  # too close to the threshold to call
+    stats = straightness_stats(cloud_trace(points), (0, len(points)))
+    a, b, c = stats.line
+    assert a * a + b * b == pytest.approx(1.0, abs=1e-12)
+    assert a > 0 or (a == 0 and b > 0)
+    # the fitted line is a least-squares minimiser even when the direction is
+    # ill-conditioned: its squared deviations sum to the least singular value
+    # squared, up to rounding in the scatter sums
+    squares = sum((a * x + b * y + c) ** 2 for x, y in points)
+    assert squares == pytest.approx(sv[-1] ** 2, abs=1e-9 * sv[0] ** 2)
+    if sv[-1] ** 2 < 0.99 * sv[0] ** 2:  # a well-defined direction
+        scale = 1.0 + float(np.linalg.norm(centroid))
+        line, _, _, _ = svd_fit(points)
+        assert_same_line(stats.line, line, 1e-9 * scale)
+        assert stats.max_deviation == pytest.approx(dev, abs=1e-9 * scale, rel=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    at=coords,
+    along=st.lists(coords, min_size=2, max_size=30).filter(lambda v: max(v) - min(v) > 1e-3),
+    vertical=st.booleans(),
+)
+@example(at=0.1, along=[0, 1, 2], vertical=True)
+@example(at=-3, along=[5, -5, 2.5], vertical=False)
+# a centroid of fsum(y) / n leaves a 1-ulp offset here, and the normal flips
+@example(at=85.89317276229801, along=[0.0, 0.0, 1.0], vertical=False)
+def test_straightness_stats_on_axis_lines(at, along, vertical):
+    points = [(at, v) if vertical else (v, at) for v in along]
+    stats = straightness_stats(cloud_trace(points), (0, len(points)))
+    want = (1.0, 0.0, -at) if vertical else (0.0, 1.0, -at)
+    assert stats.line == pytest.approx(want, abs=1e-12, rel=0)
+    assert stats.max_deviation <= 1e-12
+    line, dev, _, _ = svd_fit(points)
+    assert line == pytest.approx(want, abs=1e-12, rel=0)
+    assert dev <= 1e-12
 
 
 def test_lambda_chebyshev_comparison_report(loci):

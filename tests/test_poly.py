@@ -5,21 +5,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import sympy_divide
+from conftest import LEX, reduce, spoly, sympy_divide
 from linkagekit.catalog import entry
 from linkagekit.locus import constraint_ideal
 from linkagekit.poly import (
     BlockElim,
     GREVLEX,
-    LEX,
     MultiPoly,
     PairBudgetExceededError,
     VariableMismatchError,
     buchberger,
     divide,
     eliminate,
-    reduce,
-    spoly,
 )
 
 V3 = ("x", "y", "z")

@@ -9,13 +9,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from conftest import LEX, Lex  # noqa: E402
 from linkagekit.poly import (  # noqa: E402
     DEGREE_LIMIT,
     GREVLEX,
-    LEX,
     BlockElim,
     GrevLex,
-    Lex,
     MultiPoly,
     buchberger,
     divide,
