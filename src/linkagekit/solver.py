@@ -13,9 +13,22 @@ driver-angle rows. _compile turns those rows, once per solve or trace, into
 integer index tables over one coordinate list (free coordinates, then
 anchors) that the residuals read as Python floats; the Jacobian copies a
 template of its constant rows. Convergence is always measured against the
-full original constraint set, never the rewritten rows. Condition numbers
-cost one batched SVD per Newton call and are computed only where they are
-read: on the sweep's accepted steps and on a failed solve_configuration.
+full original constraint set, never the rewritten rows.
+
+Newton fails fast: once the full residual has failed to drop below
+STALL_RATIO (0.9) times its previous value on STALL_ITERS (10) consecutive
+iterations, the call fails, and the continuation halves its step, instead
+of iterating to max_newton_iters at a workspace boundary. A NonConvergence
+reports the iterations actually run. The catalog traces are the same bits
+with and without the rule; on other linkages a call that creeps across a
+fold for longer can be cut short, which changes the step schedule, and so
+the sample grid, near the fold. The reduced residual of a point the line
+search accepts is the next iteration's, not computed again. Work is counted
+in each Trace's SolveStats. Condition numbers are computed only where they
+are read: on the sweep's accepted steps, one batched SVD per run of steps
+holding CONDITION_BATCH (64) Jacobians, compared with the threshold step by
+step in order, and on a failed solve_configuration. A leg longer than MAX_SWEEP_STEPS (10^5) steps
+is refused before it starts.
 
 This is the one module that imports numpy, and only the commands that trace
 load it. The total-least-squares line through a traced window is fitted in
@@ -25,8 +38,9 @@ locus.straightness_stats, in pure Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +49,16 @@ from .model import Bar, Configuration, LinkageSpec, reduced_constraints
 
 # trace refuses a leg longer than this many steps at settings.initial_step;
 # the catalog's longest sweep takes 630
-MAX_SWEEP_STEPS = 10**6
+MAX_SWEEP_STEPS = 10**5
+
+# _newton gives up once the full residual has failed to drop below
+# STALL_RATIO times its previous value on STALL_ITERS consecutive iterations
+STALL_ITERS = 10
+STALL_RATIO = 0.9
+
+# trace computes condition numbers with one batched SVD once its accepted
+# steps hold this many Jacobians; the bound caps the memory a batch holds
+CONDITION_BATCH = 64
 
 
 class NoSeed(RuntimeError):
@@ -90,10 +113,22 @@ class TraceSample:
     residual: float
 
 
+@dataclass
+class SolveStats:
+    """Newton work counted over a whole trace, seed leg included."""
+
+    calls: int = 0
+    iterations: int = 0
+    failed_calls: int = 0
+    failed_iterations: int = 0  # iterations run by the failed calls
+    backtracks: int = 0  # line-search step halvings
+
+
 @dataclass(frozen=True)
 class Trace:
     samples: list[TraceSample]
     events: list[BranchEvent]
+    stats: SolveStats = field(default_factory=SolveStats)
 
     def windowed(self, window: tuple[float, float]) -> list[TraceSample]:
         lo, hi = min(window), max(window)
@@ -258,45 +293,69 @@ def _inf_norm(rows: list[float]) -> float:
     return math.nan if math.isnan(sum(mags)) else max(mags)
 
 
-def _max_condition(jacobians: Sequence[np.ndarray]) -> float:
-    """The largest 2-norm condition number of the Jacobians, from one batched
-    SVD: inf for an exactly singular one, 0.0 for none, NaN ones skipped."""
+def _conditions(jacobians: Sequence[np.ndarray]) -> list[float]:
+    """The 2-norm condition number of each Jacobian, from one batched SVD:
+    inf for an exactly singular one."""
     if not jacobians:
-        return 0.0
+        return []
     sv = np.linalg.svd(np.array(jacobians), compute_uv=False)
     low = sv[:, -1]
-    cond = np.divide(sv[:, 0], low, out=np.full(len(sv), math.inf), where=low != 0)
-    return max([0.0, *cond.tolist()])
+    return np.divide(sv[:, 0], low, out=np.full(len(sv), math.inf), where=low != 0).tolist()
 
 
-def _newton(comp: _Compiled, theta: float, x: np.ndarray, settings: SolverSettings):
+def _max_condition(jacobians: Sequence[np.ndarray]) -> float:
+    """The largest condition number of the Jacobians: 0.0 for none, NaN ones
+    skipped."""
+    return max([0.0, *_conditions(jacobians)])
+
+
+def _newton(
+    comp: _Compiled, theta: float, x: np.ndarray, settings: SolverSettings, stats: SolveStats
+):
     """Damped Newton from x. Returns (x, iterations, residual, jacobians, ok),
-    with the Jacobian of every iteration run, for _max_condition."""
+    with the Jacobian of every iteration run, for _conditions, and adds its
+    work to stats. It fails at max_newton_iters, on a singular or
+    non-descending step, or once the full residual stalls (STALL_ITERS)."""
     drive = comp.drive(theta)
     jacobians: list[np.ndarray] = []
+    r = None
+    previous, stalled = math.inf, 0
     for it in range(settings.max_newton_iters + 1):
         full = comp.full_residual(x, drive)
         if full < settings.tol:
-            return x, it, full, jacobians, True
-        if it == settings.max_newton_iters:
-            return x, it, full, jacobians, False
-        r = comp.reduced_residual(x, drive)
+            break
+        stalled = 0 if full < STALL_RATIO * previous else stalled + 1
+        previous = full
+        if it == settings.max_newton_iters or stalled == STALL_ITERS:
+            break
+        if r is None:
+            r = comp.reduced_residual(x, drive)
         J = comp.jacobian(x)
         jacobians.append(J)
         try:
             delta = np.linalg.solve(J, -np.array(r))
         except np.linalg.LinAlgError:
-            return x, it, full, jacobians, False
+            break
         base = _inf_norm(r)
         scale = 1.0
         for _ in range(20):
             xn = x + scale * delta
-            if _inf_norm(comp.reduced_residual(xn, drive)) < base:
+            # the reduced residual of an accepted point is the next iteration's r
+            rn = comp.reduced_residual(xn, drive)
+            if _inf_norm(rn) < base:
                 break
             scale /= 2
+            stats.backtracks += 1
         else:
-            return x, it, full, jacobians, False
-        x = xn
+            break
+        x, r = xn, rn
+    ok = full < settings.tol
+    stats.calls += 1
+    stats.iterations += it
+    if not ok:
+        stats.failed_calls += 1
+        stats.failed_iterations += it
+    return x, it, full, jacobians, ok
 
 
 def solve_configuration(
@@ -308,7 +367,9 @@ def solve_configuration(
     """Solve all bar constraints plus the driver angle; raises on failure."""
     settings = settings or SolverSettings()
     comp = _compile(spec)
-    x, it, residual, jacobians, ok = _newton(comp, theta, comp.to_vec(seed), settings)
+    x, it, residual, jacobians, ok = _newton(
+        comp, theta, comp.to_vec(seed), settings, SolveStats()
+    )
     if not ok:
         condition = _max_condition(jacobians)
         if condition > settings.condition_threshold:
@@ -375,7 +436,12 @@ def default_layout(spec: LinkageSpec) -> Configuration:
 
 
 def _steps(
-    comp: _Compiled, x: np.ndarray, theta: float, theta_to: float, settings: SolverSettings
+    comp: _Compiled,
+    x: np.ndarray,
+    theta: float,
+    theta_to: float,
+    settings: SolverSettings,
+    stats: SolveStats,
 ):
     """Continuation from the solution x at theta toward theta_to.
 
@@ -391,7 +457,7 @@ def _steps(
         nxt = theta + step
         if (theta_to - nxt) * sign < 0:
             nxt = theta_to
-        xn, _, _, jacobians, ok = _newton(comp, nxt, x, settings)
+        xn, _, _, jacobians, ok = _newton(comp, nxt, x, settings, stats)
         if ok:
             theta = nxt
             x = xn
@@ -419,10 +485,11 @@ def trace(
     sweep a failed step is retried with half the step length; below the
     minimum step a workspace boundary is recorded and the sweep ends.
     Near-singular Jacobians are flagged as singular-configuration events
-    without stopping or switching branches. A NaN or infinite theta_start,
-    theta_end or seed_theta raises ValueError before any step is taken, and
-    so does a leg (seed_theta to theta_start, or theta_start to theta_end)
-    longer than MAX_SWEEP_STEPS steps of settings.initial_step.
+    without stopping or switching branches. The Newton work of the whole
+    trace, seed leg included, is counted in Trace.stats. A NaN or infinite
+    theta_start, theta_end or seed_theta raises ValueError before any step is
+    taken, and so does a leg (seed_theta to theta_start, or theta_start to
+    theta_end) longer than MAX_SWEEP_STEPS steps of settings.initial_step.
     """
     for name, value in (("theta_start", theta_start), ("theta_end", theta_end),
                         ("seed_theta", seed_theta)):
@@ -442,11 +509,12 @@ def trace(
                 f"{MAX_SWEEP_STEPS} steps of {settings.initial_step:g}"
             )
 
-    x, _, _, _, ok = _newton(comp, seed_theta, comp.to_vec(seed), settings)
+    stats = SolveStats()
+    x, _, _, _, ok = _newton(comp, seed_theta, comp.to_vec(seed), settings, stats)
     if not ok:
         raise NoSeed(f"no solvable configuration at theta={seed_theta:.6g}")
     theta = seed_theta
-    for theta, x, _ in _steps(comp, x, theta, theta_start, settings):
+    for theta, x, _ in _steps(comp, x, theta, theta_start, settings, stats):
         pass
     if theta != theta_start:
         raise NoSeed(
@@ -461,18 +529,34 @@ def trace(
         px, py = comp.tracer_point(x)
         samples.append(TraceSample(theta, px, py, comp.full_residual(x, comp.drive(theta))))
 
+    near_singular = False
+
+    def flag(steps: list[tuple[float, list[np.ndarray]]]) -> None:
+        """Compare each step's largest condition number with the threshold,
+        in step order, from one SVD over all their Jacobians."""
+        nonlocal near_singular
+        conditions = iter(_conditions([J for _, jacobians in steps for J in jacobians]))
+        for at, jacobians in steps:
+            if max([0.0, *islice(conditions, len(jacobians))]) > settings.condition_threshold:
+                if not near_singular:
+                    events.append(BranchEvent(at, EventKind.SINGULAR_CONFIGURATION))
+                    near_singular = True
+            else:
+                near_singular = False
+
     theta = theta_start
     record(theta, x)
-    near_singular = False
-    for theta, x, jacobians in _steps(comp, x, theta, theta_end, settings):
+    batch: list[tuple[float, list[np.ndarray]]] = []
+    held = 0
+    for theta, x, jacobians in _steps(comp, x, theta, theta_end, settings, stats):
         record(theta, x)
-        if _max_condition(jacobians) > settings.condition_threshold:
-            if not near_singular:
-                events.append(BranchEvent(theta, EventKind.SINGULAR_CONFIGURATION))
-                near_singular = True
-        else:
-            near_singular = False
+        batch.append((theta, jacobians))
+        held += len(jacobians)
+        if held >= CONDITION_BATCH:
+            flag(batch)
+            batch, held = [], 0
+    flag(batch)
     if theta != theta_end:
         events.append(BranchEvent(theta, EventKind.WORKSPACE_BOUNDARY))
-    return Trace(samples, events)
+    return Trace(samples, events, stats)
 

@@ -377,12 +377,14 @@ def test_non_finite_sweep_bounds_exit_one(argv, message):
     "argv, message",
     [
         (("trace", "compass", "--to", "1e6"),
-         "sweep from theta=0 to 1e+06 needs more than 1000000 steps of 0.01 (--from 0, --to 1e+06)"),
+         "sweep from theta=0 to 1e+06 needs more than 100000 steps of 0.01 (--from 0, --to 1e+06)"),
         (("trace", "compass", "--from", "1e6"),
-         "sweep from theta=0 to 1e+06 needs more than 1000000 steps of 0.01 (--from 1e+06, --to 6.28319)"),
+         "sweep from theta=0 to 1e+06 needs more than 100000 steps of 0.01 (--from 1e+06, --to 6.28319)"),
         (("certify", "compass", "--to", "2e6", "--step", "1"),
-         "sweep from theta=0 to 2e+06 needs more than 1000000 steps of 1 (--from 0, --to 2e+06)"),
+         "sweep from theta=0 to 2e+06 needs more than 100000 steps of 1 (--from 0, --to 2e+06)"),
     ],
+    # named apart from the message, which quotes the cap
+    ids=["trace-to-1e6", "trace-from-1e6", "certify-to-2e6"],
 )
 def test_huge_sweeps_exit_one(argv, message):
     # at 1e-2 a step, a sweep to 1e6 would take 1e8 steps and never end in practice

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction as F
@@ -17,9 +18,12 @@ from linkagekit.solver import (
     BranchEvent,
     Configuration,
     EventKind,
+    NonConvergence,
     NoSeed,
     SingularJacobian,
+    SolveStats,
     SolverSettings,
+    _conditions,
     _inf_norm,
     _max_condition,
     solve_configuration,
@@ -62,16 +66,108 @@ TRACE_SHA256 = {
 }
 
 
+def trace_digest(tr):
+    lines = [
+        " ".join(float.hex(v) for v in (s.theta, s.x, s.y, s.residual))
+        for s in tr.samples
+    ]
+    lines += [f"{float.hex(e.theta)} {e.kind.value}" for e in tr.events]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_catalog_traces_are_pinned_bit_for_bit(traces):
     assert set(traces) == set(TRACE_SHA256)
     for name, tr in traces.items():
-        lines = [
-            " ".join(float.hex(v) for v in (s.theta, s.x, s.y, s.residual))
-            for s in tr.samples
-        ]
-        lines += [f"{float.hex(e.theta)} {e.kind.value}" for e in tr.events]
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == TRACE_SHA256[name], name
+        assert trace_digest(tr) == TRACE_SHA256[name], name
+
+
+def test_trace_counts_newton_work(traces):
+    # hart_inversor's 163 calls: the seed solve, 13 steps of the seed leg from
+    # pi to 3.02, then 127 accepted and 22 failed steps of the sweep
+    assert traces["hart_inversor"].stats == SolveStats(
+        calls=163, iterations=801, failed_calls=22, failed_iterations=247, backtracks=1512
+    )
+    assert traces["hart_aframe"].stats == SolveStats(
+        calls=134, iterations=612, failed_calls=21, failed_iterations=235, backtracks=2077
+    )
+    e = entry("watt")
+    cfg = solve_configuration(e.spec, 0.1, e.seed_config())
+    assert trace(e.spec, 0.1, 0.1, seed=cfg, seed_theta=0.1).stats == SolveStats(calls=1)
+
+
+def test_fail_fast_is_invisible_on_the_catalog(monkeypatch):
+    # without it the failed calls at hart_inversor's workspace boundary run
+    # to max_newton_iters: 1586 iterations, 1032 of them in failed calls
+    monkeypatch.setattr(solver, "STALL_ITERS", math.inf)
+    for name in names():
+        tr = catalog_trace(name)
+        assert trace_digest(tr) == TRACE_SHA256[name], name
+        if name == "hart_inversor":
+            assert (tr.stats.iterations, tr.stats.failed_iterations) == (1586, 1032)
+
+
+def four_bar(rng):
+    """A four-bar with rational bars between 1 and 40, many of them
+    non-Grashof, and a seed assembled at a random crank angle theta:
+    (spec, seed, theta), or None where it does not assemble."""
+    d, a, b, c = (F(rng.randint(4, 40), rng.randint(1, 4)) for _ in range(4))
+    theta = rng.uniform(0, 2 * math.pi)
+    p = (float(a) * math.cos(theta), float(a) * math.sin(theta))
+    dx, dy = float(d) - p[0], -p[1]
+    dist = math.hypot(dx, dy)
+    along = (dist**2 + float(b) ** 2 - float(c) ** 2) / (2 * dist)
+    if along**2 >= float(b) ** 2:
+        return None
+    h = math.sqrt(float(b) ** 2 - along**2)
+    q = (p[0] + (along * dx - h * dy) / dist, p[1] + (along * dy + h * dx) / dist)
+    spec = LinkageSpec(
+        name="four_bar",
+        joints=(Joint("A", (F(0), F(0))), Joint("B", (d, F(0))),
+                Joint("P", None), Joint("Q", None)),
+        bars=(Bar("crank", "A", "P", a), Bar("coupler", "P", "Q", b),
+              Bar("rocker", "B", "Q", c)),
+        driver=Driver("crank"),
+        tracer=Tracer(bar="coupler", offset=F(rng.randint(-4, 8), 4)),
+    )
+    return spec, Configuration({"A": (0.0, 0.0), "B": (float(d), 0.0), "P": p, "Q": q}), theta
+
+
+def test_fail_fast_on_generated_four_bars(monkeypatch):
+    # Near a fold a Newton call can creep, its full residual falling by less
+    # than a tenth an iteration for STALL_ITERS iterations in a row, and
+    # still converge. Fail-fast cuts it short and the step is halved, so
+    # there the sample grid can differ from a run without the rule. The
+    # curve, the branch, the event kinds and their angles to within 1e-6
+    # rad may not.
+    rng = random.Random(0)
+    linkages = [fb for fb in (four_bar(rng) for _ in range(50)) if fb is not None]
+    identical = boundaries = 0
+    iterations = {math.inf: 0, solver.STALL_ITERS: 0}
+    for spec, seed, theta in linkages:
+        runs = []
+        for stall_iters in (math.inf, solver.STALL_ITERS):
+            monkeypatch.setattr(solver, "STALL_ITERS", stall_iters)
+            runs.append(trace(spec, theta, theta + 2 * math.pi, seed=seed, seed_theta=theta))
+            iterations[stall_iters] += runs[-1].stats.iterations
+        off, on = runs
+        identical += trace_digest(off) == trace_digest(on)
+        boundaries += bool(on.events)
+        for tr in runs:
+            assert max(s.residual for s in tr.samples) < 1e-12
+        assert [e.kind for e in on.events] == [e.kind for e in off.events]
+        for a, b in zip(on.events, off.events):
+            assert abs(a.theta - b.theta) < 1e-6
+        assert on.samples[0] == off.samples[0]
+        if not on.events:  # both swept the whole turn, on the same branch
+            a, b = on.samples[-1], off.samples[-1]
+            assert a.theta == b.theta and math.hypot(a.x - b.x, a.y - b.y) < 1e-9
+        at = {s.theta: s for s in off.samples}
+        for s in on.samples:
+            if s.theta in at:
+                assert math.hypot(s.x - at[s.theta].x, s.y - at[s.theta].y) < 1e-9
+    # 15 of the 24 end at a workspace boundary; 3 of those traces differ
+    assert (len(linkages), boundaries, identical) == (24, 15, 21)
+    assert iterations[solver.STALL_ITERS] < iterations[math.inf]
 
 
 def test_every_sample_converged(traces):
@@ -287,15 +383,16 @@ class _NewtonCalled(Exception):
         (0.0, -1e6 - 1, 0.0, "theta=0 to -1e+06"),
         (1e6 + 1, 0.0, 0.0, "theta=0 to 1e+06"),
         (0.0, 1.0, -1e6 - 1, "theta=-1e+06 to 0"),
+        (0.0, 1e5 + 1, 0.0, "theta=0 to 100001"),
     ],
 )
 def test_sweep_longer_than_the_step_cap_is_refused(monkeypatch, start, end, seed_theta, leg):
     # refused before the first Newton call: either leg would otherwise take
-    # more than a million steps, each kept as a sample
+    # more than 10^5 steps, each kept as a sample
     monkeypatch.setattr(solver, "_newton", lambda *args: pytest.fail("continuation ran"))
     e = entry("compass")
     with pytest.raises(
-        ValueError, match=rf"^sweep from {re.escape(leg)} needs more than 1000000 steps of 1$"
+        ValueError, match=rf"^sweep from {re.escape(leg)} needs more than 100000 steps of 1$"
     ):
         trace(e.spec, start, end, SolverSettings(initial_step=1.0),
               seed=e.seed_config(), seed_theta=seed_theta)
@@ -307,10 +404,10 @@ def test_sweep_at_the_step_cap_runs(monkeypatch):
 
     monkeypatch.setattr(solver, "_newton", newton)
     e = entry("compass")
-    assert solver.MAX_SWEEP_STEPS == 10**6
+    assert solver.MAX_SWEEP_STEPS == 10**5
     with pytest.raises(_NewtonCalled):
-        trace(e.spec, 0.0, 1e6, SolverSettings(initial_step=1.0),
-              seed=e.seed_config(), seed_theta=-1e6)
+        trace(e.spec, 0.0, 1e5, SolverSettings(initial_step=1.0),
+              seed=e.seed_config(), seed_theta=-1e5)
 
 
 def test_max_condition_matches_per_matrix_svd():
@@ -322,6 +419,8 @@ def test_max_condition_matches_per_matrix_svd():
         sv = np.linalg.svd(m, compute_uv=False)
         conds.append(math.inf if sv[-1] == 0 else float(sv[0] / sv[-1]))
     assert conds[-2:] == [math.inf, math.inf]
+    assert _conditions(mats) == conds
+    assert _conditions([]) == []
     for k in range(len(mats)):
         assert _max_condition(mats[: k + 1]) == max([0.0, *conds[: k + 1]])
     assert _max_condition([np.zeros((4, 4))]) == math.inf
@@ -342,6 +441,42 @@ def test_singular_seed_raises_singular_jacobian():
     with pytest.raises(SingularJacobian, match=r"\(condition inf\)$") as err:
         solve_configuration(spec, 0.0, seed)
     assert err.value.condition == math.inf
+
+
+# the singular-configuration events of watt's whole sweep, as float.hex of
+# their angles, recorded with one SVD per accepted step. At 23.3 the runs of
+# steps over the threshold are steps 1-31, 72-89 and 130-160; each step
+# holds 3 Jacobians, so a batch of 66 ends after every 22nd step, and each
+# run crosses a batch boundary.
+WATT_SINGULAR_EVENTS = {
+    1.0: ["-0x1.947ae147ae148p-1"],
+    23.3: ["-0x1.947ae147ae148p-1", "-0x1.47ae147ae1455p-4", "0x1.0000000000007p-1"],
+}
+
+
+@pytest.mark.parametrize("threshold", sorted(WATT_SINGULAR_EVENTS))
+def test_condition_batches_keep_the_events(monkeypatch, threshold):
+    batches = []
+    conditions = solver._conditions
+    monkeypatch.setattr(solver, "_conditions", lambda js: batches.append(len(js)) or conditions(js))
+    settings = SolverSettings(condition_threshold=threshold)
+    batched = catalog_trace("watt", settings)
+    assert batches == [66] * 7 + [40]
+    assert [e.kind for e in batched.events] == [EventKind.SINGULAR_CONFIGURATION] * len(
+        WATT_SINGULAR_EVENTS[threshold]
+    )
+    assert [e.theta.hex() for e in batched.events] == WATT_SINGULAR_EVENTS[threshold]
+    monkeypatch.setattr(solver, "CONDITION_BATCH", 1)
+    assert catalog_trace("watt", settings).events == batched.events
+
+
+def test_non_convergence_reports_the_iterations_run():
+    # past hart_inversor's workspace boundary the residual stalls at once
+    e = entry("hart_inversor")
+    with pytest.raises(NonConvergence, match=r"^Newton stalled after 10 iterations, "
+                       r"residual 6\.273e\+00$") as err:
+        solve_configuration(e.spec, 4.5, e.seed_config())
+    assert err.value.iterations == solver.STALL_ITERS < SolverSettings().max_newton_iters
 
 
 def test_condition_threshold_flags_singular_configuration():
