@@ -167,14 +167,6 @@ def _requirements(requirements: Optional[Requirements]) -> Requirements:
     return shipped()[1] if requirements is None else requirements
 
 
-def bom(model: str, requirements: Optional[Requirements] = None) -> ShoppingList:
-    """Per-part counts for one model, straight from the table."""
-    reqs = _requirements(requirements)
-    if model not in reqs:
-        raise UnknownModelError(model, reqs)
-    return dict(reqs[model])
-
-
 def set_union(models: Iterable[str], requirements: Optional[Requirements] = None) -> ShoppingList:
     """Parts needed to build the models one at a time: per-part maximum."""
     reqs = _requirements(requirements)

@@ -282,8 +282,3 @@ def entry(name: str) -> CatalogEntry:
         _CACHE[name] = _BUILDERS[name]()
     return _CACHE[name]
 
-
-def builtin(name: str) -> LinkageSpec:
-    """The validated spec of a builtin model."""
-    return entry(name).spec
-

@@ -5,9 +5,11 @@ builtin name or a path to a linkage file. Data goes to stdout, diagnostics
 to stderr, and identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 usage error (bad flags, solver settings, pair
-budget, sweep or straightness window), 2 validation or parse error (a
-locus that is not a curve included), 3 no solvable configuration reached at
-the sweep start, 4 pair budget exhausted.
+budget, sweep or straightness window), 2 invalid input: a parse or
+validation error, an unreadable file, or a tracer that does not trace a
+curve (locus.NotACurve), 3 no solvable configuration reached at the sweep
+start, 4 pair budget exhausted. The default --pair-budget is
+poly.DEFAULT_PAIR_BUDGET.
 """
 
 from __future__ import annotations
@@ -21,17 +23,9 @@ from typing import Optional
 from . import bom as bom_mod
 from . import catalog, model
 from .exports import trace_csv, trace_svg
-from .locus import (
-    DEFAULT_PAIR_BUDGET,
-    DegenerateWindow,
-    EmptyElimination,
-    FiniteLocus,
-    Verdict,
-    certify,
-    locus_equation,
-)
+from .locus import DegenerateWindow, NotACurve, Verdict, certify, locus_equation
 from .model import MM_PER_UNIT
-from .poly import MultiPoly, PairBudgetExceededError
+from .poly import DEFAULT_PAIR_BUDGET, MultiPoly, PairBudgetExceededError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -402,15 +396,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _CliError as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)
         return ex.code
-    except (model.ParseError, model.ValidationError, bom_mod.CatalogError) as ex:
+    except (model.ParseError, model.ValidationError, bom_mod.CatalogError, NotACurve,
+            OSError) as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)
         return EXIT_INVALID
     except (model.UnknownModelError, bom_mod.UnknownPartError) as ex:
         # KeyError wraps its message in quotes; unwrap for readability
         print(f"linkagekit: {ex.args[0]}", file=sys.stderr)
-        return EXIT_INVALID
-    except (EmptyElimination, FiniteLocus) as ex:
-        print(f"linkagekit: {ex}", file=sys.stderr)
         return EXIT_INVALID
     except DegenerateWindow as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)
@@ -421,9 +413,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_SYMBOLIC
-    except OSError as ex:
-        print(f"linkagekit: {ex}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 if __name__ == "__main__":

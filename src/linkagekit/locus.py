@@ -15,7 +15,10 @@ only and is complete: a factor's direction divides the top-degree form, and
 the factor crosses a transverse slice at a rational root, so both come from
 exact rational roots of univariate polynomials (Sturm counting and integer
 bisection). Candidates are peeled off with poly.divide, which runs the poly
-layer's one division engine.
+layer's one division engine. A line is a primitive MultiPoly over (x, y),
+signed by its x, then its y coefficient, as every primitive polynomial is.
+A tracer that does not trace a curve raises NotACurve. The default pair
+budget is poly.DEFAULT_PAIR_BUDGET, re-exported here.
 
 The numeric side of a certificate, the total-least-squares line through the
 windowed samples, is fitted here too (straightness_stats), in pure Python
@@ -32,12 +35,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .model import LinkageSpec, reduced_constraints
-from .poly import MultiPoly, PairBudgetExceededError, divide, eliminate
+from .poly import DEFAULT_PAIR_BUDGET, MultiPoly, PairBudgetExceededError, divide, eliminate
 
 if TYPE_CHECKING:
     from .solver import Trace, TraceSample
-
-DEFAULT_PAIR_BUDGET = 200_000
 
 # a factor "contains" the windowed samples when its residual, scaled by the
 # factor's coefficient norm, stays below this on every sample
@@ -46,14 +47,10 @@ EXACT_LINE_TOL = 1e-9
 Line = tuple[Fraction, Fraction, Fraction]
 
 
-class EmptyElimination(RuntimeError):
-    """The elimination ideal is zero: the tracer sweeps a region, not a curve,
-    so the linkage is under-constrained."""
-
-
-class FiniteLocus(RuntimeError):
-    """The elimination basis has a constant gcd: the tracer reaches only
-    finitely many points, not a curve."""
+class NotACurve(RuntimeError):
+    """The tracer does not trace a curve: the elimination ideal is zero (it
+    sweeps a region; the linkage is under-constrained), or the elimination
+    basis has a constant gcd (it reaches only finitely many points)."""
 
 
 class DegenerateWindow(ValueError):
@@ -142,12 +139,12 @@ def locus_equation(spec: LinkageSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) ->
 
     The elimination ideal is g*J, where g is the gcd of its generators and J
     cuts out finitely many points (isolated or embedded), so the curve is
-    g = 0. A constant g raises FiniteLocus.
+    g = 0. A zero ideal or a constant g raises NotACurve.
     """
     ci = constraint_ideal(spec)
     basis = eliminate(ci.generators, ("x", "y"), pair_budget=pair_budget)
     if not basis:
-        raise EmptyElimination(
+        raise NotACurve(
             f"locus of {spec.name!r} is two-dimensional; the linkage does not "
             "constrain its tracer to a curve"
         )
@@ -155,7 +152,7 @@ def locus_equation(spec: LinkageSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) ->
     for g in basis[1:]:
         locus = _gcd(locus, g.primitive(), pair_budget)
     if locus.total_degree() < 1:
-        raise FiniteLocus(
+        raise NotACurve(
             f"locus of {spec.name!r} is finite; the tracer reaches only finitely "
             "many points, not a curve"
         )
@@ -179,20 +176,6 @@ def _gcd(f: MultiPoly, g: MultiPoly, pair_budget: int) -> MultiPoly:
     quots, rem = divide(f * g, [lcm])
     assert rem.is_zero
     return quots[0].primitive()
-
-
-def _norm_line(a: Fraction, b: Fraction, c: Fraction) -> Optional[Line]:
-    if a == 0 and b == 0:
-        return None
-    den = 1
-    for v in (a, b, c):
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ia, ib, ic = (int(v * den) for v in (a, b, c))
-    g = math.gcd(math.gcd(abs(ia), abs(ib)), abs(ic))
-    ia, ib, ic = ia // g, ib // g, ic // g
-    if ia < 0 or (ia == 0 and ib < 0):
-        ia, ib, ic = -ia, -ib, -ic
-    return (Fraction(ia), Fraction(ib), Fraction(ic))
 
 
 def _derivative(f: MultiPoly) -> MultiPoly:
@@ -251,17 +234,18 @@ def _rational_roots(f: MultiPoly) -> list[Fraction]:
     return sorted(roots)
 
 
-def _candidate_lines(p: MultiPoly) -> list[Line]:
-    """Every rational line that can divide p, normalized and sorted; see
-    extract_linear_factors for why the list is complete."""
+def _candidate_lines(p: MultiPoly) -> list[MultiPoly]:
+    """Every rational line that can divide p, primitive and sorted by its
+    coefficients; see extract_linear_factors for why the list is complete."""
     vx, vy = p.vars
+    x, y = (MultiPoly.variable(p.vars, v) for v in (vx, vy))
     d = p.total_degree()
     top = MultiPoly(p.vars, {e: c for e, c in p.terms if sum(e) == d})
     dirs = [(Fraction(1), -r) for r in _rational_roots(top.subs({vy: 1}).restrict((vx,)))]
     if not top.coefficient((d, 0)):
         dirs.append((Fraction(0), Fraction(1)))
     slices: dict[int, tuple[int, list[Fraction]]] = {}
-    cands: set[Line] = set()
+    cands: set[MultiPoly] = set()
     for a, b in dirs:
         # slice at x = k when the line is not vertical, else at y = k
         axis = 0 if b else 1
@@ -273,8 +257,8 @@ def _candidate_lines(p: MultiPoly) -> list[Line]:
         k, roots = slices[axis]
         for r in roots:
             x0, y0 = (k, r) if axis == 0 else (r, k)
-            cands.add(_norm_line(a, b, -(a * x0 + b * y0)))
-    return sorted(cands)
+            cands.add((a * x + b * y - (a * x0 + b * y0)).primitive())
+    return sorted(cands, key=_factor_coeffs)
 
 
 def extract_linear_factors(p: MultiPoly) -> tuple[list[tuple[MultiPoly, int]], MultiPoly]:
@@ -293,11 +277,9 @@ def extract_linear_factors(p: MultiPoly) -> tuple[list[tuple[MultiPoly, int]], M
         raise ValueError(f"expected a bivariate polynomial, got variables {p.vars}")
     if p.is_zero or p.total_degree() < 1:
         return [], p
-    vx, vy = (MultiPoly.variable(p.vars, v) for v in p.vars)
     factors: list[tuple[MultiPoly, int]] = []
     work = p
-    for a, b, c in _candidate_lines(p):
-        line = a * vx + b * vy + MultiPoly.const(p.vars, c)
+    for line in _candidate_lines(p):
         mult = 0
         while not work.is_zero:
             quots, rem = divide(work, [line])
@@ -375,42 +357,28 @@ class StraightnessCertificate:
     via_fallback: bool = False
 
 
-def _line_norm(a: Fraction, b: Fraction, c: Fraction) -> float:
-    return math.sqrt(float(a) ** 2 + float(b) ** 2 + float(c) ** 2)
-
-
-def _vanishes_on(line: Line, samples: Sequence[TraceSample]) -> bool:
-    a, b, c = (float(v) for v in line)
-    scale = _line_norm(*line)
+def _vanishes_on(line: MultiPoly, samples: Sequence[TraceSample]) -> bool:
+    a, b, c = (float(v) for v in _factor_coeffs(line))
+    scale = math.sqrt(a**2 + b**2 + c**2)
     return all(abs(a * s.x + b * s.y + c) / scale < EXACT_LINE_TOL for s in samples)
 
 
-def _factor_coeffs(factor: MultiPoly) -> Line:
-    n = len(factor.vars)
-    ex = tuple(1 if i == 0 else 0 for i in range(n))
-    ey = tuple(1 if i == 1 else 0 for i in range(n))
-    return (factor.coefficient(ex), factor.coefficient(ey),
-            factor.coefficient(tuple(0 for _ in range(n))))
+def _factor_coeffs(line: MultiPoly) -> Line:
+    """(a, b, c) of a line a*x + b*y + c over two variables."""
+    return line.coefficient((1, 0)), line.coefficient((0, 1)), line.coefficient((0, 0))
 
 
-def _vanishing_factor(
-    factors: Sequence[tuple[MultiPoly, int]], samples: Sequence[TraceSample]
-) -> Optional[MultiPoly]:
-    for f, _ in factors:
-        if _vanishes_on(_factor_coeffs(f), samples):
-            return f
-    return None
-
-
-def _tls_hints(line: tuple[float, float, float]) -> list[Line]:
-    """Rationalizations of a floating TLS line, as fallback candidates."""
+def _tls_hints(line: tuple[float, float, float]) -> list[MultiPoly]:
+    """Rationalizations of a floating TLS line, primitive over (x, y), as
+    fallback candidates."""
     a, b, c = line
     scale = max(abs(a), abs(b), abs(c), 1e-30)
+    x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
     hints = []
     for limit in (100, 10**6):
-        cand = tuple(Fraction(v / scale).limit_denominator(limit) for v in (a, b, c))
-        if cand[0] != 0 or cand[1] != 0:
-            hints.append(cand)
+        ra, rb, rc = (Fraction(v / scale).limit_denominator(limit) for v in (a, b, c))
+        if ra != 0 or rb != 0:
+            hints.append((ra * x + rb * y + rc).primitive())
     return hints
 
 
@@ -438,6 +406,7 @@ def certify(
     system is far smaller). An empty elimination
     ideal there means the curve meets the line in infinitely many points,
     which makes the line a component of the locus without ever computing it.
+    The verdict is EXACT_LINE exactly when a line is found.
     """
     samples = trace.windowed(window)
     if len(samples) < 10:
@@ -448,64 +417,49 @@ def certify(
     try:
         res = locus_equation(spec, pair_budget=pair_budget)
     except PairBudgetExceededError:
-        return _certify_fallback(spec, samples, stats, window)
-
-    hit = _vanishing_factor(res.factors, samples)
-    if hit is not None:
-        return StraightnessCertificate(
-            verdict=Verdict.EXACT_LINE,
-            window=window,
-            max_deviation=stats.max_deviation,
-            line=_factor_coeffs(hit),
-            evidence=(
+        line, evidence = _certify_fallback(spec, samples, stats)
+        via_fallback = True
+    else:
+        via_fallback = False
+        line = next((f for f, _ in res.factors if _vanishes_on(f, samples)), None)
+        if line is not None:
+            evidence = (
                 f"all {len(samples)} windowed samples vanish on the linear factor "
-                f"{hit.text()} of the degree-{res.total_degree} locus "
+                f"{line.text()} of the degree-{res.total_degree} locus "
                 f"(normalized residual < {EXACT_LINE_TOL:g})"
-            ),
-        )
+            )
+        else:
+            evidence = (
+                f"no linear factor of the degree-{res.total_degree} locus contains the "
+                f"windowed samples ({len(res.factors)} linear factor(s) present); "
+                f"{_BEZOUT_NOTE}; max deviation {stats.max_deviation:.6g} units"
+            )
     return StraightnessCertificate(
-        verdict=Verdict.APPROXIMATE,
+        verdict=Verdict.APPROXIMATE if line is None else Verdict.EXACT_LINE,
         window=window,
         max_deviation=stats.max_deviation,
-        line=None,
-        evidence=(
-            f"no linear factor of the degree-{res.total_degree} locus contains the "
-            f"windowed samples ({len(res.factors)} linear factor(s) present); "
-            f"{_BEZOUT_NOTE}; max deviation {stats.max_deviation:.6g} units"
-        ),
+        line=None if line is None else _factor_coeffs(line),
+        evidence=evidence,
+        via_fallback=via_fallback,
     )
 
 
-def _certify_fallback(spec, samples, stats, window) -> StraightnessCertificate:
+def _certify_fallback(spec, samples, stats) -> tuple[Optional[MultiPoly], str]:
+    """The line and evidence of a certificate decided without the locus."""
     approx_base = "locus elimination exceeded its pair budget; "
     if stats.max_deviation >= EXACT_LINE_TOL:
-        return StraightnessCertificate(
-            verdict=Verdict.APPROXIMATE,
-            window=window,
-            max_deviation=stats.max_deviation,
-            line=None,
-            evidence=(
-                approx_base
-                + f"the fitted line already deviates {stats.max_deviation:.6g} units "
-                f"over the window, so no exact-line claim is possible; {_BEZOUT_NOTE}"
-            ),
-            via_fallback=True,
+        return None, (
+            approx_base
+            + f"the fitted line already deviates {stats.max_deviation:.6g} units "
+            f"over the window, so no exact-line claim is possible; {_BEZOUT_NOTE}"
         )
-    cands = _tls_hints(stats.line)
-    cand = next((c for c in (_norm_line(*h) for h in cands) if c and _vanishes_on(c, samples)), None)
-    if cand is None:
-        return StraightnessCertificate(
-            verdict=Verdict.APPROXIMATE,
-            window=window,
-            max_deviation=stats.max_deviation,
-            line=None,
-            evidence=(
-                approx_base + "the fitted line does not rationalize to an exact "
-                f"candidate containing the samples; {_BEZOUT_NOTE}"
-            ),
-            via_fallback=True,
+    line = next((h for h in _tls_hints(stats.line) if _vanishes_on(h, samples)), None)
+    if line is None:
+        return None, (
+            approx_base + "the fitted line does not rationalize to an exact "
+            f"candidate containing the samples; {_BEZOUT_NOTE}"
         )
-    a, b, c = cand
+    a, b, c = _factor_coeffs(line)
     ci = constraint_ideal(spec)
     ring = ci.variables
     x = MultiPoly.variable(ring, "x")
@@ -515,31 +469,15 @@ def _certify_fallback(spec, samples, stats, window) -> StraightnessCertificate:
     else:
         rep, keep = {"x": (y * (-b) + MultiPoly.const(ring, -c)) * (1 / a)}, "y"
     substituted = [g.subs(rep) for g in ci.generators]
-    leftover = eliminate(substituted, (keep,), pair_budget=DEFAULT_PAIR_BUDGET)
-    line_text = (a * x + b * y + MultiPoly.const(ring, c)).restrict(("x", "y")).text()
-    if leftover:
-        return StraightnessCertificate(
-            verdict=Verdict.APPROXIMATE,
-            window=window,
-            max_deviation=stats.max_deviation,
-            line=None,
-            evidence=(
-                approx_base + f"candidate line {line_text} meets the curve in only "
-                f"finitely many points (substituted elimination is non-empty); {_BEZOUT_NOTE}"
-            ),
-            via_fallback=True,
+    if eliminate(substituted, (keep,), pair_budget=DEFAULT_PAIR_BUDGET):
+        return None, (
+            approx_base + f"candidate line {line.text()} meets the curve in only "
+            f"finitely many points (substituted elimination is non-empty); {_BEZOUT_NOTE}"
         )
-    return StraightnessCertificate(
-        verdict=Verdict.EXACT_LINE,
-        window=window,
-        max_deviation=stats.max_deviation,
-        line=cand,
-        evidence=(
-            f"fallback certificate: all {len(samples)} windowed samples lie on "
-            f"{line_text} (normalized residual < {EXACT_LINE_TOL:g}), and substituting "
-            "the line into the constraint system eliminates to the zero ideal, so the "
-            "curve meets it in infinitely many points; by Bezout's theorem the line is "
-            "a component of the locus"
-        ),
-        via_fallback=True,
+    return line, (
+        f"fallback certificate: all {len(samples)} windowed samples lie on "
+        f"{line.text()} (normalized residual < {EXACT_LINE_TOL:g}), and substituting "
+        "the line into the constraint system eliminates to the zero ideal, so the "
+        "curve meets it in infinitely many points; by Bezout's theorem the line is "
+        "a component of the locus"
     )

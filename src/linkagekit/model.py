@@ -144,7 +144,6 @@ class CollinearTriple:
     b: str
     t: Fraction
     inner_bars: tuple[str, str]
-    outer_bar: str
 
 
 def collinear_triples(spec: LinkageSpec) -> list[CollinearTriple]:
@@ -183,7 +182,6 @@ def collinear_triples(spec: LinkageSpec) -> list[CollinearTriple]:
                         b=b,
                         t=ba.length / outer.length,
                         inner_bars=(ba.id, bb.id),
-                        outer_bar=outer.id,
                     )
                 )
     return triples

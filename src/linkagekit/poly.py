@@ -13,8 +13,11 @@ standard algorithm (Cox, Little and O'Shea, *Ideals, Varieties, and
 Algorithms*, ch. 2 section 3) run fraction-free on integer-coefficient
 primitive polynomials (denominators cleared, content stripped after every
 Buchberger reduction) to keep bignum growth under control. ``divide`` rescales
-its integer quotients and remainder back to rationals; Buchberger results are
-monic with Fraction coefficients.
+its integer quotients and remainder back to rationals. A reduced basis is
+made monic by dividing each integer element by its lead, which makes it
+unique. Buchberger and eliminate count critical pairs against a budget,
+DEFAULT_PAIR_BUDGET (200 000) unless told otherwise; the budget bounds
+pairs, not time.
 
 Every monomial order here is a weight order (Cox, Little and O'Shea, ch. 2
 section 2), so each packs exactly into one Python int: ``key(e) = sum(e_i *
@@ -42,9 +45,11 @@ from math import gcd
 from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-Rat = Fraction
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
+
+# the critical-pair allowance of buchberger and eliminate unless told otherwise
+DEFAULT_PAIR_BUDGET = 200_000
 
 
 class VariableMismatchError(ValueError):
@@ -209,10 +214,6 @@ class MultiPoly:
     # -- constructors
 
     @classmethod
-    def zero(cls, varnames: Sequence[str]) -> "MultiPoly":
-        return cls(varnames, {})
-
-    @classmethod
     def const(cls, varnames: Sequence[str], value: Scalar) -> "MultiPoly":
         return cls(varnames, {tuple(0 for _ in varnames): Fraction(value)})
 
@@ -232,12 +233,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(sum(e) for e, _ in self.terms)
-
-    def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Exponents, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = order.key(self.vars)
-        return max(self.terms, key=lambda t: key(t[0]))
 
     def coefficient(self, exp: Exponents) -> Fraction:
         for e, c in self.terms:
@@ -378,12 +373,6 @@ class MultiPoly:
     def primitive(self) -> "MultiPoly":
         return self.content_and_primitive()[1]
 
-    def monic(self, order: MonomialOrder = GREVLEX) -> "MultiPoly":
-        if not self.terms:
-            return self
-        _, lc = self.leading_term(order)
-        return self * (1 / lc)
-
     def text(self) -> str:
         """Canonical display form: primitive integer coefficients, positive lead,
         terms grevlex-descending with explicit signs."""
@@ -469,10 +458,6 @@ def _to_int_terms(p: MultiPoly, key: Key) -> tuple[Fraction, _Terms]:
     out = [(key(e), e, int(c)) for e, c in prim.terms]
     out.sort(key=lambda t: t[0], reverse=True)
     return content, out
-
-
-def _from_int_terms(varnames, terms: _Terms) -> MultiPoly:
-    return MultiPoly(varnames, {e: Fraction(c) for _, e, c in terms})
 
 
 def _max_degree(terms: _Terms) -> int:
@@ -603,7 +588,7 @@ def _coprime(a: Exponents, b: Exponents) -> bool:
 def buchberger(
     gens: Sequence[MultiPoly],
     order: MonomialOrder = GREVLEX,
-    pair_budget: int = 200_000,
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> list[MultiPoly]:
     """Reduced Groebner basis of the ideal generated by gens.
 
@@ -695,7 +680,8 @@ def _buchberger(
 
 
 def _reduce_basis(varnames, basis: list[_Terms], order: MonomialOrder) -> list[MultiPoly]:
-    """Minimalize and tail-reduce an integer basis, return monic MultiPolys."""
+    """Minimalize and tail-reduce an integer basis; return it monic, each
+    element divided by its integer lead, and sorted by lead."""
     key = order.key(varnames)
     # minimal: drop any element whose lead is divisible by another's
     keep: list[_Terms] = []
@@ -719,12 +705,8 @@ def _reduce_basis(varnames, basis: list[_Terms], order: MonomialOrder) -> list[M
         nf = _strip_content(_normal_form_int(g, others, degs[:i] + degs[i + 1 :], key)[0])
         if nf:
             reduced.append(nf)
-    out = []
-    for t in reduced:
-        p = _from_int_terms(varnames, t)
-        out.append(p.monic(order))
-    out.sort(key=lambda p: key(p.leading_term(order)[0]))
-    return out
+    reduced.sort(key=lambda t: t[0][0])
+    return [MultiPoly(varnames, {e: Fraction(c, t[0][2]) for _, e, c in t}) for t in reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +762,7 @@ def _substitute_linear(
 def eliminate(
     gens: Sequence[MultiPoly],
     keep: Iterable[str],
-    pair_budget: int = 200_000,
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> list[MultiPoly]:
     """Generators of the elimination ideal: the ideal of gens intersected with
     the subring on the kept variables. Returned polynomials live on exactly the

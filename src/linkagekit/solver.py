@@ -23,7 +23,8 @@ reports the iterations actually run. The catalog traces are the same bits
 with and without the rule; on other linkages a call that creeps across a
 fold for longer can be cut short, which changes the step schedule, and so
 the sample grid, near the fold. The reduced residual of a point the line
-search accepts is the next iteration's, not computed again. Work is counted
+search accepts is the next iteration's, not computed again, and a sample's
+full residual is the one its Newton call accepted it with. Work is counted
 in each Trace's SolveStats. Condition numbers are computed only where they
 are read: on the sweep's accepted steps, one batched SVD per run of steps
 holding CONDITION_BATCH (64) Jacobians, compared with the threshold step by
@@ -445,9 +446,10 @@ def _steps(
 ):
     """Continuation from the solution x at theta toward theta_to.
 
-    Yields (theta, x, jacobians) after every accepted step, with the Jacobians
-    of its Newton call. A failed step is retried with half the step length,
-    and an accepted one grows a shortened step back toward the initial step.
+    Yields (theta, x, residual, jacobians) after every accepted step, with the
+    full residual at x and the Jacobians of its Newton call. A failed step is
+    retried with half the step length, and an accepted one grows a shortened
+    step back toward the initial step.
     The generator ends at theta_to, or at the last accepted angle once the
     step falls below the minimum (a stall).
     """
@@ -457,11 +459,11 @@ def _steps(
         nxt = theta + step
         if (theta_to - nxt) * sign < 0:
             nxt = theta_to
-        xn, _, _, jacobians, ok = _newton(comp, nxt, x, settings, stats)
+        xn, _, full, jacobians, ok = _newton(comp, nxt, x, settings, stats)
         if ok:
             theta = nxt
             x = xn
-            yield theta, x, jacobians
+            yield theta, x, full, jacobians
             if abs(step) < settings.initial_step:
                 step = sign * min(abs(step) * 1.5, settings.initial_step)
         else:
@@ -510,11 +512,11 @@ def trace(
             )
 
     stats = SolveStats()
-    x, _, _, _, ok = _newton(comp, seed_theta, comp.to_vec(seed), settings, stats)
+    x, _, full, _, ok = _newton(comp, seed_theta, comp.to_vec(seed), settings, stats)
     if not ok:
         raise NoSeed(f"no solvable configuration at theta={seed_theta:.6g}")
     theta = seed_theta
-    for theta, x, _ in _steps(comp, x, theta, theta_start, settings, stats):
+    for theta, x, full, _ in _steps(comp, x, theta, theta_start, settings, stats):
         pass
     if theta != theta_start:
         raise NoSeed(
@@ -525,9 +527,9 @@ def trace(
     samples: list[TraceSample] = []
     events: list[BranchEvent] = []
 
-    def record(theta: float, x: np.ndarray) -> None:
+    def record(theta: float, x: np.ndarray, residual: float) -> None:
         px, py = comp.tracer_point(x)
-        samples.append(TraceSample(theta, px, py, comp.full_residual(x, comp.drive(theta))))
+        samples.append(TraceSample(theta, px, py, residual))
 
     near_singular = False
 
@@ -545,11 +547,11 @@ def trace(
                 near_singular = False
 
     theta = theta_start
-    record(theta, x)
+    record(theta, x, full)
     batch: list[tuple[float, list[np.ndarray]]] = []
     held = 0
-    for theta, x, jacobians in _steps(comp, x, theta, theta_end, settings, stats):
-        record(theta, x)
+    for theta, x, full, jacobians in _steps(comp, x, theta, theta_end, settings, stats):
+        record(theta, x, full)
         batch.append((theta, jacobians))
         held += len(jacobians)
         if held >= CONDITION_BATCH:

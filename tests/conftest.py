@@ -1,8 +1,9 @@
 """Shared fixtures and helpers. Catalog traces and locus results are computed
 once per run. sympy_divide serves oracle tests, which skip themselves when
-sympy is missing. spoly and reduce are plain rational references, independent
-of poly's integer engine, for checking the bases it produces; Lex, evaluate
-and reflect serve tests only, so the package does not carry them."""
+sympy is missing. leading_term, spoly and reduce are plain rational
+references, independent of poly's integer engine, for checking the bases it
+produces; Lex, evaluate and reflect serve tests only, so the package does
+not carry them."""
 
 from fractions import Fraction as F
 from operator import mul
@@ -85,10 +86,18 @@ def evaluate(p, point):
     return total
 
 
+def leading_term(p, order=GREVLEX):
+    """(exponents, coefficient) of p's greatest term under order."""
+    if not p.terms:
+        raise ValueError("zero polynomial has no leading term")
+    key = order.key(p.vars)
+    return max(p.terms, key=lambda t: key(t[0]))
+
+
 def spoly(f, g, order=GREVLEX):
     """S-polynomial: the lead-cancelling combination of f and g."""
-    ef, cf = f.leading_term(order)
-    eg, cg = g.leading_term(order)
+    ef, cf = leading_term(f, order)
+    eg, cg = leading_term(g, order)
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     mf = MultiPoly(f.vars, {tuple(m - a for m, a in zip(lcm, ef)): 1 / cf})
     mg = MultiPoly(g.vars, {tuple(m - a for m, a in zip(lcm, eg)): 1 / cg})
@@ -98,10 +107,10 @@ def spoly(f, g, order=GREVLEX):
 def reduce(p, basis, order=GREVLEX):
     """Remainder of p on division by the nonzero basis elements, by the
     textbook algorithm over the rationals, one MultiPoly operation a step."""
-    divisors = [(g.leading_term(order), g) for g in basis if not g.is_zero]
-    rem = MultiPoly.zero(p.vars)
+    divisors = [(leading_term(g, order), g) for g in basis if not g.is_zero]
+    rem = MultiPoly(p.vars, {})
     while not p.is_zero:
-        e, c = p.leading_term(order)
+        e, c = leading_term(p, order)
         for (eg, cg), g in divisors:
             if all(a >= b for a, b in zip(e, eg)):
                 shift = tuple(a - b for a, b in zip(e, eg))

@@ -179,7 +179,7 @@ def test_flipped_branch_rides_the_sextic_not_the_line(traces, loci):
 
 def test_ring_axioms_on_thousand_random_triples():
     rng = random.Random(8161863)
-    zero = MultiPoly.zero(V3)
+    zero = MultiPoly(V3, {})
     for _ in range(1000):
         a, b, c = (rand_poly(rng) for _ in range(3))
         assert (a + b) + c == a + (b + c)

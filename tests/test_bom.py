@@ -8,7 +8,6 @@ from linkagekit.bom import (
     CatalogError,
     UnknownModelError,
     UnknownPartError,
-    bom,
     catalog_load,
     format_price,
     price,
@@ -45,7 +44,7 @@ def test_shipped_set_prices():
 
 
 def test_watt_bom_prices():
-    shopping = bom("watt")
+    shopping = set_union(["watt"])
     assert sum(shopping.values()) == 21
     assert price(shopping, "brickowl") == F(1023, 1000)
     assert price(shopping, "bricklink") == F(3796, 10000)
@@ -73,7 +72,7 @@ def test_simultaneous_union_takes_per_part_sum():
 
 def test_set_union_never_costs_more_than_separate_purchases():
     for vendor in ("brickowl", "bricklink"):
-        separate = sum(price(bom(m), vendor) for m in MODELS)
+        separate = sum(price(set_union([m]), vendor) for m in MODELS)
         assert price(set_union(MODELS), vendor) <= separate
 
 
@@ -84,14 +83,14 @@ def test_bricklink_undercuts_brickowl_on_every_shipped_part():
 
 
 def test_bom_copies_are_independent():
-    a = bom("compass")
+    a = set_union(["compass"])
     a[2780] = 99
-    assert bom("compass")[2780] == 1
+    assert set_union(["compass"])[2780] == 1
 
 
 def test_unknown_model():
     with pytest.raises(UnknownModelError, match="catalog covers"):
-        bom("strandbeest")
+        set_union(["strandbeest"])
     with pytest.raises(UnknownModelError):
         set_union(("watt", "strandbeest"))
 
@@ -103,7 +102,7 @@ def test_unknown_part():
 
 def test_bad_vendor():
     with pytest.raises(ValueError, match="vendor"):
-        price(bom("watt"), "ebay")
+        price(set_union(["watt"]), "ebay")
 
 
 MINIMAL = """code,name,color,price_brickowl,price_bricklink,alpha,set

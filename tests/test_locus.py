@@ -13,12 +13,10 @@ from linkagekit.catalog import entry, names
 from linkagekit.locus import (
     DEFAULT_PAIR_BUDGET,
     DegenerateWindow,
-    EmptyElimination,
-    FiniteLocus,
+    NotACurve,
     Verdict,
     _factor_coeffs,
     _gcd,
-    _norm_line,
     _rational_roots,
     certify,
     constraint_ideal,
@@ -264,7 +262,8 @@ def sympy_linear_factors(p):
     for g, mult in sympy.factor_list(expr, x, y)[1]:
         g = sympy.Poly(g, x, y)
         if g.total_degree() == 1:
-            line = _norm_line(*(F(int(g.coeff_monomial(m))) for m in (x, y, 1)))
+            a, b, c = (int(g.coeff_monomial(m)) for m in (x, y, 1))
+            line = _factor_coeffs((a * X + b * Y + c).primitive())
             found[line] = found.get(line, 0) + mult
     return found
 
@@ -306,14 +305,14 @@ def test_two_dof_tracer_has_no_curve():
         driver=Driver("oa"),
         tracer=Tracer(joint="T"),
     )
-    with pytest.raises(EmptyElimination, match="two-dimensional"):
+    with pytest.raises(NotACurve, match="two-dimensional"):
         locus_equation(spec)
 
 
 def test_anchored_tracer_is_finite():
     # the tracer sits still: the basis (x, y) has a constant gcd
     spec = replace(entry("compass").spec, tracer=Tracer(joint="O"))
-    with pytest.raises(FiniteLocus, match="finitely many points"):
+    with pytest.raises(NotACurve, match="finitely many points"):
         locus_equation(spec)
 
 
@@ -432,6 +431,42 @@ def test_certify_fallback_approximate(traces):
     assert cert.verdict is Verdict.APPROXIMATE
     assert cert.via_fallback
     assert cert.max_deviation == pytest.approx(APPROX_DEVIATIONS["watt"], rel=1e-3)
+
+
+_FALLBACK_NOTE = (
+    "a straight segment shares infinitely many points with the curve, so by "
+    "Bezout's theorem it could only lie on a linear component"
+)
+
+
+@pytest.mark.parametrize(
+    "points, evidence",
+    [
+        # a rational line off watt's curve: the substituted elimination is non-empty
+        (
+            [(-2 + 0.04 * k, 4.0) for k in range(50)],
+            "candidate line y - 4 meets the curve in only finitely many points "
+            "(substituted elimination is non-empty)",
+        ),
+        # a line of irrational slope: no rationalization contains the samples
+        (
+            [(200 * k, math.sqrt(2) * (200 * k)) for k in range(50)],
+            "the fitted line does not rationalize to an exact candidate "
+            "containing the samples",
+        ),
+    ],
+    ids=["finitely-many-points", "does-not-rationalize"],
+)
+def test_certify_fallback_approximate_branches(points, evidence):
+    tr = Trace([TraceSample(float(k), x, y, 0.0) for k, (x, y) in enumerate(points)], [])
+    cert = certify(entry("watt").spec, tr, (0, 49), pair_budget=30)
+    assert cert.verdict is Verdict.APPROXIMATE
+    assert cert.via_fallback
+    assert cert.line is None
+    assert cert.max_deviation < 1e-12
+    assert cert.evidence == (
+        f"locus elimination exceeded its pair budget; {evidence}; {_FALLBACK_NOTE}"
+    )
 
 
 def test_certify_rejects_negative_pair_budget(traces):

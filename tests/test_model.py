@@ -1,10 +1,13 @@
 """Spec construction, validation, triples, and the file format round-trip."""
 
+import copy
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkagekit import catalog
 from linkagekit.model import (
@@ -64,13 +67,13 @@ EXPECTED_LENGTHS = {
 
 def test_every_builtin_validates():
     for name in catalog.names():
-        report = validate(catalog.builtin(name))
+        report = validate(catalog.entry(name).spec)
         assert report.ok, [c for c in report.failures]
 
 
 def test_builtin_bar_lengths_match_committed_table():
     for name, lengths in EXPECTED_LENGTHS.items():
-        spec = catalog.builtin(name)
+        spec = catalog.entry(name).spec
         assert {b.id: b.length for b in spec.bars} == lengths
 
 
@@ -81,25 +84,25 @@ def test_unknown_builtin():
 
 def test_roundtrip_every_builtin():
     for name in catalog.names():
-        spec = catalog.builtin(name)
+        spec = catalog.entry(name).spec
         assert load(save(spec)) == spec
 
 
 def test_collinear_triples_hart():
-    triples = {t.mid: t for t in collinear_triples(catalog.builtin("hart_inversor"))}
+    triples = {t.mid: t for t in collinear_triples(catalog.entry("hart_inversor").spec)}
     assert set(triples) == {"O", "P", "Q"}
     assert triples["Q"].t == F(1, 2)
-    assert triples["Q"].outer_bar == "bc"
+    assert (triples["Q"].a, triples["Q"].b) == ("B", "C")
 
 
 def test_collinear_triples_lambda_off_center():
-    (t,) = collinear_triples(catalog.builtin("chebyshev_lambda"))
+    (t,) = collinear_triples(catalog.entry("chebyshev_lambda").spec)
     assert (t.mid, t.a, t.b) == ("B", "A", "T")
     assert t.t == F(1, 2)
 
 
 def test_collinear_triples_aframe_quarter_points():
-    triples = {t.mid: t for t in collinear_triples(catalog.builtin("hart_aframe"))}
+    triples = {t.mid: t for t in collinear_triples(catalog.entry("hart_aframe").spec)}
     assert triples["M1"].t == F(3, 4)
     assert triples["M2"].t == F(3, 4)
 
@@ -121,7 +124,7 @@ def test_validate_flags_missing_mobility():
 
 
 def _mangled(mutate):
-    doc = json.loads(save(catalog.builtin("compass")))
+    doc = json.loads(save(catalog.entry("compass").spec))
     mutate(doc)
     return json.dumps(doc)
 
@@ -156,12 +159,47 @@ def test_duplicate_joint_id_rejected():
 
 
 def test_save_uses_exact_rationals():
-    assert "." not in save(catalog.builtin("chebyshev_lambda"))
+    assert "." not in save(catalog.entry("chebyshev_lambda").spec)
 
 
 def test_inner_bar_driver_rejected():
-    spec = replace(catalog.builtin("hart_aframe"), driver=Driver("l1a"))
+    spec = replace(catalog.entry("hart_aframe").spec, driver=Driver("l1a"))
     report = validate(spec)
     assert [c.name for c in report.failures] == ["driver-outer"]
     with pytest.raises(ValidationError, match="not an inner bar"):
         load(save(spec))
+
+
+# replacement values: every JSON type, rationals with a zero denominator or
+# the wrong arity, and objects shaped like the file's own
+_RETYPES = [None, True, 0, -1, 2, 1.5, "", "O", [], {}, [1], [1, 0], [1, 2, 3], [[1, 2]],
+            {"id": "O"}, {"bar": 1}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(catalog.names()), seed=st.integers(0, 2**32))
+def test_mutated_file_raises_only_parse_or_validation_errors(name, seed):
+    # ten files a case, each with one to three fields dropped, retyped or
+    # nested; each field is found by a random walk down from the top level
+    saved = save(catalog.entry(name).spec)
+    rng = random.Random(seed)
+    for _ in range(10):
+        box = {"doc": json.loads(saved)}
+        for _ in range(rng.randint(1, 3)):
+            if "doc" not in box:
+                break
+            node, key = box, "doc"
+            while isinstance(node[key], (dict, list)) and node[key] and rng.random() < 0.8:
+                node = node[key]
+                key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+            op = rng.choice(["drop", "retype", "nest"])
+            if op == "drop":
+                del node[key]
+            elif op == "retype":
+                node[key] = copy.deepcopy(rng.choice(_RETYPES))
+            else:
+                node[key] = rng.choice([[node[key]], {"value": node[key]}])
+        try:
+            assert isinstance(load(json.dumps(box.get("doc"))), LinkageSpec)
+        except (ParseError, ValidationError):
+            pass

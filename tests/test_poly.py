@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import LEX, reduce, spoly, sympy_divide
+from conftest import LEX, leading_term, reduce, spoly, sympy_divide
 from linkagekit.catalog import entry
 from linkagekit.locus import constraint_ideal
 from linkagekit.poly import (
@@ -48,7 +48,7 @@ def test_ring_axioms_on_random_triples():
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
-        assert a + a.zero(a.vars) == a
+        assert a + MultiPoly(a.vars, {}) == a
         assert (a - a).is_zero
         assert a * ONE == a
 
@@ -56,14 +56,14 @@ def test_ring_axioms_on_random_triples():
 def test_text_normal_form():
     p = 2 * X * X + 3 * Y - ONE * 6
     assert p.text() == "2*x^2 + 3*y - 6"
-    assert MultiPoly.zero(V3).text() == "0"
+    assert MultiPoly(V3, {}).text() == "0"
     assert (X * Y * Y - Z).text() == "x*y^2 - z"
 
 
 def test_orders_rank_leading_terms():
     p = X * Y * Y + X * X  # grevlex: x*y^2 (deg 3) over x^2
-    assert p.leading_term(GREVLEX)[0] == (1, 2, 0)
-    assert p.leading_term(LEX)[0] == (2, 0, 0)
+    assert leading_term(p, GREVLEX)[0] == (1, 2, 0)
+    assert leading_term(p, LEX)[0] == (2, 0, 0)
     front = BlockElim(("y",)).key(V3)
     assert front((0, 1, 0)) > front((3, 0, 2))  # any y beats y-free monomials
 
@@ -87,7 +87,7 @@ def test_division_reexpansion_random():
         # no remainder term is divisible by any divisor lead
         for e, _ in r.terms:
             for d in divisors:
-                lead = d.leading_term(GREVLEX)[0]
+                lead = leading_term(d, GREVLEX)[0]
                 assert not all(a >= b for a, b in zip(e, lead))
 
 

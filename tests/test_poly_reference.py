@@ -52,7 +52,7 @@ def ref_subs(p, replacements):
             basis.append(rep)
         else:
             basis.append(MultiPoly.const(p.vars, rep))
-    out = MultiPoly.zero(p.vars)
+    out = MultiPoly(p.vars, {})
     for exp, coeff in p.terms:
         term = MultiPoly.const(p.vars, coeff)
         for b, e in zip(basis, exp):

@@ -13,7 +13,7 @@ import pytest
 from conftest import catalog_trace, reflect
 from linkagekit import solver
 from linkagekit.catalog import entry, names
-from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer
+from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer, validate
 from linkagekit.solver import (
     BranchEvent,
     Configuration,
@@ -29,7 +29,7 @@ from linkagekit.solver import (
     solve_configuration,
     trace,
 )
-from linkagekit.locus import straightness_stats
+from linkagekit.locus import locus_equation, straightness_stats
 
 
 def nearest_theta_pairs(a, b, tol=1e-9, map_b=lambda t: t, min_fraction=0.5):
@@ -104,6 +104,41 @@ def test_fail_fast_is_invisible_on_the_catalog(monkeypatch):
         assert trace_digest(tr) == TRACE_SHA256[name], name
         if name == "hart_inversor":
             assert (tr.stats.iterations, tr.stats.failed_iterations) == (1586, 1032)
+
+
+def _retrace(name, spec):
+    e = entry(name)
+    return trace(spec, *e.sweep, SolverSettings(), seed=e.seed_config(), seed_theta=e.theta_ref)
+
+
+@pytest.mark.parametrize("name, anchors, distance", [
+    ("watt", ("W1", "W2"), 16),
+    ("hart_inversor", ("O", "S"), 4),
+], ids=["watt", "hart_inversor"])
+def test_ground_bar_changes_nothing(traces, loci, name, anchors, distance):
+    # reduced_constraints drops a bar between two anchors; validate checks
+    # its length against the anchor distance
+    spec = entry(name).spec
+    grounded = replace(spec, bars=spec.bars + (Bar("ground", *anchors, F(distance)),))
+    assert validate(grounded).ok
+    tr = _retrace(name, grounded)
+    assert trace_digest(tr) == TRACE_SHA256[name]
+    assert tr.stats == traces[name].stats
+    assert locus_equation(grounded) == loci[name]
+    wrong = replace(spec, bars=spec.bars + (Bar("ground", *anchors, F(distance + 1)),))
+    assert [c.name for c in validate(wrong).failures] == ["anchored-lengths"]
+
+
+def test_driver_listed_anchor_last_traces_the_same(traces):
+    spec = entry("watt").spec
+    flipped = replace(spec, bars=tuple(
+        Bar(b.id, b.b, b.a, b.length) if b.id == spec.driver.bar else b for b in spec.bars
+    ))
+    driver = flipped.bar(flipped.driver.bar)
+    assert flipped.joint(driver.b).is_anchored and not flipped.joint(driver.a).is_anchored
+    tr = _retrace("watt", flipped)
+    assert trace_digest(tr) == TRACE_SHA256["watt"]
+    assert tr.stats == traces["watt"].stats
 
 
 def four_bar(rng):
