@@ -171,7 +171,7 @@ def _gcd(f: MultiPoly, g: MultiPoly, pair_budget: int) -> MultiPoly:
     O'Shea, Ideals, Varieties, and Algorithms, section 4.3)."""
     ring = ("t", *f.vars)
     t = MultiPoly.variable(ring, "t")
-    f_t, g_t = (MultiPoly(ring, {(0, *e): c for e, c in p.terms}) for p in (f, g))
+    f_t, g_t = (p.restrict(ring) for p in (f, g))
     (lcm,) = eliminate([t * f_t, (1 - t) * g_t], f.vars, pair_budget=pair_budget)
     quots, rem = divide(f * g, [lcm])
     assert rem.is_zero
@@ -400,13 +400,13 @@ def certify(
     against each exact linear factor; the factor search is complete, so an
     APPROXIMATE verdict here proves no rational line contains the segment.
     If elimination exhausts pair_budget, fall back to certify-by-candidate:
-    rationalize the fitted line, confirm it numerically, then substitute it
-    into the constraint system and eliminate down to the line's free
-    coordinate (budgeted separately by DEFAULT_PAIR_BUDGET, since this
-    system is far smaller). An empty elimination
-    ideal there means the curve meets the line in infinitely many points,
-    which makes the line a component of the locus without ever computing it.
-    The verdict is EXACT_LINE exactly when a line is found.
+    rationalize the fitted line, confirm it numerically, then eliminate
+    down to the line's free coordinate from the constraint system with the
+    line as its first generator, which eliminate substitutes away (budgeted
+    separately by DEFAULT_PAIR_BUDGET, since that system is far smaller). An
+    empty elimination ideal means the curve meets the line in infinitely
+    many points, which makes the line a component of the locus without
+    ever computing it. The verdict is EXACT_LINE exactly when a line is found.
     """
     samples = trace.windowed(window)
     if len(samples) < 10:
@@ -459,17 +459,12 @@ def _certify_fallback(spec, samples, stats) -> tuple[Optional[MultiPoly], str]:
             approx_base + "the fitted line does not rationalize to an exact "
             f"candidate containing the samples; {_BEZOUT_NOTE}"
         )
-    a, b, c = _factor_coeffs(line)
+    # eliminate solves the line, its first generator, for y (x when it is
+    # vertical), the one coordinate it uses that is not kept
     ci = constraint_ideal(spec)
-    ring = ci.variables
-    x = MultiPoly.variable(ring, "x")
-    y = MultiPoly.variable(ring, "y")
-    if b != 0:
-        rep, keep = {"y": (x * (-a) + MultiPoly.const(ring, -c)) * (1 / b)}, "x"
-    else:
-        rep, keep = {"x": (y * (-b) + MultiPoly.const(ring, -c)) * (1 / a)}, "y"
-    substituted = [g.subs(rep) for g in ci.generators]
-    if eliminate(substituted, (keep,), pair_budget=DEFAULT_PAIR_BUDGET):
+    keep = "x" if line.coefficient((0, 1)) else "y"
+    gens = [line.restrict(ci.variables), *ci.generators]
+    if eliminate(gens, (keep,), pair_budget=DEFAULT_PAIR_BUDGET):
         return None, (
             approx_base + f"candidate line {line.text()} meets the curve in only "
             f"finitely many points (substituted elimination is non-empty); {_BEZOUT_NOTE}"

@@ -336,19 +336,17 @@ class MultiPoly:
         return MultiPoly(self.vars, acc)
 
     def restrict(self, varnames: Sequence[str]) -> "MultiPoly":
-        """Re-express over a sub-list of variables; unused variables must be absent."""
+        """Re-express over another variable list, which must hold every
+        variable this polynomial uses; variables new to it get exponent 0."""
         varnames = tuple(varnames)
-        pos = []
-        for v in varnames:
-            if v not in self.vars:
-                raise VariableMismatchError(f"{v} not a variable of this polynomial")
-            pos.append(self.vars.index(v))
-        keep = set(pos)
+        index = {v: i for i, v in enumerate(self.vars)}
+        pos = [index.get(v) for v in varnames]
+        kept = set(pos)
         acc: dict[Exponents, Fraction] = {}
         for exp, coeff in self.terms:
-            if any(e and i not in keep for i, e in enumerate(exp)):
+            if any(e and i not in kept for i, e in enumerate(exp)):
                 raise VariableMismatchError("polynomial uses variables outside the restriction")
-            acc[tuple(exp[i] for i in pos)] = coeff
+            acc[tuple(0 if i is None else exp[i] for i in pos)] = coeff
         return MultiPoly(varnames, acc)
 
     # -- normal forms
@@ -713,29 +711,26 @@ def _reduce_basis(varnames, basis: list[_Terms], order: MonomialOrder) -> list[M
 # elimination
 
 
-def _substitute_linear(
-    gens: list[MultiPoly], eliminable: set[str]
-) -> tuple[list[MultiPoly], set[str]]:
-    """Use degree-1 generators to solve for eliminable variables and substitute
-    them away. This preserves the elimination ideal over the kept variables and
-    typically removes the affine joint-placement relations before Buchberger
-    runs. Returns the rewritten generators and the variables actually removed.
+def _substitute_linear(gens: list[MultiPoly], eliminable: set[str]) -> list[MultiPoly]:
+    """Solve the first degree-1 generator holding an eliminable variable for
+    the first such variable in ring order, substitute it into the others, and
+    start over until none is left. This preserves the elimination ideal over
+    the kept variables and typically removes the affine joint-placement
+    relations before Buchberger runs. gens must not be empty.
     """
-    if not gens:
-        return gens, set()
     varnames = gens[0].vars
-    removed: set[str] = set()
     work = list(gens)
     changed = True
     while changed:
         changed = False
-        for gi, g in enumerate(work):
+        for g in work:
             if g.is_zero or g.total_degree() != 1:
                 continue
-            # pick the first eliminable variable with nonzero coefficient
+            # pick the first eliminable variable with nonzero coefficient; one
+            # already substituted away has coefficient 0 everywhere
             target = None
             for vi, v in enumerate(varnames):
-                if v in removed or v not in eliminable:
+                if v not in eliminable:
                     continue
                 unit = tuple(1 if k == vi else 0 for k in range(len(varnames)))
                 c = g.coefficient(unit)
@@ -747,16 +742,10 @@ def _substitute_linear(
             v, unit, c = target
             rest = MultiPoly(varnames, {e: k for e, k in g.terms if e != unit})
             replacement = rest * Fraction(-1, 1) * (1 / c)
-            new_work = []
-            for h in work:
-                if h is g:
-                    continue
-                new_work.append(h.subs({v: replacement}))
-            work = new_work
-            removed.add(v)
+            work = [h.subs({v: replacement}) for h in work if h is not g]
             changed = True
             break
-    return [h for h in work if not h.is_zero], removed
+    return [h for h in work if not h.is_zero]
 
 
 def eliminate(
@@ -769,43 +758,42 @@ def eliminate(
     kept variables, in their original ring order.
 
     Variables are dropped in stages, at most two per Groebner run. Each stage
-    drops the two cheapest variables left, where a variable costs the total
-    number of terms in the current generators that contain it (a
-    minimum-degree choice, as in sparse elimination); on a tie the later ring
-    variable goes first. Elimination ideals compose and the reduced basis is
-    unique, so the staged result equals a single run under a full block order
-    whatever the schedule, while each intermediate basis stays small.
-    Degree-1 generators are substituted away before every stage, and one pair
-    budget is shared across all stages; PairBudgetExceededError names the
-    stage it stopped in.
+    substitutes degree-1 generators away, narrows the ring to the kept
+    variables and those the generators use (an unused variable changes no
+    packed-key comparison), and drops the two cheapest variables left, where
+    a variable costs the total number of terms in the current generators
+    that contain it (a minimum-degree choice, as in sparse elimination); on
+    a tie the later ring variable goes first. Elimination ideals compose and
+    the reduced basis is unique, so the staged result equals a single run
+    under a full block order whatever the schedule, while each intermediate
+    basis stays small. The final grevlex run is over the kept variables
+    alone. One pair budget is shared across all stages;
+    PairBudgetExceededError names the stage it stopped in.
     """
     counter = _PairCounter(pair_budget)
-    gens = [g for g in gens if not g.is_zero]
+    work = [g for g in gens if not g.is_zero]
     keep = set(keep)
-    if not gens:
+    if not work:
         return []
-    varnames = gens[0].vars
-    for g in gens:
-        g._check(gens[0])
-    missing = keep - set(varnames)
+    for g in work:
+        g._check(work[0])
+    missing = keep - set(work[0].vars)
     if missing:
         raise VariableMismatchError(f"kept variables {sorted(missing)} not in ring")
-    keep_order = tuple(v for v in varnames if v in keep)
 
-    work = list(gens)
     while True:
-        ring = work[0].vars
-        work, removed = _substitute_linear(work, set(ring) - keep)
+        work = _substitute_linear(work, set(work[0].vars) - keep)
         if not work:
             return []
-        live = [v for v in ring if v not in removed]
-        work = [g.restrict(live) for g in work]
+        ring = work[0].vars
         # a variable costs the terms of the generators that contain it
-        cost = dict.fromkeys(live, 0)
+        cost = dict.fromkeys(ring, 0)
         for g in work:
-            for v, m in zip(g.vars, _used_mask(g)):
+            for v, m in zip(ring, _used_mask(g)):
                 cost[v] += m * len(g.terms)
-        front_used = [v for v in live if v not in keep and cost[v]]
+        live = [v for v in ring if v in keep or cost[v]]
+        work = [g.restrict(live) for g in work]
+        front_used = [v for v in live if v not in keep]
         if not front_used:
             break
         # the two cheapest, the later one first on a tie, dropped in ring order
@@ -820,16 +808,8 @@ def eliminate(
         ]
         if not work:
             return []
-        shrunk = [v for v in live if v not in dropset]
-        work = [g.restrict(shrunk) for g in work]
 
-    basis = _buchberger(work, GREVLEX, counter, "running the final grevlex basis")
-    out = []
-    for g in basis:
-        gused = {v for v, m in zip(g.vars, _used_mask(g)) if m}
-        if gused <= keep:
-            out.append(g.restrict(keep_order))
-    return out
+    return _buchberger(work, GREVLEX, counter, "running the final grevlex basis")
 
 
 def _used_mask(p: MultiPoly) -> list[bool]:

@@ -18,7 +18,7 @@ full original constraint set, never the rewritten rows.
 Newton fails fast: once the full residual has failed to drop below
 STALL_RATIO (0.9) times its previous value on STALL_ITERS (10) consecutive
 iterations, the call fails, and the continuation halves its step, instead
-of iterating to max_newton_iters at a workspace boundary. A NonConvergence
+of iterating to MAX_NEWTON_ITERS (50) at a workspace boundary. A NonConvergence
 reports the iterations actually run. The catalog traces are the same bits
 with and without the rule; on other linkages a call that creeps across a
 fold for longer can be cut short, which changes the step schedule, and so
@@ -27,9 +27,10 @@ search accepts is the next iteration's, not computed again, and a sample's
 full residual is the one its Newton call accepted it with. Work is counted
 in each Trace's SolveStats. Condition numbers are computed only where they
 are read: on the sweep's accepted steps, one batched SVD per run of steps
-holding CONDITION_BATCH (64) Jacobians, compared with the threshold step by
-step in order, and on a failed solve_configuration. A leg longer than MAX_SWEEP_STEPS (10^5) steps
-is refused before it starts.
+holding CONDITION_BATCH (64) Jacobians, compared with CONDITION_THRESHOLD
+(10^10) step by step in order, and on a failed solve_configuration. A leg
+longer than MAX_SWEEP_STEPS (10^5) steps is refused before it starts, and so
+is a linkage whose anchor coordinates or squared bar lengths overflow a float.
 
 This is the one module that imports numpy, and only the commands that trace
 load it. The total-least-squares line through a traced window is fitted in
@@ -52,10 +53,15 @@ from .model import Bar, Configuration, LinkageSpec, reduced_constraints
 # the catalog's longest sweep takes 630
 MAX_SWEEP_STEPS = 10**5
 
-# _newton gives up once the full residual has failed to drop below
-# STALL_RATIO times its previous value on STALL_ITERS consecutive iterations
+# _newton gives up after MAX_NEWTON_ITERS iterations, or once the full
+# residual has failed to drop below STALL_RATIO times its previous value on
+# STALL_ITERS consecutive iterations
+MAX_NEWTON_ITERS = 50
 STALL_ITERS = 10
 STALL_RATIO = 0.9
+
+# a Newton Jacobian whose condition number exceeds this is near-singular
+CONDITION_THRESHOLD = 1e10
 
 # trace computes condition numbers with one batched SVD once its accepted
 # steps hold this many Jacobians; the bound caps the memory a batch holds
@@ -82,13 +88,11 @@ class SingularJacobian(RuntimeError):
 @dataclass(frozen=True)
 class SolverSettings:
     tol: float = 1e-12
-    max_newton_iters: int = 50
     initial_step: float = 1e-2
     min_step: float = 1e-7
-    condition_threshold: float = 1e10
 
     def __post_init__(self):
-        values = (self.tol, self.max_newton_iters, self.initial_step, self.min_step)
+        values = (self.tol, self.initial_step, self.min_step)
         if not all(0 < v < math.inf for v in values):  # false for NaN too
             raise ValueError("solver settings must be positive and finite")
         if self.min_step > self.initial_step:
@@ -233,9 +237,16 @@ class _Compiled:
 
 
 def _compile(spec: LinkageSpec) -> _Compiled:
-    anchors = {
-        j.id: (float(j.anchor[0]), float(j.anchor[1])) for j in spec.joints if j.is_anchored
-    }
+    try:
+        anchors = {
+            j.id: (float(j.anchor[0]), float(j.anchor[1])) for j in spec.joints if j.is_anchored
+        }
+        squares = {b: float(b.length) ** 2 for b in spec.bars}
+    except OverflowError:
+        raise ValueError(
+            f"{spec.name!r} has an anchor coordinate or a squared bar length "
+            "beyond the float range"
+        ) from None
     free = [j.id for j in spec.joints if not j.is_anchored]
     at = {j: 2 * k for k, j in enumerate([*free, *anchors])}
 
@@ -247,7 +258,7 @@ def _compile(spec: LinkageSpec) -> _Compiled:
         anchor_id, free_id = driver_bar.b, driver_bar.a
 
     def table(bars: Sequence[Bar]) -> list[tuple[int, int, float]]:
-        return [(at[b.a], at[b.b], float(b.length) ** 2) for b in bars]
+        return [(at[b.a], at[b.b], squares[b]) for b in bars]
 
     # the driver's quadric gives way to the two driver-angle rows
     quad = table([b for b in quadrics if b.id != driver_bar.id])
@@ -315,19 +326,19 @@ def _newton(
 ):
     """Damped Newton from x. Returns (x, iterations, residual, jacobians, ok),
     with the Jacobian of every iteration run, for _conditions, and adds its
-    work to stats. It fails at max_newton_iters, on a singular or
+    work to stats. It fails at MAX_NEWTON_ITERS, on a singular or
     non-descending step, or once the full residual stalls (STALL_ITERS)."""
     drive = comp.drive(theta)
     jacobians: list[np.ndarray] = []
     r = None
     previous, stalled = math.inf, 0
-    for it in range(settings.max_newton_iters + 1):
+    for it in range(MAX_NEWTON_ITERS + 1):
         full = comp.full_residual(x, drive)
         if full < settings.tol:
             break
         stalled = 0 if full < STALL_RATIO * previous else stalled + 1
         previous = full
-        if it == settings.max_newton_iters or stalled == STALL_ITERS:
+        if it == MAX_NEWTON_ITERS or stalled == STALL_ITERS:
             break
         if r is None:
             r = comp.reduced_residual(x, drive)
@@ -373,7 +384,7 @@ def solve_configuration(
     )
     if not ok:
         condition = _max_condition(jacobians)
-        if condition > settings.condition_threshold:
+        if condition > CONDITION_THRESHOLD:
             raise SingularJacobian(condition)
         raise NonConvergence(it, residual)
     return comp.to_config(x)
@@ -539,7 +550,7 @@ def trace(
         nonlocal near_singular
         conditions = iter(_conditions([J for _, jacobians in steps for J in jacobians]))
         for at, jacobians in steps:
-            if max([0.0, *islice(conditions, len(jacobians))]) > settings.condition_threshold:
+            if max([0.0, *islice(conditions, len(jacobians))]) > CONDITION_THRESHOLD:
                 if not near_singular:
                     events.append(BranchEvent(at, EventKind.SINGULAR_CONFIGURATION))
                     near_singular = True

@@ -2,9 +2,10 @@
 once per run. sympy_divide serves oracle tests, which skip themselves when
 sympy is missing. leading_term, spoly and reduce are plain rational
 references, independent of poly's integer engine, for checking the bases it
-produces; Lex, evaluate and reflect serve tests only, so the package does
-not carry them."""
+produces; Lex, evaluate, reflect and scaled serve tests only, so the package
+does not carry them."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from operator import mul
 
@@ -130,3 +131,15 @@ def reflect(config, joint, across):
     t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
     return Configuration({**config.positions,
                           joint: (2 * (ax + t * dx) - px, 2 * (ay + t * dy) - py)})
+
+
+def scaled(spec, factor):
+    """spec with every length and anchor coordinate multiplied by factor."""
+    return replace(
+        spec,
+        joints=tuple(
+            replace(j, anchor=(j.anchor[0] * factor, j.anchor[1] * factor)) if j.is_anchored else j
+            for j in spec.joints
+        ),
+        bars=tuple(replace(b, length=b.length * factor) for b in spec.bars),
+    )

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import scaled
 from linkagekit import model
 from linkagekit.catalog import entry
 from linkagekit.cli import main
@@ -389,6 +390,20 @@ def test_non_finite_sweep_bounds_exit_one(argv, message):
 def test_huge_sweeps_exit_one(argv, message):
     # at 1e-2 a step, a sweep to 1e6 would take 1e8 steps and never end in practice
     _exits_one_in_subprocess(argv, message)
+
+
+# 10^155 overflows a squared bar length, 10^400 an anchor coordinate
+@pytest.mark.parametrize("command", ["trace", "certify"])
+@pytest.mark.parametrize("power", [155, 400])
+def test_dimensions_beyond_the_float_range_exit_one(tmp_path, command, power):
+    path = tmp_path / "big.json"
+    path.write_text(model.save(scaled(entry("watt").spec, F(10) ** power)))
+    window = ("--window", "0", "0.1") if command == "certify" else ()
+    _exits_one_in_subprocess(
+        (command, str(path), "--from", "0", "--to", "0.1", *window),
+        "'watt' has an anchor coordinate or a squared bar length beyond the float range "
+        "(--from 0, --to 0.1)",
+    )
 
 
 def _subprocess_env():

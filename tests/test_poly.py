@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import LEX, leading_term, reduce, spoly, sympy_divide
 from linkagekit.catalog import entry
@@ -251,3 +252,42 @@ def test_restrict_checks_usage():
     with pytest.raises(VariableMismatchError):
         p.restrict(("x",))
     assert (X + ONE).restrict(("x",)).vars == ("x",)
+    # widening: a variable new to the polynomial gets exponent 0, and
+    # restricting back gives the polynomial again
+    wide = (X * Y + Z * 3).restrict(("w", "z", "y", "x"))
+    assert wide.vars == ("w", "z", "y", "x")
+    assert wide.as_dict() == {(0, 0, 1, 1): 1, (0, 1, 0, 0): 3}
+    assert wide.restrict(V3) == X * Y + Z * 3
+
+
+_RING = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def _systems(draw):
+    """2 to 4 generators over 3 to 5 variables, with a non-empty kept set."""
+    ring = _RING[: draw(st.integers(3, 5))]
+    exps = st.tuples(*(st.integers(0, 2) for _ in ring))
+    term = st.tuples(exps, st.integers(-3, 3))
+    gens = [
+        MultiPoly(ring, dict(draw(st.lists(term, min_size=1, max_size=3))))
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    keep = draw(st.lists(st.sampled_from(ring), min_size=1, unique=True))
+    return ring, gens, keep
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+def test_staging_matches_one_block_order_run(system):
+    # elimination ideals compose and a reduced basis is unique, so the staged
+    # eliminate equals the kept-only part of one run under the full block order
+    ring, gens, keep = system
+    kept = tuple(v for v in ring if v in keep)
+    try:
+        staged = eliminate(gens, keep, pair_budget=60)
+        full = buchberger(gens, BlockElim(tuple(v for v in ring if v not in keep)), pair_budget=60)
+    except PairBudgetExceededError:
+        assume(False)
+    used = [{v for e, _ in g.terms for v, k in zip(ring, e) if k} for g in full]
+    assert staged == [g.restrict(kept) for g, u in zip(full, used) if u <= set(kept)]

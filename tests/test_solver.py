@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import catalog_trace, reflect
+from conftest import catalog_trace, reflect, scaled
 from linkagekit import solver
 from linkagekit.catalog import entry, names
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer, validate
@@ -97,7 +97,7 @@ def test_trace_counts_newton_work(traces):
 
 def test_fail_fast_is_invisible_on_the_catalog(monkeypatch):
     # without it the failed calls at hart_inversor's workspace boundary run
-    # to max_newton_iters: 1586 iterations, 1032 of them in failed calls
+    # to MAX_NEWTON_ITERS: 1586 iterations, 1032 of them in failed calls
     monkeypatch.setattr(solver, "STALL_ITERS", math.inf)
     for name in names():
         tr = catalog_trace(name)
@@ -386,6 +386,20 @@ def test_overflowing_seed_keeps_its_errors():
         trace(spec, 0.0, 0.1, seed=seed, seed_theta=0.0)
 
 
+# 10^155 overflows a squared bar length, 10^400 an anchor coordinate
+@pytest.mark.parametrize("power", [155, 400])
+def test_dimensions_beyond_the_float_range_are_refused(monkeypatch, power):
+    e = entry("watt")
+    spec = scaled(e.spec, F(10) ** power)
+    monkeypatch.setattr(solver, "_newton", lambda *args: pytest.fail("Newton ran"))
+    message = (r"^'watt' has an anchor coordinate or a squared bar length "
+               r"beyond the float range$")
+    with pytest.raises(ValueError, match=message):
+        trace(spec, 0.0, 0.1)
+    with pytest.raises(ValueError, match=message):
+        solve_configuration(spec, 0.0, e.seed_config())
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_seed_is_refused(bad):
     spec, seed = watt_seed(D=(1.0, bad))
@@ -494,7 +508,8 @@ def test_condition_batches_keep_the_events(monkeypatch, threshold):
     batches = []
     conditions = solver._conditions
     monkeypatch.setattr(solver, "_conditions", lambda js: batches.append(len(js)) or conditions(js))
-    settings = SolverSettings(condition_threshold=threshold)
+    monkeypatch.setattr(solver, "CONDITION_THRESHOLD", threshold)
+    settings = SolverSettings()
     batched = catalog_trace("watt", settings)
     assert batches == [66] * 7 + [40]
     assert [e.kind for e in batched.events] == [EventKind.SINGULAR_CONFIGURATION] * len(
@@ -511,11 +526,12 @@ def test_non_convergence_reports_the_iterations_run():
     with pytest.raises(NonConvergence, match=r"^Newton stalled after 10 iterations, "
                        r"residual 6\.273e\+00$") as err:
         solve_configuration(e.spec, 4.5, e.seed_config())
-    assert err.value.iterations == solver.STALL_ITERS < SolverSettings().max_newton_iters
+    assert err.value.iterations == solver.STALL_ITERS < solver.MAX_NEWTON_ITERS
 
 
-def test_condition_threshold_flags_singular_configuration():
+def test_condition_threshold_flags_singular_configuration(monkeypatch):
+    monkeypatch.setattr(solver, "CONDITION_THRESHOLD", 1.0)
     e = entry("watt")
-    tr = trace(e.spec, -0.1, 0.1, SolverSettings(condition_threshold=1.0),
+    tr = trace(e.spec, -0.1, 0.1, SolverSettings(),
                seed=e.seed_config(), seed_theta=0.0)
     assert tr.events == [BranchEvent(tr.samples[1].theta, EventKind.SINGULAR_CONFIGURATION)]
