@@ -163,48 +163,37 @@ def shipped() -> tuple[dict[int, Part], Requirements]:
     return catalog_load(text)
 
 
-def _requirements(requirements: Optional[Requirements]) -> Requirements:
-    return shipped()[1] if requirements is None else requirements
-
-
-def set_union(models: Iterable[str], requirements: Optional[Requirements] = None) -> ShoppingList:
+def set_union(models: Iterable[str], requirements: Requirements) -> ShoppingList:
     """Parts needed to build the models one at a time: per-part maximum."""
-    reqs = _requirements(requirements)
     out: ShoppingList = {}
     for model in models:
-        if model not in reqs:
-            raise UnknownModelError(model, reqs)
-        for code, n in reqs[model].items():
+        if model not in requirements:
+            raise UnknownModelError(model, requirements)
+        for code, n in requirements[model].items():
             out[code] = max(out.get(code, 0), n)
     return out
 
 
-def simultaneous_union(
-    models: Iterable[str], requirements: Optional[Requirements] = None
-) -> ShoppingList:
+def simultaneous_union(models: Iterable[str], requirements: Requirements) -> ShoppingList:
     """Parts needed to build the models all at once: per-part sum."""
-    reqs = _requirements(requirements)
     out: ShoppingList = {}
     for model in models:
-        if model not in reqs:
-            raise UnknownModelError(model, reqs)
-        for code, n in reqs[model].items():
+        if model not in requirements:
+            raise UnknownModelError(model, requirements)
+        for code, n in requirements[model].items():
             out[code] = out.get(code, 0) + n
     return out
 
 
-def price(
-    shopping: Mapping[int, int], vendor: str, parts: Optional[Mapping[int, Part]] = None
-) -> Fraction:
+def price(shopping: Mapping[int, int], vendor: str, parts: Mapping[int, Part]) -> Fraction:
     """Exact total price of a shopping list at one vendor."""
     if vendor not in VENDORS:
         raise ValueError(f"vendor must be one of {VENDORS}, not {vendor!r}")
-    table = shipped()[0] if parts is None else parts
     total = Fraction(0)
     for code, n in shopping.items():
-        if code not in table:
+        if code not in parts:
             raise UnknownPartError(code)
-        total += n * table[code].price(vendor)
+        total += n * parts[code].price(vendor)
     return total
 
 

@@ -76,7 +76,7 @@ def _pair_budget(args) -> int:
 
 def _run_trace(spec, entry, args):
     # the solver brings numpy; only the commands that trace load it
-    from .solver import NoSeed, SolverSettings, trace
+    from .solver import NoSeed, SolverSettings, check_sweep, trace
 
     if args.theta_from is None or args.theta_to is None:
         if entry is None:
@@ -97,13 +97,15 @@ def _run_trace(spec, entry, args):
             EXIT_USAGE,
             f"{ex} (--step {args.step:g}, --min-step {args.min_step:g}, --tol {args.tol:g})",
         )
+    seed, seed_theta = (None, None) if entry is None else (entry.seed_config(), entry.theta_ref)
     try:
-        if entry is None:
-            return trace(spec, start, end, settings)
-        return trace(spec, start, end, settings, seed=entry.seed_config(),
-                     seed_theta=entry.theta_ref)
+        check_sweep(start, end, settings, seed_theta)
     except ValueError as ex:
         raise _CliError(EXIT_USAGE, f"{ex} (--from {start:g}, --to {end:g})")
+    try:
+        return trace(spec, start, end, settings, seed=seed, seed_theta=seed_theta)
+    except ValueError as ex:  # the linkage's own dimensions, not the sweep
+        raise _CliError(EXIT_USAGE, str(ex))
     except NoSeed as ex:
         raise _CliError(EXIT_NUMERIC, str(ex))
 

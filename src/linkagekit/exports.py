@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-from xml.sax.saxutils import escape
 
 from .model import MM_PER_UNIT, LinkageSpec
 
@@ -12,6 +11,11 @@ if TYPE_CHECKING:
 
 # anchor cross arm, in mm on the page
 _CROSS = 3.0
+
+
+def _escape(text: str) -> str:
+    """text as XML character data: &, > and < escaped, quotes left alone."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def trace_csv(trace: Trace) -> str:
@@ -58,7 +62,7 @@ def trace_svg(trace: Trace, spec: LinkageSpec, description: str = "") -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.3f}mm" height="{h:.3f}mm" '
         f'viewBox="{x0:.3f} {y0:.3f} {w:.3f} {h:.3f}">',
-        f"  <desc>{escape(note)}</desc>",
+        f"  <desc>{_escape(note)}</desc>",
     ]
     if pts:
         joined = " ".join(f"{x:.3f},{y:.3f}" for x, y in pts)
@@ -75,12 +79,12 @@ def trace_svg(trace: Trace, spec: LinkageSpec, description: str = "") -> str:
     if description:
         parts.append(
             f'  <text x="{tx:.3f}" y="{ty:.3f}" font-size="3" font-family="sans-serif" '
-            f'fill="#202020">{escape(description)}</text>'
+            f'fill="#202020">{_escape(description)}</text>'
         )
         ty += 4.0
     parts.append(
         f'  <text x="{tx:.3f}" y="{ty:.3f}" font-size="3" font-family="sans-serif" '
-        f'fill="#202020">{escape(scale_note)}</text>'
+        f'fill="#202020">{_escape(scale_note)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -358,7 +358,11 @@ class StraightnessCertificate:
 
 
 def _vanishes_on(line: MultiPoly, samples: Sequence[TraceSample]) -> bool:
-    a, b, c = (float(v) for v in _factor_coeffs(line))
+    # divided exactly by the largest magnitude, so no coefficient or square
+    # overflows a float however large the integers are
+    coeffs = _factor_coeffs(line)
+    top = max(map(abs, coeffs))
+    a, b, c = (float(v / top) for v in coeffs)
     scale = math.sqrt(a**2 + b**2 + c**2)
     return all(abs(a * s.x + b * s.y + c) / scale < EXACT_LINE_TOL for s in samples)
 

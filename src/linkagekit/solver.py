@@ -9,7 +9,7 @@ on the rows of model.reduced_constraints, the encoding the locus builder
 shares: collinear bar triples (rigid beams with interior joints) become
 affine rows plus the outer bar's quadric, since the raw triple encoding has
 an everywhere-singular Jacobian, and the driver's quadric gives way to two
-driver-angle rows. _compile turns those rows, once per solve or trace, into
+driver-angle rows. _compile turns those rows, once per trace, into
 integer index tables over one coordinate list (free coordinates, then
 anchors) that the residuals read as Python floats; the Jacobian copies a
 template of its constant rows. Convergence is always measured against the
@@ -17,20 +17,21 @@ full original constraint set, never the rewritten rows.
 
 Newton fails fast: once the full residual has failed to drop below
 STALL_RATIO (0.9) times its previous value on STALL_ITERS (10) consecutive
-iterations, the call fails, and the continuation halves its step, instead
-of iterating to MAX_NEWTON_ITERS (50) at a workspace boundary. A NonConvergence
-reports the iterations actually run. The catalog traces are the same bits
-with and without the rule; on other linkages a call that creeps across a
-fold for longer can be cut short, which changes the step schedule, and so
-the sample grid, near the fold. The reduced residual of a point the line
-search accepts is the next iteration's, not computed again, and a sample's
-full residual is the one its Newton call accepted it with. Work is counted
-in each Trace's SolveStats. Condition numbers are computed only where they
-are read: on the sweep's accepted steps, one batched SVD per run of steps
-holding CONDITION_BATCH (64) Jacobians, compared with CONDITION_THRESHOLD
-(10^10) step by step in order, and on a failed solve_configuration. A leg
-longer than MAX_SWEEP_STEPS (10^5) steps is refused before it starts, and so
-is a linkage whose anchor coordinates or squared bar lengths overflow a float.
+iterations, the call fails, and the continuation halves its step, instead of
+iterating to MAX_NEWTON_ITERS (50) at a workspace boundary. NoSeed is the
+one error for a failed solve: trace raises it when the seed solve or the
+seed leg fails. The catalog traces are the same bits with and without the
+rule; on other linkages a call that creeps across a fold for longer can be
+cut short, which changes the step schedule, and so the sample grid, near the
+fold. The reduced residual of a point the line search accepts is the next
+iteration's, not computed again, and a sample's full residual is the one its
+Newton call accepted it with. Work is counted in each Trace's SolveStats.
+Condition numbers are computed only where they are read: on the sweep's
+accepted steps, one batched SVD per run of steps holding CONDITION_BATCH
+(64) Jacobians, compared with CONDITION_THRESHOLD (10^10) step by step in
+order. A leg longer than MAX_SWEEP_STEPS (10^5) steps is refused before it
+starts (check_sweep), and so is a linkage whose anchor coordinates or
+squared bar lengths overflow a float.
 
 This is the one module that imports numpy, and only the commands that trace
 load it. The total-least-squares line through a traced window is fitted in
@@ -70,19 +71,6 @@ CONDITION_BATCH = 64
 
 class NoSeed(RuntimeError):
     """No solvable configuration could be reached at the sweep start."""
-
-
-class NonConvergence(RuntimeError):
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(f"Newton stalled after {iterations} iterations, residual {residual:.3e}")
-        self.iterations = iterations
-        self.residual = residual
-
-
-class SingularJacobian(RuntimeError):
-    def __init__(self, condition: float):
-        super().__init__(f"constraint Jacobian is singular (condition {condition:.3e})")
-        self.condition = condition
 
 
 @dataclass(frozen=True)
@@ -165,7 +153,6 @@ class _Compiled:
     joint at index i has its x there and its y at i + 1."""
 
     free: list[str]  # free[k] owns x[2k], x[2k + 1]
-    anchors: dict[str, tuple[float, float]]
     anchor_xy: list[float]
     affine: list[tuple[int, int, int, float, float]]  # mid, a, b, 1-t, t: mid = (1-t)*a + t*b
     quad: list[tuple[int, int, float]]  # a, b, length**2 of the reduced quadric rows
@@ -188,10 +175,6 @@ class _Compiled:
         for k, j in enumerate(self.free):
             x[2 * k], x[2 * k + 1] = cfg[j]
         return x
-
-    def to_config(self, x: np.ndarray) -> Configuration:
-        v = x.tolist()
-        return Configuration({**self.anchors, **dict(zip(self.free, zip(v[::2], v[1::2])))})
 
     def drive(self, theta: float) -> tuple[float, float, float, float]:
         """L cos(theta), L sin(theta), and the driven joint's target."""
@@ -281,7 +264,6 @@ def _compile(spec: LinkageSpec) -> _Compiled:
     tracer = (at[bar.a], at[bar.b], float(tr.offset)) if bar else (at[tr.joint], None, 0.0)
     return _Compiled(
         free=free,
-        anchors=anchors,
         anchor_xy=[c for xy in anchors.values() for c in xy],
         affine=affine,
         quad=quad,
@@ -315,17 +297,11 @@ def _conditions(jacobians: Sequence[np.ndarray]) -> list[float]:
     return np.divide(sv[:, 0], low, out=np.full(len(sv), math.inf), where=low != 0).tolist()
 
 
-def _max_condition(jacobians: Sequence[np.ndarray]) -> float:
-    """The largest condition number of the Jacobians: 0.0 for none, NaN ones
-    skipped."""
-    return max([0.0, *_conditions(jacobians)])
-
-
 def _newton(
     comp: _Compiled, theta: float, x: np.ndarray, settings: SolverSettings, stats: SolveStats
 ):
-    """Damped Newton from x. Returns (x, iterations, residual, jacobians, ok),
-    with the Jacobian of every iteration run, for _conditions, and adds its
+    """Damped Newton from x. Returns (x, residual, jacobians, ok), with the
+    Jacobian of every iteration run, for _conditions, and adds its
     work to stats. It fails at MAX_NEWTON_ITERS, on a singular or
     non-descending step, or once the full residual stalls (STALL_ITERS)."""
     drive = comp.drive(theta)
@@ -367,27 +343,7 @@ def _newton(
     if not ok:
         stats.failed_calls += 1
         stats.failed_iterations += it
-    return x, it, full, jacobians, ok
-
-
-def solve_configuration(
-    spec: LinkageSpec,
-    theta: float,
-    seed: Configuration,
-    settings: Optional[SolverSettings] = None,
-) -> Configuration:
-    """Solve all bar constraints plus the driver angle; raises on failure."""
-    settings = settings or SolverSettings()
-    comp = _compile(spec)
-    x, it, residual, jacobians, ok = _newton(
-        comp, theta, comp.to_vec(seed), settings, SolveStats()
-    )
-    if not ok:
-        condition = _max_condition(jacobians)
-        if condition > CONDITION_THRESHOLD:
-            raise SingularJacobian(condition)
-        raise NonConvergence(it, residual)
-    return comp.to_config(x)
+    return x, full, jacobians, ok
 
 
 def default_layout(spec: LinkageSpec) -> Configuration:
@@ -418,20 +374,18 @@ def default_layout(spec: LinkageSpec) -> Configuration:
                 placed[jid] = (ox + L * math.cos(ang), oy + L * math.sin(ang))
             else:
                 (b1, o1), (b2, o2) = known[0], known[1]
-                p1 = np.array(placed[o1])
-                p2 = np.array(placed[o2])
+                (x1, y1), (x2, y2) = placed[o1], placed[o2]
                 r1, r2 = float(b1.length), float(b2.length)
-                d = float(np.linalg.norm(p2 - p1))
+                dx, dy = x2 - x1, y2 - y1
+                d = math.sqrt(dx * dx + dy * dy)
                 if d < 1e-12:
-                    placed[jid] = (p1[0] + r1, p1[1])
+                    placed[jid] = (x1 + r1, y1)
                 else:
                     a = (d * d + r1 * r1 - r2 * r2) / (2 * d)
                     h2 = r1 * r1 - a * a
                     h = math.sqrt(h2) if h2 > 0 else 0.0
-                    u = (p2 - p1) / d
-                    perp = np.array([-u[1], u[0]])
-                    p = p1 + a * u + h * perp
-                    placed[jid] = (float(p[0]), float(p[1]))
+                    ux, uy = dx / d, dy / d
+                    placed[jid] = (x1 + a * ux - h * uy, y1 + a * uy + h * ux)
             remaining.remove(jid)
             progressed = True
             tick += 1
@@ -470,7 +424,7 @@ def _steps(
         nxt = theta + step
         if (theta_to - nxt) * sign < 0:
             nxt = theta_to
-        xn, _, full, jacobians, ok = _newton(comp, nxt, x, settings, stats)
+        xn, full, jacobians, ok = _newton(comp, nxt, x, settings, stats)
         if ok:
             theta = nxt
             x = xn
@@ -481,6 +435,28 @@ def _steps(
             step /= 2
             if abs(step) < settings.min_step:
                 return
+
+
+def check_sweep(
+    theta_start: float,
+    theta_end: float,
+    settings: SolverSettings,
+    seed_theta: Optional[float] = None,
+) -> None:
+    """Raise ValueError for a sweep that trace refuses before any step: a NaN
+    or infinite angle, or a leg (seed_theta to theta_start, or theta_start to
+    theta_end) longer than MAX_SWEEP_STEPS steps of settings.initial_step."""
+    for name, value in (("theta_start", theta_start), ("theta_end", theta_end),
+                        ("seed_theta", seed_theta)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    seed_theta = theta_start if seed_theta is None else seed_theta
+    for a, b in ((seed_theta, theta_start), (theta_start, theta_end)):
+        if abs(b - a) > MAX_SWEEP_STEPS * settings.initial_step:
+            raise ValueError(
+                f"sweep from theta={a:.6g} to {b:.6g} needs more than "
+                f"{MAX_SWEEP_STEPS} steps of {settings.initial_step:g}"
+            )
 
 
 def trace(
@@ -499,31 +475,21 @@ def trace(
     minimum step a workspace boundary is recorded and the sweep ends.
     Near-singular Jacobians are flagged as singular-configuration events
     without stopping or switching branches. The Newton work of the whole
-    trace, seed leg included, is counted in Trace.stats. A NaN or infinite
-    theta_start, theta_end or seed_theta raises ValueError before any step is
-    taken, and so does a leg (seed_theta to theta_start, or theta_start to
-    theta_end) longer than MAX_SWEEP_STEPS steps of settings.initial_step.
+    trace, seed leg included, is counted in Trace.stats. seed_theta, where the
+    seed holds (default theta_start), is ignored without a seed. A sweep that
+    check_sweep refuses raises ValueError before any step is taken, and so
+    does a linkage whose dimensions overflow a float.
     """
-    for name, value in (("theta_start", theta_start), ("theta_end", theta_end),
-                        ("seed_theta", seed_theta)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
     settings = settings or SolverSettings()
+    if seed is None or seed_theta is None:
+        seed_theta = theta_start
+    check_sweep(theta_start, theta_end, settings, seed_theta)
     comp = _compile(spec)
     if seed is None:
         seed = default_layout(spec)
-        seed_theta = theta_start
-    elif seed_theta is None:
-        seed_theta = theta_start
-    for a, b in ((seed_theta, theta_start), (theta_start, theta_end)):
-        if abs(b - a) > MAX_SWEEP_STEPS * settings.initial_step:
-            raise ValueError(
-                f"sweep from theta={a:.6g} to {b:.6g} needs more than "
-                f"{MAX_SWEEP_STEPS} steps of {settings.initial_step:g}"
-            )
 
     stats = SolveStats()
-    x, _, full, _, ok = _newton(comp, seed_theta, comp.to_vec(seed), settings, stats)
+    x, full, _, ok = _newton(comp, seed_theta, comp.to_vec(seed), settings, stats)
     if not ok:
         raise NoSeed(f"no solvable configuration at theta={seed_theta:.6g}")
     theta = seed_theta

@@ -2,8 +2,8 @@
 once per run. sympy_divide serves oracle tests, which skip themselves when
 sympy is missing. leading_term, spoly and reduce are plain rational
 references, independent of poly's integer engine, for checking the bases it
-produces; Lex, evaluate, reflect and scaled serve tests only, so the package
-does not carry them."""
+produces; Lex, evaluate, reflect, scaled and solve serve tests only, so the
+package does not carry them."""
 
 from dataclasses import replace
 from fractions import Fraction as F
@@ -11,11 +11,12 @@ from operator import mul
 
 import pytest
 
+from linkagekit import solver
 from linkagekit.catalog import entry, names
 from linkagekit.locus import locus_equation
 from linkagekit.model import Configuration
 from linkagekit.poly import DEGREE_LIMIT, GREVLEX, MultiPoly
-from linkagekit.solver import SolverSettings, trace
+from linkagekit.solver import SolveStats, SolverSettings, trace
 
 
 def catalog_trace(name: str, settings: SolverSettings = None, sweep=None):
@@ -131,6 +132,18 @@ def reflect(config, joint, across):
     t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
     return Configuration({**config.positions,
                           joint: (2 * (ax + t * dx) - px, 2 * (ay + t * dy) - py)})
+
+
+def solve(spec, theta, seed):
+    """The configuration, anchors included, that one Newton call from seed
+    reaches with the driver at theta, or None where the call fails."""
+    comp = solver._compile(spec)
+    x, _, _, ok = solver._newton(comp, theta, comp.to_vec(seed), SolverSettings(), SolveStats())
+    if not ok:
+        return None
+    v = x.tolist()
+    anchors = {j.id: (float(j.anchor[0]), float(j.anchor[1])) for j in spec.anchored_joints}
+    return Configuration({**anchors, **dict(zip(comp.free, zip(v[::2], v[1::2])))})
 
 
 def scaled(spec, factor):

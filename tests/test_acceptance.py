@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import catalog_trace, evaluate, reduce, reflect, spoly
+from conftest import catalog_trace, evaluate, reduce, reflect, solve, spoly
 from linkagekit.bom import format_price, price, shipped
 from linkagekit.catalog import entry, names
 from linkagekit.locus import (
@@ -26,7 +26,7 @@ from linkagekit.locus import (
 )
 from linkagekit.model import MM_PER_UNIT
 from linkagekit.poly import GREVLEX, MultiPoly, buchberger, divide
-from linkagekit.solver import SolverSettings, solve_configuration, trace
+from linkagekit.solver import SolverSettings, trace
 
 V3 = ("x", "y", "z")
 
@@ -161,10 +161,8 @@ def test_flipped_branch_rides_the_sextic_not_the_line(traces, loci):
     # regular configuration and confirm the pen leaves the straight branch
     e = entry("hart_inversor")
     settings = SolverSettings()
-    base = solve_configuration(e.spec, 3.6, e.seed_config(), settings)
-    flipped = solve_configuration(
-        e.spec, 3.6, reflect(base, "C", ("B", "D")), settings
-    )
+    base = solve(e.spec, 3.6, e.seed_config())
+    flipped = solve(e.spec, 3.6, reflect(base, "C", ("B", "D")))
     tr = trace(e.spec, 3.6, 4.1, settings, seed=flipped, seed_theta=3.6)
     assert len(tr.samples) >= 50
     cofactor = loci["hart_inversor"].residual_cofactor
@@ -235,16 +233,16 @@ def test_factor_product_identity_exact(loci):
 
 
 def test_part_table_reproduced_bit_exact():
-    _, reqs = shipped()
+    parts, reqs = shipped()
     totals = {m: sum(c.values()) for m, c in reqs.items()}
     assert totals == {
         "compass": 3, "chebyshev": 12, "chebyshev_lambda": 10,
         "watt": 21, "hart_inversor": 14, "set": 24,
     }
-    assert price(reqs["set"], "brickowl") == F(1123, 1000)
-    assert price(reqs["set"], "bricklink") == F(253, 625)
-    assert format_price(price(reqs["set"], "brickowl")) == "1.1230"
-    assert format_price(price(reqs["set"], "bricklink")) == "0.4048"
+    assert price(reqs["set"], "brickowl", parts) == F(1123, 1000)
+    assert price(reqs["set"], "bricklink", parts) == F(253, 625)
+    assert format_price(price(reqs["set"], "brickowl", parts)) == "1.1230"
+    assert format_price(price(reqs["set"], "bricklink", parts)) == "0.4048"
 
 
 # --- geometry diagnostic, factor-of-two band ---

@@ -16,6 +16,8 @@ from linkagekit.bom import (
     simultaneous_union,
 )
 
+PARTS, REQS = shipped()
+
 MODELS = ("compass", "chebyshev", "chebyshev_lambda", "watt", "hart_inversor")
 
 PIECE_COUNTS = {
@@ -37,43 +39,43 @@ def test_shipped_piece_counts():
 
 def test_shipped_set_prices():
     _, reqs = shipped()
-    assert price(reqs["set"], "brickowl") == F(1123, 1000)
-    assert price(reqs["set"], "bricklink") == F(253, 625)
-    assert format_price(price(reqs["set"], "brickowl")) == "1.1230"
-    assert format_price(price(reqs["set"], "bricklink")) == "0.4048"
+    assert price(reqs["set"], "brickowl", PARTS) == F(1123, 1000)
+    assert price(reqs["set"], "bricklink", PARTS) == F(253, 625)
+    assert format_price(price(reqs["set"], "brickowl", PARTS)) == "1.1230"
+    assert format_price(price(reqs["set"], "bricklink", PARTS)) == "0.4048"
 
 
 def test_watt_bom_prices():
-    shopping = set_union(["watt"])
+    shopping = set_union(["watt"], REQS)
     assert sum(shopping.values()) == 21
-    assert price(shopping, "brickowl") == F(1023, 1000)
-    assert price(shopping, "bricklink") == F(3796, 10000)
+    assert price(shopping, "brickowl", PARTS) == F(1023, 1000)
+    assert price(shopping, "bricklink", PARTS) == F(3796, 10000)
 
 
 def test_set_column_is_set_union_of_all_models():
     _, reqs = shipped()
-    assert set_union(MODELS) == reqs["set"]
+    assert set_union(MODELS, REQS) == reqs["set"]
 
 
 def test_set_union_takes_per_part_maximum():
-    u = set_union(("chebyshev", "hart_inversor"))
+    u = set_union(("chebyshev", "hart_inversor"), REQS)
     assert u[2780] == 8  # pins: max(5, 8), one set rebuilt between models
     assert u[40490] == 2
 
 
 def test_simultaneous_union_takes_per_part_sum():
-    u = simultaneous_union(("chebyshev", "hart_inversor"))
+    u = simultaneous_union(("chebyshev", "hart_inversor"), REQS)
     assert u[2780] == 13
-    full = simultaneous_union(MODELS)
+    full = simultaneous_union(MODELS, REQS)
     assert sum(full.values()) == 60
-    assert price(full, "brickowl") == F(2763, 1000)
-    assert price(full, "bricklink") == F(10792, 10000)
+    assert price(full, "brickowl", PARTS) == F(2763, 1000)
+    assert price(full, "bricklink", PARTS) == F(10792, 10000)
 
 
 def test_set_union_never_costs_more_than_separate_purchases():
     for vendor in ("brickowl", "bricklink"):
-        separate = sum(price(set_union([m]), vendor) for m in MODELS)
-        assert price(set_union(MODELS), vendor) <= separate
+        separate = sum(price(set_union([m], REQS), vendor, PARTS) for m in MODELS)
+        assert price(set_union(MODELS, REQS), vendor, PARTS) <= separate
 
 
 def test_bricklink_undercuts_brickowl_on_every_shipped_part():
@@ -83,26 +85,26 @@ def test_bricklink_undercuts_brickowl_on_every_shipped_part():
 
 
 def test_bom_copies_are_independent():
-    a = set_union(["compass"])
+    a = set_union(["compass"], REQS)
     a[2780] = 99
-    assert set_union(["compass"])[2780] == 1
+    assert set_union(["compass"], REQS)[2780] == 1
 
 
 def test_unknown_model():
     with pytest.raises(UnknownModelError, match="catalog covers"):
-        set_union(["strandbeest"])
+        set_union(["strandbeest"], REQS)
     with pytest.raises(UnknownModelError):
-        set_union(("watt", "strandbeest"))
+        set_union(("watt", "strandbeest"), REQS)
 
 
 def test_unknown_part():
     with pytest.raises(UnknownPartError, match="99999"):
-        price({99999: 1}, "brickowl")
+        price({99999: 1}, "brickowl", PARTS)
 
 
 def test_bad_vendor():
     with pytest.raises(ValueError, match="vendor"):
-        price(set_union(["watt"]), "ebay")
+        price(set_union(["watt"], REQS), "ebay", PARTS)
 
 
 MINIMAL = """code,name,color,price_brickowl,price_bricklink,alpha,set

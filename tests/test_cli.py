@@ -147,6 +147,18 @@ def test_trace_outputs_are_deterministic(capsys, tmp_path):
     )
 
 
+def test_svg_escapes_markup_in_the_model_name(capsys, tmp_path):
+    # &, < and > are escaped; quotes stay as they are in character data
+    spec = replace(entry("compass").spec, name="a&b<c>\"d'")
+    path, svg = tmp_path / "named.json", tmp_path / "named.svg"
+    path.write_text(model.save(spec))
+    code, _, _ = run(capsys, "trace", str(path), "--from", "0", "--to", "0.1", "--svg", str(svg))
+    assert code == 0
+    text = svg.read_text()
+    assert "<desc>a&amp;b&lt;c&gt;\"d' Scale: 8 mm per model unit" in text
+    assert '>a&amp;b&lt;c&gt;"d\'</text>' in text
+
+
 def test_trace_csv_cells_are_floats(capsys, tmp_path, traces):
     path = tmp_path / "watt.csv"
     run(capsys, "trace", "watt", "--csv", str(path))
@@ -401,8 +413,8 @@ def test_dimensions_beyond_the_float_range_exit_one(tmp_path, command, power):
     window = ("--window", "0", "0.1") if command == "certify" else ()
     _exits_one_in_subprocess(
         (command, str(path), "--from", "0", "--to", "0.1", *window),
-        "'watt' has an anchor coordinate or a squared bar length beyond the float range "
-        "(--from 0, --to 0.1)",
+        "linkagekit: 'watt' has an anchor coordinate or a squared bar length beyond the "
+        "float range\n",
     )
 
 
@@ -422,12 +434,14 @@ def _exits_one_in_subprocess(argv, message):
 
 
 # runs one command in a fresh interpreter, its stdout swallowed, and reports
-# whether numpy got imported
+# whether numpy got imported; no command imports xml.sax, whose import pulls
+# in urllib, http.client, ssl and email
 _NUMPY_PROBE = """
 import contextlib, io, sys
 from linkagekit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
+assert "xml.sax" not in sys.modules
 print(code, "numpy" in sys.modules)
 """
 

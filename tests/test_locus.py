@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import evaluate, sympy_divide
+from conftest import evaluate, scaled, solve, sympy_divide
 from linkagekit.catalog import entry, names
 from linkagekit.locus import (
     DEFAULT_PAIR_BUDGET,
@@ -26,7 +26,7 @@ from linkagekit.locus import (
 )
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer
 from linkagekit.poly import MultiPoly, PairBudgetExceededError, divide, eliminate
-from linkagekit.solver import Trace, TraceSample, solve_configuration
+from linkagekit.solver import Trace, TraceSample, trace
 
 V2 = ("x", "y")
 X = MultiPoly.variable(V2, "x")
@@ -108,7 +108,7 @@ def test_solved_configuration_zeroes_constraint_ideal():
     # satisfy every exact generator, each residual scaled by its term sizes
     for name in names():
         e = entry(name)
-        cfg = solve_configuration(e.spec, e.theta_ref, e.seed_config())
+        cfg = solve(e.spec, e.theta_ref, e.seed_config())
         tracer = e.spec.tracer
         if tracer.on_bar:
             bar, off = e.spec.bar(tracer.bar), float(tracer.offset)
@@ -408,6 +408,17 @@ def test_certify_exact_lines(traces):
         assert cert.line == line
         assert not cert.via_fallback
         assert cert.max_deviation < 1e-9
+
+
+def test_certify_exact_line_with_coefficients_past_the_float_range():
+    # every length and anchor times 1 + 10^-170: the floats, and so the trace,
+    # stay the catalog's, while the line's integer coefficients pass 10^170
+    e = entry("hart_inversor")
+    spec = scaled(e.spec, 1 + F(1, 10**170))
+    tr = trace(spec, *e.sweep, seed=e.seed_config(), seed_theta=e.theta_ref)
+    cert = certify(spec, tr, e.window)
+    assert cert.verdict is Verdict.EXACT_LINE
+    assert cert.line == (0, 2 * 10**170, 3 * (10**170 + 1))
 
 
 def test_certify_fallback_on_budget_exhaustion(traces):

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import catalog_trace, reflect, scaled
+from conftest import catalog_trace, reflect, scaled, solve
 from linkagekit import solver
 from linkagekit.catalog import entry, names
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer, validate
@@ -18,15 +18,11 @@ from linkagekit.solver import (
     BranchEvent,
     Configuration,
     EventKind,
-    NonConvergence,
     NoSeed,
-    SingularJacobian,
     SolveStats,
     SolverSettings,
     _conditions,
     _inf_norm,
-    _max_condition,
-    solve_configuration,
     trace,
 )
 from linkagekit.locus import locus_equation, straightness_stats
@@ -91,7 +87,7 @@ def test_trace_counts_newton_work(traces):
         calls=134, iterations=612, failed_calls=21, failed_iterations=235, backtracks=2077
     )
     e = entry("watt")
-    cfg = solve_configuration(e.spec, 0.1, e.seed_config())
+    cfg = solve(e.spec, 0.1, e.seed_config())
     assert trace(e.spec, 0.1, 0.1, seed=cfg, seed_theta=0.1).stats == SolveStats(calls=1)
 
 
@@ -221,7 +217,7 @@ def test_theta_strictly_monotone(traces):
 def test_compass_closed_form():
     e = entry("compass")
     for theta, expect in ((0.0, (4.0, 0.0)), (math.pi / 2, (0.0, 4.0))):
-        cfg = solve_configuration(e.spec, theta, e.seed_config(), SolverSettings())
+        cfg = solve(e.spec, theta, e.seed_config())
         assert cfg["T"] == pytest.approx(expect, abs=1e-12)
 
 
@@ -319,10 +315,8 @@ def test_mirror_symmetry_watt_swaps_rockers():
 
 def test_flip_branch_switches_assembly():
     e = entry("hart_inversor")
-    base = solve_configuration(e.spec, 3.6, e.seed_config(), SolverSettings())
-    flipped = solve_configuration(
-        e.spec, 3.6, reflect(base, "C", ("B", "D")), SolverSettings()
-    )
+    base = solve(e.spec, 3.6, e.seed_config())
+    flipped = solve(e.spec, 3.6, reflect(base, "C", ("B", "D")))
     # base rides the line y = -3/2; the parallelogram assembly leaves it
     assert abs(base["Q"][1] + 1.5) < 1e-9
     assert abs(flipped["Q"][1] + 1.5) > 0.5
@@ -362,7 +356,7 @@ def test_straightness_stats_exact_on_hart(traces):
 
 def test_tracer_on_bar_midpoint(traces):
     e = entry("watt")
-    cfg = solve_configuration(e.spec, 0.1, e.seed_config(), SolverSettings())
+    cfg = solve(e.spec, 0.1, e.seed_config())
     mid = ((cfg["C"][0] + cfg["D"][0]) / 2, (cfg["C"][1] + cfg["D"][1]) / 2)
     tr = trace(e.spec, 0.1, 0.1, SolverSettings(), seed=cfg, seed_theta=0.1)
     assert tr.samples[0].x == pytest.approx(mid[0], abs=1e-12)
@@ -379,9 +373,6 @@ def test_overflowing_seed_keeps_its_errors():
     # (1e200 - x) ** 2 is past the float range: the row reads as inf, and a
     # trial point with an inf or NaN residual is refused
     spec, seed = watt_seed(C=(1e200, 4.0))
-    with pytest.raises(SingularJacobian, match=r"^constraint Jacobian is singular "
-                       r"\(condition 6\.497e\+200\)$"):
-        solve_configuration(spec, 0.0, seed)
     with pytest.raises(NoSeed, match=r"^no solvable configuration at theta=0$"):
         trace(spec, 0.0, 0.1, seed=seed, seed_theta=0.0)
 
@@ -397,14 +388,12 @@ def test_dimensions_beyond_the_float_range_are_refused(monkeypatch, power):
     with pytest.raises(ValueError, match=message):
         trace(spec, 0.0, 0.1)
     with pytest.raises(ValueError, match=message):
-        solve_configuration(spec, 0.0, e.seed_config())
+        trace(spec, 0.0, 0.1, seed=e.seed_config(), seed_theta=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_seed_is_refused(bad):
     spec, seed = watt_seed(D=(1.0, bad))
-    with pytest.raises(ValueError, match=r"^seed coordinates of \['D'\] are not finite$"):
-        solve_configuration(spec, 0.0, seed)
     with pytest.raises(ValueError, match=r"^seed coordinates of \['D'\] are not finite$"):
         trace(spec, 0.0, 0.1, seed=seed, seed_theta=0.0)
 
@@ -459,7 +448,7 @@ def test_sweep_at_the_step_cap_runs(monkeypatch):
               seed=e.seed_config(), seed_theta=-1e5)
 
 
-def test_max_condition_matches_per_matrix_svd():
+def test_conditions_match_per_matrix_svd():
     rng = np.random.default_rng(5)
     mats = [rng.normal(size=(4, 4)) for _ in range(6)]
     mats += [np.diag([3.0, 2.0, 1.0, 0.0]), np.zeros((4, 4))]
@@ -471,9 +460,7 @@ def test_max_condition_matches_per_matrix_svd():
     assert _conditions(mats) == conds
     assert _conditions([]) == []
     for k in range(len(mats)):
-        assert _max_condition(mats[: k + 1]) == max([0.0, *conds[: k + 1]])
-    assert _max_condition([np.zeros((4, 4))]) == math.inf
-    assert _max_condition([]) == 0.0
+        assert _conditions(mats[k : k + 1]) == conds[k : k + 1]
 
 
 def test_inf_norm_matches_numpy():
@@ -484,12 +471,12 @@ def test_inf_norm_matches_numpy():
         assert got == want or (math.isnan(got) and math.isnan(want)), rows
 
 
-def test_singular_seed_raises_singular_jacobian():
+def test_singular_seed_raises_no_seed():
     # the coupler's ends coincide, so its quadric row has a zero gradient
+    # and the first Newton solve fails
     spec, seed = watt_seed(D=(0.0, 4.0))
-    with pytest.raises(SingularJacobian, match=r"\(condition inf\)$") as err:
-        solve_configuration(spec, 0.0, seed)
-    assert err.value.condition == math.inf
+    with pytest.raises(NoSeed, match=r"^no solvable configuration at theta=0$"):
+        trace(spec, 0.0, 0.1, seed=seed, seed_theta=0.0)
 
 
 # the singular-configuration events of watt's whole sweep, as float.hex of
@@ -520,13 +507,17 @@ def test_condition_batches_keep_the_events(monkeypatch, threshold):
     assert catalog_trace("watt", settings).events == batched.events
 
 
-def test_non_convergence_reports_the_iterations_run():
+def test_stall_rule_ends_a_failed_call():
     # past hart_inversor's workspace boundary the residual stalls at once
     e = entry("hart_inversor")
-    with pytest.raises(NonConvergence, match=r"^Newton stalled after 10 iterations, "
-                       r"residual 6\.273e\+00$") as err:
-        solve_configuration(e.spec, 4.5, e.seed_config())
-    assert err.value.iterations == solver.STALL_ITERS < solver.MAX_NEWTON_ITERS
+    comp = solver._compile(e.spec)
+    stats = SolveStats()
+    _, residual, _, ok = solver._newton(comp, 4.5, comp.to_vec(e.seed_config()),
+                                        SolverSettings(), stats)
+    assert not ok and f"{residual:.3e}" == "6.273e+00"
+    assert (stats.calls, stats.failed_calls) == (1, 1)
+    assert stats.iterations == stats.failed_iterations == solver.STALL_ITERS
+    assert solver.STALL_ITERS < solver.MAX_NEWTON_ITERS
 
 
 def test_condition_threshold_flags_singular_configuration(monkeypatch):
