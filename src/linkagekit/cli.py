@@ -146,6 +146,11 @@ def _cmd_trace(args) -> int:
     spec, entry = _resolve(args.model)
     tr = _run_trace(spec, entry, args)
     _report_events(tr)
+    if args.stats:
+        st = tr.stats
+        print(f"newton: {st.calls} calls, {st.iterations} iterations, {st.failed_calls} "
+              f"failed calls ({st.failed_iterations} iterations), {st.backtracks} backtracks",
+              file=sys.stderr)
     description = entry.description if entry is not None else spec.name
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -357,6 +362,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--svg", metavar="PATH", help="write the curve as SVG")
     p.add_argument("--csv", metavar="PATH", help="write theta,x,y,residual rows")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="print the Newton work of the trace on stderr")
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser("locus", help="exact implicit equation of the pen path")

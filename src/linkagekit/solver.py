@@ -1,37 +1,41 @@
 """Numeric constraint solving and coupler-curve tracing.
 
 The bar-length system is solved by damped Newton iteration at a fixed driver
-angle, and curves are traced by continuation: each angle step is seeded from
-the previous solution, halving the step on failure. One continuation loop
-both carries the seed to the sweep start and sweeps the window; a stall is
-NoSeed in the first use and a workspace boundary in the second. Newton runs
-on the rows of model.reduced_constraints, the encoding the locus builder
-shares: collinear bar triples (rigid beams with interior joints) become
-affine rows plus the outer bar's quadric, since the raw triple encoding has
-an everywhere-singular Jacobian, and the driver's quadric gives way to two
+angle, and curves are traced by predictor-corrector continuation: each angle
+step starts Newton from the secant through the last two accepted solutions
+(from the last solution while there is only one), halving the step on
+failure. One continuation loop both carries the seed to the sweep start and
+sweeps the window; a stall is NoSeed in the first use and a workspace
+boundary in the second. Newton runs on the rows of
+model.reduced_constraints, the encoding the locus builder shares: collinear
+bar triples (rigid beams with interior joints) become affine rows plus the
+outer bar's quadric, since the raw triple encoding has an
+everywhere-singular Jacobian, and the driver's quadric gives way to two
 driver-angle rows. _compile turns those rows, once per trace, into
 integer index tables over one coordinate list (free coordinates, then
 anchors) that the residuals read as Python floats; the Jacobian copies a
 template of its constant rows. Convergence is always measured against the
 full original constraint set, never the rewritten rows.
 
-Newton fails fast: once the full residual has failed to drop below
-STALL_RATIO (0.9) times its previous value on STALL_ITERS (10) consecutive
-iterations, the call fails, and the continuation halves its step, instead of
-iterating to MAX_NEWTON_ITERS (50) at a workspace boundary. NoSeed is the
-one error for a failed solve: trace raises it when the seed solve or the
-seed leg fails. The catalog traces are the same bits with and without the
-rule; on other linkages a call that creeps across a fold for longer can be
-cut short, which changes the step schedule, and so the sample grid, near the
-fold. The reduced residual of a point the line search accepts is the next
-iteration's, not computed again, and a sample's full residual is the one its
-Newton call accepted it with. Work is counted in each Trace's SolveStats.
+A Newton call fails at MAX_NEWTON_ITERS (50) iterations, on a singular
+Jacobian, or when its line search has halved a step MAX_HALVINGS (8) times
+without lowering the reduced residual; the continuation then halves its
+step. Just past a workspace boundary the line search runs out within a few
+iterations. The catalog traces, and those of generated four-bars, are the
+same bits at 8 halvings as at 20; the workspace boundaries of generated
+four-bars are checked against their exact fold angles, where
+cos(theta) = (a^2 + d^2 - (b +- c)^2) / (2ad). NoSeed is the one error for
+a failed solve: trace raises it when the seed solve or the seed leg fails.
+The reduced residual of a point the line search accepts is the next
+iteration's, not computed again, and a sample's full residual is the one
+its Newton call accepted it with. Work is counted in each Trace's
+SolveStats.
 Condition numbers are computed only where they are read: on the sweep's
 accepted steps, one batched SVD per run of steps holding CONDITION_BATCH
 (64) Jacobians, compared with CONDITION_THRESHOLD (10^10) step by step in
 order. A leg longer than MAX_SWEEP_STEPS (10^5) steps is refused before it
 starts (check_sweep), and so is a linkage whose anchor coordinates or
-squared bar lengths overflow a float.
+squared bar lengths overflow a float, or whose default layout does.
 
 This is the one module that imports numpy, and only the commands that trace
 load it. The total-least-squares line through a traced window is fitted in
@@ -54,12 +58,10 @@ from .model import Bar, Configuration, LinkageSpec, reduced_constraints
 # the catalog's longest sweep takes 630
 MAX_SWEEP_STEPS = 10**5
 
-# _newton gives up after MAX_NEWTON_ITERS iterations, or once the full
-# residual has failed to drop below STALL_RATIO times its previous value on
-# STALL_ITERS consecutive iterations
+# _newton gives up after MAX_NEWTON_ITERS iterations, or once its line
+# search has halved a step MAX_HALVINGS times without lowering the residual
 MAX_NEWTON_ITERS = 50
-STALL_ITERS = 10
-STALL_RATIO = 0.9
+MAX_HALVINGS = 8
 
 # a Newton Jacobian whose condition number exceeds this is near-singular
 CONDITION_THRESHOLD = 1e10
@@ -302,19 +304,14 @@ def _newton(
 ):
     """Damped Newton from x. Returns (x, residual, jacobians, ok), with the
     Jacobian of every iteration run, for _conditions, and adds its
-    work to stats. It fails at MAX_NEWTON_ITERS, on a singular or
-    non-descending step, or once the full residual stalls (STALL_ITERS)."""
+    work to stats. It fails at MAX_NEWTON_ITERS, on a singular step, or
+    when MAX_HALVINGS halvings of a step do not lower the reduced residual."""
     drive = comp.drive(theta)
     jacobians: list[np.ndarray] = []
     r = None
-    previous, stalled = math.inf, 0
     for it in range(MAX_NEWTON_ITERS + 1):
         full = comp.full_residual(x, drive)
-        if full < settings.tol:
-            break
-        stalled = 0 if full < STALL_RATIO * previous else stalled + 1
-        previous = full
-        if it == MAX_NEWTON_ITERS or stalled == STALL_ITERS:
+        if full < settings.tol or it == MAX_NEWTON_ITERS:
             break
         if r is None:
             r = comp.reduced_residual(x, drive)
@@ -326,7 +323,7 @@ def _newton(
             break
         base = _inf_norm(r)
         scale = 1.0
-        for _ in range(20):
+        for _ in range(MAX_HALVINGS):
             xn = x + scale * delta
             # the reduced residual of an accepted point is the next iteration's r
             rn = comp.reduced_residual(xn, drive)
@@ -349,7 +346,9 @@ def _newton(
 def default_layout(spec: LinkageSpec) -> Configuration:
     """Deterministic geometric starting guess: breadth-first placement from
     the anchors, intersecting circles where two neighbors are already placed.
-    Newton refines it; this only has to be in the right basin often enough."""
+    Newton refines it; this only has to be in the right basin often enough.
+    A layout past the float range (joints so far apart that their squared
+    distance overflows) raises ValueError."""
     placed: dict[str, tuple[float, float]] = {
         j.id: (float(j.anchor[0]), float(j.anchor[1])) for j in spec.joints if j.is_anchored
     }
@@ -394,6 +393,11 @@ def default_layout(spec: LinkageSpec) -> Configuration:
             for i, jid in enumerate(remaining):
                 placed[jid] = (float(i + 1), 0.0)
             break
+    bad = [j for j, xy in placed.items() if not all(map(math.isfinite, xy))]
+    if bad:
+        raise ValueError(
+            f"the default layout of {spec.name!r} places {bad} beyond the float range"
+        )
     return Configuration(placed)
 
 
@@ -412,20 +416,25 @@ def _steps(
     """Continuation from the solution x at theta toward theta_to.
 
     Yields (theta, x, residual, jacobians) after every accepted step, with the
-    full residual at x and the Jacobians of its Newton call. A failed step is
-    retried with half the step length, and an accepted one grows a shortened
-    step back toward the initial step.
+    full residual at x and the Jacobians of its Newton call. Newton starts
+    from the secant prediction through the last two accepted points, or from
+    x while only x has been accepted. A failed step is retried with half the
+    step length, and an accepted one grows a shortened step back toward the
+    initial step.
     The generator ends at theta_to, or at the last accepted angle once the
     step falls below the minimum (a stall).
     """
     sign = 1.0 if theta_to > theta else -1.0
     step = settings.initial_step * sign
+    x_prev = theta_prev = None
     while theta != theta_to:
         nxt = theta + step
         if (theta_to - nxt) * sign < 0:
             nxt = theta_to
-        xn, full, jacobians, ok = _newton(comp, nxt, x, settings, stats)
+        guess = x if x_prev is None else x + (x - x_prev) * (nxt - theta) / (theta - theta_prev)
+        xn, full, jacobians, ok = _newton(comp, nxt, guess, settings, stats)
         if ok:
+            x_prev, theta_prev = x, theta
             theta = nxt
             x = xn
             yield theta, x, full, jacobians

@@ -147,6 +147,23 @@ def test_trace_outputs_are_deterministic(capsys, tmp_path):
     )
 
 
+def test_stats_flag_only_adds_a_stderr_line(capsys, tmp_path):
+    runs = []
+    for stats in ((), ("--stats",)):
+        csv, svg = tmp_path / f"{len(stats)}.csv", tmp_path / f"{len(stats)}.svg"
+        _, text, err = run(capsys, "trace", "hart_inversor", "--csv", str(csv), "--svg", str(svg),
+                           *stats)
+        _, payload, _ = run(capsys, "trace", "hart_inversor", "--json", *stats)
+        runs.append((text, payload, csv.read_bytes(), svg.read_bytes(), err.splitlines()))
+    (*plain, err), (*flagged, err_stats) = runs
+    assert flagged == plain
+    assert err_stats[:2] == [
+        "workspace boundary at theta = 4.207028",
+        "newton: 163 calls, 429 iterations, 22 failed calls (58 iterations), 354 backtracks",
+    ]
+    assert len(err_stats) == len(err) + 1
+
+
 def test_svg_escapes_markup_in_the_model_name(capsys, tmp_path):
     # &, < and > are escaped; quotes stay as they are in character data
     spec = replace(entry("compass").spec, name="a&b<c>\"d'")
@@ -415,6 +432,27 @@ def test_dimensions_beyond_the_float_range_exit_one(tmp_path, command, power):
         (command, str(path), "--from", "0", "--to", "0.1", *window),
         "linkagekit: 'watt' has an anchor coordinate or a squared bar length beyond the "
         "float range\n",
+    )
+
+
+def test_layout_beyond_the_float_range_exits_one(tmp_path):
+    # every squared bar length fits a float, but the default layout squares
+    # the 1.6e154 distance from P to B while placing Q
+    e = F(10) ** 153
+    spec = LinkageSpec(
+        name="far_apart",
+        joints=(Joint("A", (F(0), F(0))), Joint("B", (20 * e, F(0))),
+                Joint("P", None), Joint("Q", None)),
+        bars=(Bar("crank", "A", "P", 4 * e), Bar("coupler", "P", "Q", 12 * e),
+              Bar("rocker", "B", "Q", 12 * e)),
+        driver=Driver("crank"),
+        tracer=Tracer(joint="Q"),
+    )
+    path = tmp_path / "far.json"
+    path.write_text(model.save(spec))
+    _exits_one_in_subprocess(
+        ("trace", str(path), "--from", "0", "--to", "0.1"),
+        "linkagekit: the default layout of 'far_apart' places ['Q'] beyond the float range\n",
     )
 
 
