@@ -405,8 +405,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _CliError as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)
         return ex.code
-    except (model.ParseError, model.ValidationError, bom_mod.CatalogError, NotACurve,
-            OSError) as ex:
+    except (bom_mod.CatalogError, NotACurve, OSError) as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)
         return EXIT_INVALID
     except (model.UnknownModelError, bom_mod.UnknownPartError) as ex:

@@ -148,9 +148,9 @@ def locus_equation(spec: LinkageSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) ->
             f"locus of {spec.name!r} is two-dimensional; the linkage does not "
             "constrain its tracer to a curve"
         )
-    locus = basis[0].primitive()
+    locus = basis[0]
     for g in basis[1:]:
-        locus = _gcd(locus, g.primitive(), pair_budget)
+        locus = _gcd(locus, g, pair_budget)
     if locus.total_degree() < 1:
         raise NotACurve(
             f"locus of {spec.name!r} is finite; the tracer reaches only finitely "

@@ -13,8 +13,8 @@ standard algorithm (Cox, Little and O'Shea, *Ideals, Varieties, and
 Algorithms*, ch. 2 section 3) run fraction-free on integer-coefficient
 primitive polynomials (denominators cleared, content stripped after every
 Buchberger reduction) to keep bignum growth under control. ``divide`` rescales
-its integer quotients and remainder back to rationals. A reduced basis is
-made monic by dividing each integer element by its lead, which makes it
+its integer quotients and remainder back to rationals. Each element of a
+reduced basis is primitive with a positive lead, which makes the basis
 unique. Buchberger and eliminate count critical pairs against a budget,
 DEFAULT_PAIR_BUDGET (200 000) unless told otherwise; the budget bounds
 pairs, not time.
@@ -678,8 +678,8 @@ def _buchberger(
 
 
 def _reduce_basis(varnames, basis: list[_Terms], order: MonomialOrder) -> list[MultiPoly]:
-    """Minimalize and tail-reduce an integer basis; return it monic, each
-    element divided by its integer lead, and sorted by lead."""
+    """Minimalize and tail-reduce an integer basis; return it sorted by lead,
+    each element primitive with a positive lead under order."""
     key = order.key(varnames)
     # minimal: drop any element whose lead is divisible by another's
     keep: list[_Terms] = []
@@ -702,9 +702,10 @@ def _reduce_basis(varnames, basis: list[_Terms], order: MonomialOrder) -> list[M
         others = keep[:i] + keep[i + 1 :]
         nf = _strip_content(_normal_form_int(g, others, degs[:i] + degs[i + 1 :], key)[0])
         if nf:
-            reduced.append(nf)
+            # _strip_content leaves the sign of a content-1 element as it is
+            reduced.append(nf if nf[0][2] > 0 else [(k, e, -c) for k, e, c in nf])
     reduced.sort(key=lambda t: t[0][0])
-    return [MultiPoly(varnames, {e: Fraction(c, t[0][2]) for _, e, c in t}) for t in reduced]
+    return [MultiPoly(varnames, {e: Fraction(c) for _, e, c in t}) for t in reduced]
 
 
 # ---------------------------------------------------------------------------

@@ -11,31 +11,33 @@ model.reduced_constraints, the encoding the locus builder shares: collinear
 bar triples (rigid beams with interior joints) become affine rows plus the
 outer bar's quadric, since the raw triple encoding has an
 everywhere-singular Jacobian, and the driver's quadric gives way to two
-driver-angle rows. _compile turns those rows, once per trace, into
-integer index tables over one coordinate list (free coordinates, then
-anchors) that the residuals read as Python floats; the Jacobian copies a
-template of its constant rows. Convergence is always measured against the
-full original constraint set, never the rewritten rows.
+driver-angle rows. _compile turns those rows, once per trace, into integer
+index tables over one coordinate list (free coordinates, then anchors) that
+the residuals read as Python floats; the Jacobian copies a template of its
+constant rows. A point where a float ** 2 passes the float range has inf
+residuals, which Newton refuses. Convergence is always measured against the
+full original constraint set, never the rewritten rows, at settings.tol or
+at the rounding floor of the residuals, 4 ulp of the largest squared bar
+length or anchor coordinate, whichever is larger.
 
 A Newton call fails at MAX_NEWTON_ITERS (50) iterations, on a singular
 Jacobian, or when its line search has halved a step MAX_HALVINGS (8) times
 without lowering the reduced residual; the continuation then halves its
 step. Just past a workspace boundary the line search runs out within a few
-iterations. The catalog traces, and those of generated four-bars, are the
-same bits at 8 halvings as at 20; the workspace boundaries of generated
-four-bars are checked against their exact fold angles, where
-cos(theta) = (a^2 + d^2 - (b +- c)^2) / (2ad). NoSeed is the one error for
-a failed solve: trace raises it when the seed solve or the seed leg fails.
-The reduced residual of a point the line search accepts is the next
-iteration's, not computed again, and a sample's full residual is the one
-its Newton call accepted it with. Work is counted in each Trace's
-SolveStats.
-Condition numbers are computed only where they are read: on the sweep's
-accepted steps, one batched SVD per run of steps holding CONDITION_BATCH
-(64) Jacobians, compared with CONDITION_THRESHOLD (10^10) step by step in
-order. A leg longer than MAX_SWEEP_STEPS (10^5) steps is refused before it
-starts (check_sweep), and so is a linkage whose anchor coordinates or
-squared bar lengths overflow a float, or whose default layout does.
+iterations. NoSeed is the one error for a failed solve: trace raises it when
+the seed solve or the seed leg fails. The reduced residual of a point the
+line search accepts is the next iteration's, not computed again, and a
+sample's full residual is the one its Newton call accepted it with. Work is
+counted in each Trace's SolveStats.
+
+Each accepted step of the sweep carries one Jacobian, that of its Newton
+call's last iteration (none when the prediction converged as given, which
+reads as condition number 0). Their condition numbers come from one batched
+SVD per CONDITION_BATCH (64) steps and are compared with CONDITION_THRESHOLD
+(10^10) in step order. A leg longer than MAX_SWEEP_STEPS (10^5) steps is
+refused before it starts (check_sweep), and so is a linkage whose anchor
+coordinates or squared bar lengths overflow a float, or whose default layout
+does.
 
 This is the one module that imports numpy, and only the commands that trace
 load it. The total-least-squares line through a traced window is fitted in
@@ -45,9 +47,9 @@ locus.straightness_stats, in pure Python.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,8 +68,8 @@ MAX_HALVINGS = 8
 # a Newton Jacobian whose condition number exceeds this is near-singular
 CONDITION_THRESHOLD = 1e10
 
-# trace computes condition numbers with one batched SVD once its accepted
-# steps hold this many Jacobians; the bound caps the memory a batch holds
+# trace computes condition numbers with one batched SVD per this many accepted
+# steps; the bound caps the memory a batch holds
 CONDITION_BATCH = 64
 
 
@@ -134,20 +136,6 @@ class Trace:
 # system compilation
 
 
-def _on_coordinates(rows):
-    """Run a row method on the coordinate list of x as Python floats. A float
-    ** 2 past the float range raises OverflowError; the method then runs again
-    on numpy scalars, which read the overflow as inf."""
-
-    def run(comp: _Compiled, x: np.ndarray, drive: tuple[float, ...]):
-        try:
-            return rows(comp, x.tolist() + comp.anchor_xy, drive)
-        except OverflowError:
-            return rows(comp, list(x) + comp.anchor_xy, drive)
-
-    return run
-
-
 @dataclass
 class _Compiled:
     """model.reduced_constraints as integer index tables over one coordinate
@@ -165,6 +153,7 @@ class _Compiled:
     tracer: tuple[int, Optional[int], float]  # a, b, offset; b is None for a joint tracer
     template: np.ndarray  # Jacobian over every coordinate: constant affine and driver rows
     slots: np.ndarray  # flat template indices of the quadric gradients, as jacobian lists them
+    tol_floor: float  # 4 ulp of the largest squared bar length or anchor coordinate
 
     def to_vec(self, cfg: Configuration) -> np.ndarray:
         missing = [j for j in self.free if j not in cfg]
@@ -184,12 +173,15 @@ class _Compiled:
         ax, ay = self.driver_anchor
         return c, s, ax + c, ay + s
 
-    @_on_coordinates
-    def reduced_residual(self, v: list[float], drive: tuple[float, ...]) -> list[float]:
+    def reduced_residual(self, x: np.ndarray, drive: tuple[float, ...]) -> list[float]:
+        v = x.tolist() + self.anchor_xy
         rows = []
         for mid, a, b, u, t in self.affine:
             rows += (v[mid] - u * v[a] - t * v[b], v[mid + 1] - u * v[a + 1] - t * v[b + 1])
-        rows += [(v[a] - v[b]) ** 2 + (v[a + 1] - v[b + 1]) ** 2 - sq for a, b, sq in self.quad]
+        try:
+            rows += [(v[a] - v[b]) ** 2 + (v[a + 1] - v[b + 1]) ** 2 - sq for a, b, sq in self.quad]
+        except OverflowError:  # a float ** 2 past the float range
+            return [math.inf] * len(self.template)
         f = self.driver
         rows += (v[f] - drive[2], v[f + 1] - drive[3])
         return rows
@@ -205,11 +197,15 @@ class _Compiled:
         J.reshape(-1)[self.slots] += grad
         return J[:, : len(x)]
 
-    @_on_coordinates
-    def full_residual(self, v: list[float], drive: tuple[float, ...]) -> float:
+    def full_residual(self, x: np.ndarray, drive: tuple[float, ...]) -> float:
+        v = x.tolist() + self.anchor_xy
         f = self.driver
         ax, ay = self.driver_anchor
-        bars = [abs((v[a] - v[b]) ** 2 + (v[a + 1] - v[b + 1]) ** 2 - sq) for a, b, sq in self.bars]
+        try:
+            bars = [abs((v[a] - v[b]) ** 2 + (v[a + 1] - v[b + 1]) ** 2 - sq)
+                    for a, b, sq in self.bars]
+        except OverflowError:  # a float ** 2 past the float range
+            return math.inf
         # builtin max skips NaN rows after the leading 0.0
         return max([0.0, *bars, abs(v[f] - ax - drive[0]), abs(v[f + 1] - ay - drive[1])])
 
@@ -264,9 +260,12 @@ def _compile(spec: LinkageSpec) -> _Compiled:
     tr = spec.tracer
     bar = spec.bar(tr.bar) if tr.on_bar else None
     tracer = (at[bar.a], at[bar.b], float(tr.offset)) if bar else (at[tr.joint], None, 0.0)
+    anchor_xy = [c for xy in anchors.values() for c in xy]
+    # a square past the float range rounds like the largest float
+    largest = min(max([*squares.values(), *(c * c for c in anchor_xy)]), sys.float_info.max)
     return _Compiled(
         free=free,
-        anchor_xy=[c for xy in anchors.values() for c in xy],
+        anchor_xy=anchor_xy,
         affine=affine,
         quad=quad,
         bars=table(spec.bars),
@@ -276,6 +275,7 @@ def _compile(spec: LinkageSpec) -> _Compiled:
         tracer=tracer,
         template=template,
         slots=np.array(slots, dtype=np.intp),
+        tol_floor=4 * math.ulp(largest),
     )
 
 
@@ -302,21 +302,20 @@ def _conditions(jacobians: Sequence[np.ndarray]) -> list[float]:
 def _newton(
     comp: _Compiled, theta: float, x: np.ndarray, settings: SolverSettings, stats: SolveStats
 ):
-    """Damped Newton from x. Returns (x, residual, jacobians, ok), with the
-    Jacobian of every iteration run, for _conditions, and adds its
-    work to stats. It fails at MAX_NEWTON_ITERS, on a singular step, or
-    when MAX_HALVINGS halvings of a step do not lower the reduced residual."""
+    """Damped Newton from x. Returns (x, residual, J, ok), with J the
+    Jacobian of the last iteration run (None if x converged as given), and
+    adds its work to stats. It fails at MAX_NEWTON_ITERS, on a singular step,
+    or when MAX_HALVINGS halvings of a step do not lower the reduced residual."""
     drive = comp.drive(theta)
-    jacobians: list[np.ndarray] = []
-    r = None
+    tol = max(settings.tol, comp.tol_floor)
+    r = J = None
     for it in range(MAX_NEWTON_ITERS + 1):
         full = comp.full_residual(x, drive)
-        if full < settings.tol or it == MAX_NEWTON_ITERS:
+        if full < tol or it == MAX_NEWTON_ITERS:
             break
         if r is None:
             r = comp.reduced_residual(x, drive)
         J = comp.jacobian(x)
-        jacobians.append(J)
         try:
             delta = np.linalg.solve(J, -np.array(r))
         except np.linalg.LinAlgError:
@@ -334,13 +333,13 @@ def _newton(
         else:
             break
         x, r = xn, rn
-    ok = full < settings.tol
+    ok = full < tol
     stats.calls += 1
     stats.iterations += it
     if not ok:
         stats.failed_calls += 1
         stats.failed_iterations += it
-    return x, full, jacobians, ok
+    return x, full, J, ok
 
 
 def default_layout(spec: LinkageSpec) -> Configuration:
@@ -415,8 +414,8 @@ def _steps(
 ):
     """Continuation from the solution x at theta toward theta_to.
 
-    Yields (theta, x, residual, jacobians) after every accepted step, with the
-    full residual at x and the Jacobians of its Newton call. Newton starts
+    Yields (theta, x, residual, J) after every accepted step, with the full
+    residual at x and the last Jacobian of its Newton call. Newton starts
     from the secant prediction through the last two accepted points, or from
     x while only x has been accepted. A failed step is retried with half the
     step length, and an accepted one grows a shortened step back toward the
@@ -432,12 +431,12 @@ def _steps(
         if (theta_to - nxt) * sign < 0:
             nxt = theta_to
         guess = x if x_prev is None else x + (x - x_prev) * (nxt - theta) / (theta - theta_prev)
-        xn, full, jacobians, ok = _newton(comp, nxt, guess, settings, stats)
+        xn, full, J, ok = _newton(comp, nxt, guess, settings, stats)
         if ok:
             x_prev, theta_prev = x, theta
             theta = nxt
             x = xn
-            yield theta, x, full, jacobians
+            yield theta, x, full, J
             if abs(step) < settings.initial_step:
                 step = sign * min(abs(step) * 1.5, settings.initial_step)
         else:
@@ -519,13 +518,13 @@ def trace(
 
     near_singular = False
 
-    def flag(steps: list[tuple[float, list[np.ndarray]]]) -> None:
-        """Compare each step's largest condition number with the threshold,
-        in step order, from one SVD over all their Jacobians."""
+    def flag(steps: list[tuple[float, Optional[np.ndarray]]]) -> None:
+        """Compare each step's condition number with the threshold, in step
+        order, from one SVD over their Jacobians; a step without one reads 0."""
         nonlocal near_singular
-        conditions = iter(_conditions([J for _, jacobians in steps for J in jacobians]))
-        for at, jacobians in steps:
-            if max([0.0, *islice(conditions, len(jacobians))]) > CONDITION_THRESHOLD:
+        conditions = iter(_conditions([J for _, J in steps if J is not None]))
+        for at, J in steps:
+            if J is not None and next(conditions) > CONDITION_THRESHOLD:
                 if not near_singular:
                     events.append(BranchEvent(at, EventKind.SINGULAR_CONFIGURATION))
                     near_singular = True
@@ -534,15 +533,13 @@ def trace(
 
     theta = theta_start
     record(theta, x, full)
-    batch: list[tuple[float, list[np.ndarray]]] = []
-    held = 0
-    for theta, x, full, jacobians in _steps(comp, x, theta, theta_end, settings, stats):
+    batch: list[tuple[float, Optional[np.ndarray]]] = []
+    for theta, x, full, J in _steps(comp, x, theta, theta_end, settings, stats):
         record(theta, x, full)
-        batch.append((theta, jacobians))
-        held += len(jacobians)
-        if held >= CONDITION_BATCH:
+        batch.append((theta, J))
+        if len(batch) == CONDITION_BATCH:
             flag(batch)
-            batch, held = [], 0
+            batch = []
     flag(batch)
     if theta != theta_end:
         events.append(BranchEvent(theta, EventKind.WORKSPACE_BOUNDARY))

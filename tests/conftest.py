@@ -1,9 +1,9 @@
 """Shared fixtures and helpers. Catalog traces and locus results are computed
-once per run. sympy_divide serves oracle tests, which skip themselves when
-sympy is missing. leading_term, spoly and reduce are plain rational
-references, independent of poly's integer engine, for checking the bases it
-produces; Lex, evaluate, reflect, scaled and solve serve tests only, so the
-package does not carry them."""
+once per run. to_sympy and sympy_divide serve oracle tests, which skip
+themselves when sympy is missing. leading_term, spoly and reduce are plain
+rational references, independent of poly's integer engine, for checking the
+bases it produces; Lex, evaluate, reflect, scaled and solve serve tests
+only, so the package does not carry them."""
 
 from dataclasses import replace
 from fractions import Fraction as F
@@ -38,19 +38,23 @@ def loci():
     return {name: locus_equation(entry(name).spec) for name in names()}
 
 
+def to_sympy(q):
+    """q as a sympy expression in symbols named by its variables."""
+    import sympy
+
+    gens = sympy.symbols(q.vars)
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(g**k for g, k in zip(gens, e)))
+        for e, c in q.terms
+    ))
+
+
 def sympy_divide(p, divisors):
     """sympy.reduced under grevlex, as term dicts comparable with MultiPoly.as_dict():
     (one dict per quotient, remainder dict)."""
     import sympy
 
     gens = sympy.symbols(p.vars)
-
-    def to_sympy(q):
-        return sympy.Add(*(
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*(g**k for g, k in zip(gens, e)))
-            for e, c in q.terms
-        ))
 
     def terms(expr):
         poly = sympy.Poly(expr, *gens, domain="QQ")

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import LEX, leading_term, reduce, spoly, sympy_divide
+from conftest import LEX, leading_term, reduce, spoly, sympy_divide, to_sympy
 from linkagekit.catalog import entry
 from linkagekit.locus import constraint_ideal
 from linkagekit.poly import (
@@ -291,3 +291,31 @@ def test_staging_matches_one_block_order_run(system):
         assume(False)
     used = [{v for e, _ in g.terms for v, k in zip(ring, e) if k} for g in full]
     assert staged == [g.restrict(kept) for g, u in zip(full, used) if u <= set(kept)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+def test_eliminate_matches_sympy_lex_basis(system):
+    # the elements of a lex basis free of the dropped variables generate the
+    # elimination ideal (Cox, Little and O'Shea, ch. 3 section 1)
+    sympy = pytest.importorskip("sympy")
+    ring, gens, keep = system
+    kept = [v for v in ring if v in keep]
+    dropped = [v for v in ring if v not in keep]
+    try:
+        ours = eliminate(gens, keep, pair_budget=60)
+    except PairBudgetExceededError:
+        assume(False)
+    lex_vars = sympy.symbols(dropped + kept)
+    lex = sympy.groebner([to_sympy(g) for g in gens if not g.is_zero], *lex_vars, order="lex")
+    theirs = [p for p in lex.exprs if not p.free_symbols & set(lex_vars[: len(dropped)])]
+    assert bool(ours) == bool(theirs)
+    for g in ours:
+        assert g.vars == tuple(kept) and g == g.primitive()
+        assert all(c.denominator == 1 for _, c in g.terms)
+        _, rem = sympy.reduced(to_sympy(g), theirs, *lex_vars, order="lex")
+        assert rem == 0
+    for p in theirs:
+        _, rem = sympy.reduced(p, [to_sympy(g) for g in ours], *sympy.symbols(kept),
+                               order="grevlex")
+        assert rem == 0

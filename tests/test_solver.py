@@ -366,13 +366,27 @@ def watt_seed(**joints):
     return e.spec, Configuration({**e.seed_config().positions, **joints})
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_seed_keeps_its_errors():
     # (1e200 - x) ** 2 is past the float range: the row reads as inf, and a
     # trial point with an inf or NaN residual is refused
     spec, seed = watt_seed(C=(1e200, 4.0))
     with pytest.raises(NoSeed, match=r"^no solvable configuration at theta=0$"):
         trace(spec, 0.0, 0.1, seed=seed, seed_theta=0.0)
+
+
+@pytest.mark.parametrize("k", [10, 30])
+def test_scaled_watt_traces_as_the_unscaled_one(traces, k):
+    # Newton's tolerance is raised to 4 ulp of the largest squared length
+    # (2.9e-11 for 30x, where it is 57600), so the scaled linkage takes the
+    # same steps and its pen points are k times the unscaled ones
+    e = entry("watt")
+    seed = Configuration({j: (x * k, y * k) for j, (x, y) in e.seed_config().positions.items()})
+    tr = trace(scaled(e.spec, F(k)), *e.sweep, seed=seed, seed_theta=e.theta_ref)
+    base = traces["watt"]
+    assert (tr.events, tr.stats.failed_calls) == ([], 0)
+    assert [s.theta for s in tr.samples] == [s.theta for s in base.samples]
+    for s, b in zip(tr.samples, base.samples):
+        assert math.hypot(s.x - k * b.x, s.y - k * b.y) < 2e-13 * k
 
 
 # 10^155 overflows a squared bar length, 10^400 an anchor coordinate
@@ -478,13 +492,13 @@ def test_singular_seed_raises_no_seed():
 
 
 # the singular-configuration events of watt's whole sweep, as float.hex of
-# their angles, recorded with one SVD per accepted step. At 23.3 the runs of
-# steps over the threshold are steps 1-30, 71-89 and 130-160; most steps hold
-# 2 Jacobians, so batches end after steps 21, 53, 85, 117 and 147, and each
-# run crosses a batch boundary.
+# their angles, recorded with one SVD per accepted step. Each of its 160
+# steps holds one Jacobian, so 64-step batches end after steps 64 and 128.
+# At 23.3 the runs of steps over the threshold are steps 1-30, 72-88 and
+# 130-160; 20-step batches end inside each of them.
 WATT_SINGULAR_EVENTS = {
     1.0: ["-0x1.947ae147ae148p-1"],
-    23.3: ["-0x1.947ae147ae148p-1", "-0x1.70a3d70a3d6e4p-4", "0x1.0000000000007p-1"],
+    23.3: ["-0x1.947ae147ae148p-1", "-0x1.47ae147ae1455p-4", "0x1.0000000000007p-1"],
 }
 
 
@@ -496,13 +510,35 @@ def test_condition_batches_keep_the_events(monkeypatch, threshold):
     monkeypatch.setattr(solver, "CONDITION_THRESHOLD", threshold)
     settings = SolverSettings()
     batched = catalog_trace("watt", settings)
-    assert batches == [65, 65, 64, 64, 65, 40]
+    assert batches == [64, 64, 32]
     assert [e.kind for e in batched.events] == [EventKind.SINGULAR_CONFIGURATION] * len(
         WATT_SINGULAR_EVENTS[threshold]
     )
     assert [e.theta.hex() for e in batched.events] == WATT_SINGULAR_EVENTS[threshold]
-    monkeypatch.setattr(solver, "CONDITION_BATCH", 1)
-    assert catalog_trace("watt", settings).events == batched.events
+    for size in (1, 20):
+        monkeypatch.setattr(solver, "CONDITION_BATCH", size)
+        assert catalog_trace("watt", settings).events == batched.events
+
+
+def test_a_step_without_a_jacobian_reads_as_zero(monkeypatch):
+    # at tol 1e-2 the secant prediction often converges as given, with no
+    # Jacobian; every condition number is at least 1, so each run of steps
+    # with a Jacobian opens one event
+    monkeypatch.setattr(solver, "CONDITION_THRESHOLD", 0.5)
+    steps, legs = solver._steps, []
+
+    def recorded(*args):
+        legs.append([])
+        for step in steps(*args):
+            legs[-1].append((step[0], step[3] is not None))
+            yield step
+
+    monkeypatch.setattr(solver, "_steps", recorded)
+    tr = catalog_trace("compass", SolverSettings(tol=1e-2))
+    sweep = legs[-1]
+    starts = [t for k, (t, has) in enumerate(sweep) if has and (k == 0 or not sweep[k - 1][1])]
+    assert 0 < sum(has for _, has in sweep) < len(sweep)
+    assert tr.events == [BranchEvent(t, EventKind.SINGULAR_CONFIGURATION) for t in starts]
 
 
 def test_line_search_ends_a_failed_call():
