@@ -14,11 +14,15 @@ everywhere-singular Jacobian, and the driver's quadric gives way to two
 driver-angle rows. _compile turns those rows, once per trace, into integer
 index tables over one coordinate list (free coordinates, then anchors) that
 the residuals read as Python floats; the Jacobian copies a template of its
-constant rows. A point where a float ** 2 passes the float range has inf
-residuals, which Newton refuses. Convergence is always measured against the
-full original constraint set, never the rewritten rows, at settings.tol or
-at the rounding floor of the residuals, 4 ulp of the largest squared bar
-length or anchor coordinate, whichever is larger.
+constant rows. Once a square passes the float range every bar row reads
+inf, which Newton refuses. Convergence is always measured against the full
+original constraint set, never the rewritten rows, at settings.tol or at the
+rounding floor of a bar row, 4 ulp of the largest squared bar length,
+whichever is larger: the row's two squares, their sum and the rounded
+length**2 account for 2.5 of them, and the rounding of joint coordinates
+within a few bar lengths of the origin for the rest. Coordinates far from
+the origin round more coarsely than the floor allows for; there Newton
+does not converge, and trace raises NoSeed instead of accepting the seed.
 
 A Newton call fails at MAX_NEWTON_ITERS (50) iterations, on a singular
 Jacobian, or when its line search has halved a step MAX_HALVINGS (8) times
@@ -30,10 +34,10 @@ line search accepts is the next iteration's, not computed again, and a
 sample's full residual is the one its Newton call accepted it with. Work is
 counted in each Trace's SolveStats.
 
-Each accepted step of the sweep carries one Jacobian, that of its Newton
-call's last iteration (none when the prediction converged as given, which
-reads as condition number 0). Their condition numbers come from one batched
-SVD per CONDITION_BATCH (64) steps and are compared with CONDITION_THRESHOLD
+Each accepted step of the sweep is flagged from the Jacobian at its own
+solution, so a singular-configuration event depends on the configuration,
+not on Newton's path. Their condition numbers come from one batched SVD per
+CONDITION_BATCH (64) steps and are compared with CONDITION_THRESHOLD
 (10^10) in step order. A leg longer than MAX_SWEEP_STEPS (10^5) steps is
 refused before it starts (check_sweep), and so is a linkage whose anchor
 coordinates or squared bar lengths overflow a float, or whose default layout
@@ -47,7 +51,6 @@ locus.straightness_stats, in pure Python.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -136,6 +139,15 @@ class Trace:
 # system compilation
 
 
+def _bar_rows(v: list[float], bars: list[tuple[int, int, float]]) -> list[float]:
+    """Squared distance minus squared length for each (a, b, length**2);
+    every row reads inf once a square passes the float range."""
+    try:
+        return [(v[a] - v[b]) ** 2 + (v[a + 1] - v[b + 1]) ** 2 - sq for a, b, sq in bars]
+    except OverflowError:  # float ** 2 raises where float * float gives inf
+        return [math.inf] * len(bars)
+
+
 @dataclass
 class _Compiled:
     """model.reduced_constraints as integer index tables over one coordinate
@@ -153,7 +165,7 @@ class _Compiled:
     tracer: tuple[int, Optional[int], float]  # a, b, offset; b is None for a joint tracer
     template: np.ndarray  # Jacobian over every coordinate: constant affine and driver rows
     slots: np.ndarray  # flat template indices of the quadric gradients, as jacobian lists them
-    tol_floor: float  # 4 ulp of the largest squared bar length or anchor coordinate
+    tol_floor: float  # 4 ulp of the largest squared bar length
 
     def to_vec(self, cfg: Configuration) -> np.ndarray:
         missing = [j for j in self.free if j not in cfg]
@@ -178,10 +190,7 @@ class _Compiled:
         rows = []
         for mid, a, b, u, t in self.affine:
             rows += (v[mid] - u * v[a] - t * v[b], v[mid + 1] - u * v[a + 1] - t * v[b + 1])
-        try:
-            rows += [(v[a] - v[b]) ** 2 + (v[a + 1] - v[b + 1]) ** 2 - sq for a, b, sq in self.quad]
-        except OverflowError:  # a float ** 2 past the float range
-            return [math.inf] * len(self.template)
+        rows += _bar_rows(v, self.quad)
         f = self.driver
         rows += (v[f] - drive[2], v[f + 1] - drive[3])
         return rows
@@ -201,11 +210,7 @@ class _Compiled:
         v = x.tolist() + self.anchor_xy
         f = self.driver
         ax, ay = self.driver_anchor
-        try:
-            bars = [abs((v[a] - v[b]) ** 2 + (v[a + 1] - v[b + 1]) ** 2 - sq)
-                    for a, b, sq in self.bars]
-        except OverflowError:  # a float ** 2 past the float range
-            return math.inf
+        bars = map(abs, _bar_rows(v, self.bars))
         # builtin max skips NaN rows after the leading 0.0
         return max([0.0, *bars, abs(v[f] - ax - drive[0]), abs(v[f + 1] - ay - drive[1])])
 
@@ -260,12 +265,9 @@ def _compile(spec: LinkageSpec) -> _Compiled:
     tr = spec.tracer
     bar = spec.bar(tr.bar) if tr.on_bar else None
     tracer = (at[bar.a], at[bar.b], float(tr.offset)) if bar else (at[tr.joint], None, 0.0)
-    anchor_xy = [c for xy in anchors.values() for c in xy]
-    # a square past the float range rounds like the largest float
-    largest = min(max([*squares.values(), *(c * c for c in anchor_xy)]), sys.float_info.max)
     return _Compiled(
         free=free,
-        anchor_xy=anchor_xy,
+        anchor_xy=[c for xy in anchors.values() for c in xy],
         affine=affine,
         quad=quad,
         bars=table(spec.bars),
@@ -275,7 +277,7 @@ def _compile(spec: LinkageSpec) -> _Compiled:
         tracer=tracer,
         template=template,
         slots=np.array(slots, dtype=np.intp),
-        tol_floor=4 * math.ulp(largest),
+        tol_floor=4 * math.ulp(max(squares.values())),
     )
 
 
@@ -302,13 +304,12 @@ def _conditions(jacobians: Sequence[np.ndarray]) -> list[float]:
 def _newton(
     comp: _Compiled, theta: float, x: np.ndarray, settings: SolverSettings, stats: SolveStats
 ):
-    """Damped Newton from x. Returns (x, residual, J, ok), with J the
-    Jacobian of the last iteration run (None if x converged as given), and
-    adds its work to stats. It fails at MAX_NEWTON_ITERS, on a singular step,
-    or when MAX_HALVINGS halvings of a step do not lower the reduced residual."""
+    """Damped Newton from x. Returns (x, residual, ok) and adds its work to
+    stats. It fails at MAX_NEWTON_ITERS, on a singular step, or when
+    MAX_HALVINGS halvings of a step do not lower the reduced residual."""
     drive = comp.drive(theta)
     tol = max(settings.tol, comp.tol_floor)
-    r = J = None
+    r = None
     for it in range(MAX_NEWTON_ITERS + 1):
         full = comp.full_residual(x, drive)
         if full < tol or it == MAX_NEWTON_ITERS:
@@ -339,7 +340,7 @@ def _newton(
     if not ok:
         stats.failed_calls += 1
         stats.failed_iterations += it
-    return x, full, J, ok
+    return x, full, ok
 
 
 def default_layout(spec: LinkageSpec) -> Configuration:
@@ -414,12 +415,11 @@ def _steps(
 ):
     """Continuation from the solution x at theta toward theta_to.
 
-    Yields (theta, x, residual, J) after every accepted step, with the full
-    residual at x and the last Jacobian of its Newton call. Newton starts
-    from the secant prediction through the last two accepted points, or from
-    x while only x has been accepted. A failed step is retried with half the
-    step length, and an accepted one grows a shortened step back toward the
-    initial step.
+    Yields (theta, x, residual) after every accepted step, with the full
+    residual at x. Newton starts from the secant prediction through the last
+    two accepted points, or from x while only x has been accepted. A failed
+    step is retried with half the step length, and an accepted one grows a
+    shortened step back toward the initial step.
     The generator ends at theta_to, or at the last accepted angle once the
     step falls below the minimum (a stall).
     """
@@ -431,12 +431,12 @@ def _steps(
         if (theta_to - nxt) * sign < 0:
             nxt = theta_to
         guess = x if x_prev is None else x + (x - x_prev) * (nxt - theta) / (theta - theta_prev)
-        xn, full, J, ok = _newton(comp, nxt, guess, settings, stats)
+        xn, full, ok = _newton(comp, nxt, guess, settings, stats)
         if ok:
             x_prev, theta_prev = x, theta
             theta = nxt
             x = xn
-            yield theta, x, full, J
+            yield theta, x, full
             if abs(step) < settings.initial_step:
                 step = sign * min(abs(step) * 1.5, settings.initial_step)
         else:
@@ -497,11 +497,11 @@ def trace(
         seed = default_layout(spec)
 
     stats = SolveStats()
-    x, full, _, ok = _newton(comp, seed_theta, comp.to_vec(seed), settings, stats)
+    x, full, ok = _newton(comp, seed_theta, comp.to_vec(seed), settings, stats)
     if not ok:
         raise NoSeed(f"no solvable configuration at theta={seed_theta:.6g}")
     theta = seed_theta
-    for theta, x, full, _ in _steps(comp, x, theta, theta_start, settings, stats):
+    for theta, x, full in _steps(comp, x, theta, theta_start, settings, stats):
         pass
     if theta != theta_start:
         raise NoSeed(
@@ -518,13 +518,12 @@ def trace(
 
     near_singular = False
 
-    def flag(steps: list[tuple[float, Optional[np.ndarray]]]) -> None:
+    def flag(steps: list[tuple[float, np.ndarray]]) -> None:
         """Compare each step's condition number with the threshold, in step
-        order, from one SVD over their Jacobians; a step without one reads 0."""
+        order, from one SVD over their Jacobians."""
         nonlocal near_singular
-        conditions = iter(_conditions([J for _, J in steps if J is not None]))
-        for at, J in steps:
-            if J is not None and next(conditions) > CONDITION_THRESHOLD:
+        for (at, _), cond in zip(steps, _conditions([J for _, J in steps])):
+            if cond > CONDITION_THRESHOLD:
                 if not near_singular:
                     events.append(BranchEvent(at, EventKind.SINGULAR_CONFIGURATION))
                     near_singular = True
@@ -533,10 +532,10 @@ def trace(
 
     theta = theta_start
     record(theta, x, full)
-    batch: list[tuple[float, Optional[np.ndarray]]] = []
-    for theta, x, full, J in _steps(comp, x, theta, theta_end, settings, stats):
+    batch: list[tuple[float, np.ndarray]] = []
+    for theta, x, full in _steps(comp, x, theta, theta_end, settings, stats):
         record(theta, x, full)
-        batch.append((theta, J))
+        batch.append((theta, comp.jacobian(x)))
         if len(batch) == CONDITION_BATCH:
             flag(batch)
             batch = []

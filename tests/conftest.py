@@ -142,7 +142,7 @@ def solve(spec, theta, seed):
     """The configuration, anchors included, that one Newton call from seed
     reaches with the driver at theta, or None where the call fails."""
     comp = solver._compile(spec)
-    x, _, _, ok = solver._newton(comp, theta, comp.to_vec(seed), SolverSettings(), SolveStats())
+    x, _, ok = solver._newton(comp, theta, comp.to_vec(seed), SolverSettings(), SolveStats())
     if not ok:
         return None
     v = x.tolist()
