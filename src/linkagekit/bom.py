@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib.resources import files
-from typing import Iterable, Mapping, Optional
+from operator import add
+from typing import Callable, Iterable, Mapping, Optional
 
 from .model import UnknownModelError
 
@@ -56,7 +57,11 @@ class Part:
 
 
 def _price(text: str, where: str) -> Fraction:
+    # an exponent is refused: Fraction("1e999999999") builds a billion-digit
+    # integer, and a price past the float range has no display form to round
     try:
+        if "e" in text.lower():
+            raise ValueError("exponent in price")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as ex:
         raise CatalogError(f"{where}: bad price {text!r}") from ex
@@ -163,26 +168,26 @@ def shipped() -> tuple[dict[int, Part], Requirements]:
     return catalog_load(text)
 
 
-def set_union(models: Iterable[str], requirements: Requirements) -> ShoppingList:
-    """Parts needed to build the models one at a time: per-part maximum."""
+def _union(
+    models: Iterable[str], requirements: Requirements, combine: Callable[[int, int], int]
+) -> ShoppingList:
     out: ShoppingList = {}
     for model in models:
         if model not in requirements:
             raise UnknownModelError(model, requirements)
         for code, n in requirements[model].items():
-            out[code] = max(out.get(code, 0), n)
+            out[code] = combine(out.get(code, 0), n)
     return out
+
+
+def set_union(models: Iterable[str], requirements: Requirements) -> ShoppingList:
+    """Parts needed to build the models one at a time: per-part maximum."""
+    return _union(models, requirements, max)
 
 
 def simultaneous_union(models: Iterable[str], requirements: Requirements) -> ShoppingList:
     """Parts needed to build the models all at once: per-part sum."""
-    out: ShoppingList = {}
-    for model in models:
-        if model not in requirements:
-            raise UnknownModelError(model, requirements)
-        for code, n in requirements[model].items():
-            out[code] = out.get(code, 0) + n
-    return out
+    return _union(models, requirements, add)
 
 
 def price(shopping: Mapping[int, int], vendor: str, parts: Mapping[int, Part]) -> Fraction:
@@ -198,5 +203,7 @@ def price(shopping: Mapping[int, int], vendor: str, parts: Mapping[int, Part]) -
 
 
 def format_price(value: Fraction) -> str:
-    """Display form: four decimals, exact rounding."""
-    return f"{float(round(value, 4)):.4f}"
+    """Display form: four decimals, rounded exactly (half to even)."""
+    n = round(value * 10000)
+    units, frac = divmod(abs(n), 10000)
+    return f"{'-' if n < 0 else ''}{units}.{frac:04d}"

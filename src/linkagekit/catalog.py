@@ -29,7 +29,7 @@ _S15 = math.sqrt(15.0)
 class CatalogEntry:
     spec: LinkageSpec
     theta_ref: float
-    seed: dict[str, tuple[float, float]]
+    seed: Configuration  # the free joints at theta_ref
     sweep: tuple[float, float]
     window: tuple[float, float]
     description: str
@@ -41,7 +41,7 @@ class CatalogEntry:
             j.id: (float(j.anchor[0]), float(j.anchor[1]))
             for j in self.spec.anchored_joints
         }
-        return Configuration({**anchored, **self.seed})
+        return {**anchored, **self.seed}
 
 
 def _anchor(jid: str, x, y) -> Joint:

@@ -6,9 +6,9 @@ to stderr, and identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 usage error (bad flags, solver settings, pair
 budget, sweep or straightness window), 2 invalid input: a parse or
-validation error, an unreadable file, or a tracer that does not trace a
-curve (locus.NotACurve), 3 no solvable configuration reached at the sweep
-start, 4 pair budget exhausted. The default --pair-budget is
+validation error, an unreadable or non-UTF-8 file, or a tracer that does
+not trace a curve (locus.NotACurve), 3 no solvable configuration reached at
+the sweep start, 4 pair budget exhausted. The default --pair-budget is
 poly.DEFAULT_PAIR_BUDGET.
 """
 
@@ -57,7 +57,7 @@ def _resolve(name: str) -> tuple[model.LinkageSpec, Optional[catalog.CatalogEntr
         try:
             with open(name, encoding="utf-8") as fh:
                 return model.load(fh.read()), None
-        except (model.ParseError, model.ValidationError) as ex:
+        except (model.ParseError, model.ValidationError, UnicodeDecodeError) as ex:
             raise _CliError(EXIT_INVALID, f"{name}: {ex}")
     raise _CliError(
         EXIT_INVALID,
@@ -76,7 +76,7 @@ def _pair_budget(args) -> int:
 
 def _run_trace(spec, entry, args):
     # the solver brings numpy; only the commands that trace load it
-    from .solver import NoSeed, SolverSettings, check_sweep, trace
+    from .solver import NoSeed, SolverSettings, SweepError, trace
 
     if args.theta_from is None or args.theta_to is None:
         if entry is None:
@@ -99,11 +99,9 @@ def _run_trace(spec, entry, args):
         )
     seed, seed_theta = (None, None) if entry is None else (entry.seed_config(), entry.theta_ref)
     try:
-        check_sweep(start, end, settings, seed_theta)
-    except ValueError as ex:
-        raise _CliError(EXIT_USAGE, f"{ex} (--from {start:g}, --to {end:g})")
-    try:
         return trace(spec, start, end, settings, seed=seed, seed_theta=seed_theta)
+    except SweepError as ex:
+        raise _CliError(EXIT_USAGE, f"{ex} (--from {start:g}, --to {end:g})")
     except ValueError as ex:  # the linkage's own dimensions, not the sweep
         raise _CliError(EXIT_USAGE, str(ex))
     except NoSeed as ex:
@@ -405,7 +403,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _CliError as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)
         return ex.code
-    except (bom_mod.CatalogError, NotACurve, OSError) as ex:
+    except (bom_mod.CatalogError, NotACurve, OSError, UnicodeDecodeError) as ex:
         print(f"linkagekit: {ex}", file=sys.stderr)
         return EXIT_INVALID
     except (model.UnknownModelError, bom_mod.UnknownPartError) as ex:

@@ -241,7 +241,7 @@ def _candidate_lines(p: MultiPoly) -> list[MultiPoly]:
     x, y = (MultiPoly.variable(p.vars, v) for v in (vx, vy))
     d = p.total_degree()
     top = MultiPoly(p.vars, {e: c for e, c in p.terms if sum(e) == d})
-    dirs = [(Fraction(1), -r) for r in _rational_roots(top.subs({vy: 1}).restrict((vx,)))]
+    dirs = [(Fraction(1), -r) for r in _rational_roots(top.subs(vy, 1).restrict((vx,)))]
     if not top.coefficient((d, 0)):
         dirs.append((Fraction(0), Fraction(1)))
     slices: dict[int, tuple[int, list[Fraction]]] = {}
@@ -251,7 +251,7 @@ def _candidate_lines(p: MultiPoly) -> list[MultiPoly]:
         axis = 0 if b else 1
         if axis not in slices:
             k = 0
-            while (cut := p.subs({p.vars[axis]: k})).is_zero:
+            while (cut := p.subs(p.vars[axis], k)).is_zero:
                 k += 1
             slices[axis] = (k, _rational_roots(cut.restrict((p.vars[1 - axis],))))
         k, roots = slices[axis]

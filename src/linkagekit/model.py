@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 Coord = tuple[Fraction, Fraction]
 
@@ -117,17 +117,9 @@ class LinkageSpec:
         return tuple(b for b in self.bars if joint_id in b.endpoints)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """One placement of every joint (anchored joints included, as floats)."""
-
-    positions: dict[str, tuple[float, float]]
-
-    def __getitem__(self, joint_id: str) -> tuple[float, float]:
-        return self.positions[joint_id]
-
-    def __contains__(self, joint_id: str) -> bool:
-        return joint_id in self.positions
+# a placement of joints as floats: a plain dict from joint id to (x, y);
+# called, the alias builds one
+Configuration = dict[str, tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -392,7 +384,9 @@ def load(text: str) -> LinkageSpec:
     """Parse and validate a linkage file; raises ParseError or ValidationError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    # besides JSONDecodeError: an integer past the int digit limit raises a
+    # plain ValueError, and deep nesting a RecursionError
+    except (ValueError, RecursionError) as e:
         raise ParseError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")

@@ -2,9 +2,10 @@
 
 Polynomials are sparse term maps from exponent vectors to ``fractions.Fraction``
 coefficients, kept in a canonical form: no zero coefficients, terms sorted
-strictly descending under graded reverse lexicographic order. Two monomial
-orders are provided (grevlex and a two-block elimination order), along
-with multivariate division with quotient tracking, Buchberger's algorithm with
+strictly descending under graded reverse lexicographic order. The one
+monomial order is a two-block elimination order, BlockElim; grevlex is the
+block order with an empty front (GREVLEX). Alongside it come multivariate
+division with quotient tracking, Buchberger's algorithm with
 the coprime-lead and chain criteria, and elimination ideals via the block
 order. Everything here is exact; no floating point enters any coefficient.
 
@@ -30,8 +31,9 @@ does the engine, once per reduction step, before a shift could create one.
 Because the key is linear, shifting a term by x^s just adds ``key(s)`` to
 its key.
 
-``MultiPoly.subs`` accumulates every term's product into one term map and
-computes each replacement's powers once per call.
+``MultiPoly.subs`` replaces one variable: it accumulates every term's
+product into one term map and computes the replacement's powers once per
+call.
 """
 
 from __future__ import annotations
@@ -123,14 +125,6 @@ def _check_degree(degree: int, what: object) -> None:
 
 
 @dataclass(frozen=True)
-class GrevLex:
-    """Graded reverse lexicographic order."""
-
-    def key(self, varnames: Sequence[str]) -> Key:
-        return _packed_key(_grevlex_weights(len(varnames)))
-
-
-@dataclass(frozen=True)
 class BlockElim:
     """Elimination order: the front block dominates, grevlex within each block.
 
@@ -157,9 +151,9 @@ class BlockElim:
         return _packed_key(tuple(weights))
 
 
-MonomialOrder = Union[GrevLex, BlockElim]
-
-GREVLEX = GrevLex()
+# grevlex is the block order with an empty front: every variable is in the
+# back block, weighed by its grevlex weight
+GREVLEX = BlockElim(())
 
 
 # ---------------------------------------------------------------------------
@@ -301,36 +295,30 @@ class MultiPoly:
 
     # -- substitution
 
-    def subs(self, replacements: Mapping[str, Union["MultiPoly", Scalar]]) -> "MultiPoly":
-        """Substitute polynomials or constants for variables, exactly.
+    def subs(self, var: str, rep: Union["MultiPoly", Scalar]) -> "MultiPoly":
+        """Substitute a polynomial or a constant for one variable, exactly.
 
-        Every term's product accumulates into one term map; the powers of each
-        replacement are computed once per call and cached.
+        Every term's product accumulates into one term map; the powers of rep
+        are computed once per call and cached.
         """
+        i = self.vars.index(var)
         zero = (0,) * len(self.vars)
-        # powers[i][k] holds replacement i to the k-th power, as (exp, coeff) pairs
-        powers: dict[int, list[Sequence[tuple[Exponents, Fraction]]]] = {}
-        for i, v in enumerate(self.vars):
-            rep = replacements.get(v)
-            if rep is None:
-                continue
-            if isinstance(rep, MultiPoly):
-                self._check(rep)
-                base = list(rep.terms)
-            else:
-                c = Fraction(rep)
-                base = [(zero, c)] if c else []
-            powers[i] = [[(zero, Fraction(1))], base]
+        if isinstance(rep, MultiPoly):
+            self._check(rep)
+            base = list(rep.terms)
+        else:
+            c = Fraction(rep)
+            base = [(zero, c)] if c else []
+        # powers[k] holds rep to the k-th power, as (exp, coeff) pairs
+        powers: list[Sequence[tuple[Exponents, Fraction]]] = [[(zero, Fraction(1))], base]
         acc: dict[Exponents, Fraction] = {}
         for exp, coeff in self.terms:
-            kept = tuple(0 if i in powers else e for i, e in enumerate(exp))
-            term = [(kept, coeff)]
-            for i, pw in powers.items():
-                e = exp[i]
-                if e:
-                    while len(pw) <= e:
-                        pw.append(_mul_terms(pw[-1], pw[1]).items())
-                    term = _mul_terms(term, pw[e]).items()
+            e = exp[i]
+            term = [(exp[:i] + (0,) + exp[i + 1 :], coeff)]
+            if e:
+                while len(powers) <= e:
+                    powers.append(_mul_terms(powers[-1], base).items())
+                term = _mul_terms(term, powers[e]).items()
             for m, c in term:
                 acc[m] = acc.get(m, 0) + c
         return MultiPoly(self.vars, acc)
@@ -412,7 +400,7 @@ def _mul_terms(
 
 
 def divide(
-    p: MultiPoly, divisors: Sequence[MultiPoly], order: MonomialOrder = GREVLEX
+    p: MultiPoly, divisors: Sequence[MultiPoly], order: BlockElim = GREVLEX
 ) -> tuple[list[MultiPoly], MultiPoly]:
     """Multivariate division: returns (quotients, remainder) with
     p == sum(q_i * g_i) + r and no remainder term divisible by any divisor lead.
@@ -585,7 +573,7 @@ def _coprime(a: Exponents, b: Exponents) -> bool:
 
 def buchberger(
     gens: Sequence[MultiPoly],
-    order: MonomialOrder = GREVLEX,
+    order: BlockElim = GREVLEX,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> list[MultiPoly]:
     """Reduced Groebner basis of the ideal generated by gens.
@@ -601,7 +589,7 @@ def buchberger(
 
 def _buchberger(
     gens: Sequence[MultiPoly],
-    order: MonomialOrder,
+    order: BlockElim,
     counter: _PairCounter,
     stage: str,
 ) -> list[MultiPoly]:
@@ -677,7 +665,7 @@ def _buchberger(
     return _reduce_basis(varnames, basis, order)
 
 
-def _reduce_basis(varnames, basis: list[_Terms], order: MonomialOrder) -> list[MultiPoly]:
+def _reduce_basis(varnames, basis: list[_Terms], order: BlockElim) -> list[MultiPoly]:
     """Minimalize and tail-reduce an integer basis; return it sorted by lead,
     each element primitive with a positive lead under order."""
     key = order.key(varnames)
@@ -743,7 +731,7 @@ def _substitute_linear(gens: list[MultiPoly], eliminable: set[str]) -> list[Mult
             v, unit, c = target
             rest = MultiPoly(varnames, {e: k for e, k in g.terms if e != unit})
             replacement = rest * Fraction(-1, 1) * (1 / c)
-            work = [h.subs({v: replacement}) for h in work if h is not g]
+            work = [h.subs(v, replacement) for h in work if h is not g]
             changed = True
             break
     return [h for h in work if not h.is_zero]

@@ -38,10 +38,10 @@ Each accepted step of the sweep is flagged from the Jacobian at its own
 solution, so a singular-configuration event depends on the configuration,
 not on Newton's path. Their condition numbers come from one batched SVD per
 CONDITION_BATCH (64) steps and are compared with CONDITION_THRESHOLD
-(10^10) in step order. A leg longer than MAX_SWEEP_STEPS (10^5) steps is
-refused before it starts (check_sweep), and so is a linkage whose anchor
-coordinates or squared bar lengths overflow a float, or whose default layout
-does.
+(10^10) in step order. A NaN or infinite angle, or a leg longer than
+MAX_SWEEP_STEPS (10^5) steps, is refused with SweepError before any step; a
+linkage whose anchor coordinates or squared bar lengths overflow a float, or
+whose default layout does, is refused with a plain ValueError.
 
 This is the one module that imports numpy, and only the commands that trace
 load it. The total-least-squares line through a traced window is fitted in
@@ -78,6 +78,11 @@ CONDITION_BATCH = 64
 
 class NoSeed(RuntimeError):
     """No solvable configuration could be reached at the sweep start."""
+
+
+class SweepError(ValueError):
+    """A sweep refused before any step: a NaN or infinite angle, or a leg
+    longer than MAX_SWEEP_STEPS steps of settings.initial_step."""
 
 
 @dataclass(frozen=True)
@@ -398,7 +403,7 @@ def default_layout(spec: LinkageSpec) -> Configuration:
         raise ValueError(
             f"the default layout of {spec.name!r} places {bad} beyond the float range"
         )
-    return Configuration(placed)
+    return placed
 
 
 # ---------------------------------------------------------------------------
@@ -445,23 +450,19 @@ def _steps(
                 return
 
 
-def check_sweep(
-    theta_start: float,
-    theta_end: float,
-    settings: SolverSettings,
-    seed_theta: Optional[float] = None,
+def _check_sweep(
+    theta_start: float, theta_end: float, settings: SolverSettings, seed_theta: float
 ) -> None:
-    """Raise ValueError for a sweep that trace refuses before any step: a NaN
-    or infinite angle, or a leg (seed_theta to theta_start, or theta_start to
-    theta_end) longer than MAX_SWEEP_STEPS steps of settings.initial_step."""
+    """Raise SweepError for a NaN or infinite angle, or a leg (seed_theta to
+    theta_start, or theta_start to theta_end) longer than MAX_SWEEP_STEPS
+    steps of settings.initial_step."""
     for name, value in (("theta_start", theta_start), ("theta_end", theta_end),
                         ("seed_theta", seed_theta)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    seed_theta = theta_start if seed_theta is None else seed_theta
+        if not math.isfinite(value):
+            raise SweepError(f"{name} must be finite, got {value}")
     for a, b in ((seed_theta, theta_start), (theta_start, theta_end)):
         if abs(b - a) > MAX_SWEEP_STEPS * settings.initial_step:
-            raise ValueError(
+            raise SweepError(
                 f"sweep from theta={a:.6g} to {b:.6g} needs more than "
                 f"{MAX_SWEEP_STEPS} steps of {settings.initial_step:g}"
             )
@@ -484,14 +485,15 @@ def trace(
     Near-singular Jacobians are flagged as singular-configuration events
     without stopping or switching branches. The Newton work of the whole
     trace, seed leg included, is counted in Trace.stats. seed_theta, where the
-    seed holds (default theta_start), is ignored without a seed. A sweep that
-    check_sweep refuses raises ValueError before any step is taken, and so
-    does a linkage whose dimensions overflow a float.
+    seed holds (default theta_start), is ignored without a seed. A NaN or
+    infinite angle, or a leg longer than MAX_SWEEP_STEPS steps, raises
+    SweepError before any step is taken; a linkage whose dimensions overflow
+    a float raises a plain ValueError.
     """
     settings = settings or SolverSettings()
     if seed is None or seed_theta is None:
         seed_theta = theta_start
-    check_sweep(theta_start, theta_end, settings, seed_theta)
+    _check_sweep(theta_start, theta_end, settings, seed_theta)
     comp = _compile(spec)
     if seed is None:
         seed = default_layout(spec)

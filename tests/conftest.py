@@ -134,7 +134,7 @@ def reflect(config, joint, across):
     (px, py), (ax, ay), (bx, by) = config[joint], config[across[0]], config[across[1]]
     dx, dy = bx - ax, by - ay
     t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
-    return Configuration({**config.positions,
+    return Configuration({**config,
                           joint: (2 * (ax + t * dx) - px, 2 * (ay + t * dy) - py)})
 
 

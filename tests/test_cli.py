@@ -498,3 +498,47 @@ def test_numpy_loads_only_for_tracing_commands(argv, loads_numpy):
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
                           capture_output=True, text=True, timeout=60, env=_subprocess_env())
     assert proc.stdout == f"0 {loads_numpy}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (("locus", "{}"), b'{"name": "\xff"}'),
+        (("locus", "{}"), b"[" * 100_000),
+        (("locus", "{}"), b'{"bars": [{"length": [' + b"7" * 5001 + b", 1]}]}"),
+        (("bom", "watt", "--catalog", "{}"), b"code,name\n1,\xff\n"),
+    ],
+    ids=["non-utf8-linkage", "deep-nesting", "5001-digit-length", "non-utf8-catalog"],
+)
+def test_bad_input_files_exit_two_in_one_line(tmp_path, argv, content):
+    path = tmp_path / "bad"
+    path.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "linkagekit.cli", *(a.format(path) for a in argv)],
+        capture_output=True, text=True, timeout=30, env=_subprocess_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("linkagekit: ")
+    assert "Traceback" not in proc.stderr
+
+
+_SHIPPED_PARTS = (Path(__file__).resolve().parents[1] / "src/linkagekit/data/parts.csv").read_text()
+_BEAM_15 = "32278,Beam 15,red,0.19,"  # one per watt
+
+
+@pytest.mark.parametrize("cell", ["1e400", "1e7000000", "1e999999999"])
+def test_price_with_an_exponent_exits_two(capsys, tmp_path, cell):
+    path = tmp_path / "parts.csv"
+    path.write_text(_SHIPPED_PARTS.replace(_BEAM_15, f"32278,Beam 15,red,{cell},"))
+    code, out, err = run(capsys, "bom", "watt", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"linkagekit: part row '32278': bad price {cell!r}\n"
+
+
+def test_400_digit_price_prints(capsys, tmp_path):
+    big = "9" * 400
+    path = tmp_path / "parts.csv"
+    path.write_text(_SHIPPED_PARTS.replace(_BEAM_15, f"32278,Beam 15,red,{big},"))
+    code, out, _ = run(capsys, "bom", "watt", "--catalog", str(path), "--vendor", "brickowl")
+    assert code == 0
+    assert f"{big}.0000 (brickowl)" in out

@@ -590,7 +590,7 @@ def test_lambda_chebyshev_comparison_report(loci):
     # happen to coincide up to anchor placement
     lam = loci["chebyshev_lambda"].locus
     cheb = loci["chebyshev"].locus
-    shifted = lam.subs({"x": X + 4}).primitive()
+    shifted = lam.subs("x", X + 4).primitive()
     report = {
         "shift": "x -> x + 4",
         "lambda_degree": lam.total_degree(),

@@ -244,7 +244,7 @@ def test_primitive_and_content():
 
 def test_subs_polynomial_replacement():
     p = X * X + Y
-    assert p.subs({"x": Y + Z}) == (Y + Z) * (Y + Z) + Y
+    assert p.subs("x", Y + Z) == (Y + Z) * (Y + Z) + Y
 
 
 def test_restrict_checks_usage():

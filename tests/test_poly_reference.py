@@ -14,7 +14,6 @@ from linkagekit.poly import (  # noqa: E402
     DEGREE_LIMIT,
     GREVLEX,
     BlockElim,
-    GrevLex,
     MultiPoly,
     buchberger,
     divide,
@@ -29,8 +28,6 @@ def ref_grevlex_key(exp):
 
 def ref_key(order, varnames):
     """The tuple key of each order, as the orders computed it before packing."""
-    if isinstance(order, GrevLex):
-        return ref_grevlex_key
     if isinstance(order, Lex):
         return lambda exp: tuple(exp)
     front = [i for i, v in enumerate(varnames) if v in order.front]
@@ -130,14 +127,11 @@ def test_packed_key_is_linear(data):
 @settings(max_examples=200, deadline=None)
 @given(
     polys(),
-    st.dictionaries(
-        st.sampled_from(V3),
-        polys(max_deg=2, max_terms=3) | rationals | st.integers(-3, 3),
-        max_size=3,
-    ),
+    st.sampled_from(V3),
+    polys(max_deg=2, max_terms=3) | rationals | st.integers(-3, 3),
 )
-def test_subs_matches_reference(p, replacements):
-    assert p.subs(replacements) == ref_subs(p, replacements)
+def test_subs_matches_reference(p, var, rep):
+    assert p.subs(var, rep) == ref_subs(p, {var: rep})
 
 
 @settings(max_examples=50, deadline=None)

@@ -26,6 +26,7 @@ from linkagekit.solver import (
     trace,
 )
 from linkagekit.locus import locus_equation, straightness_stats
+from linkagekit.poly import MultiPoly
 
 
 def nearest_theta_pairs(a, b, tol=1e-9, map_b=lambda t: t, min_fraction=0.5):
@@ -199,6 +200,42 @@ def test_boundaries_of_generated_four_bars_sit_on_exact_folds():
     assert (len(linkages), boundaries) == (68, 43)
 
 
+def _four_bars(seeds):
+    """The generated four-bars that assemble, 50 draws per seed."""
+    out = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        out += [fb for fb in (four_bar(rng) for _ in range(50)) if fb is not None]
+    return out
+
+
+def test_generated_four_bar_loci_are_circular():
+    # a four-bar coupler curve is a circular sextic: its top-degree form is
+    # c*(x^2 + y^2)^3; a tracer on the crank or rocker pin draws a circle
+    circle = MultiPoly(("x", "y"), {(2, 0): 1, (0, 2): 1})
+    degrees = []
+    for spec, _, _ in _four_bars(range(3)):
+        p = locus_equation(spec).locus
+        d = p.total_degree()
+        assert d == (2 if spec.tracer.offset in (0, 1) else 6)
+        top = MultiPoly(p.vars, {e: c for e, c in p.terms if sum(e) == d})
+        assert top == p.coefficient((d, 0)) * circle ** (d // 2)
+        degrees.append(d)
+    assert (degrees.count(6), degrees.count(2)) == (59, 9)
+
+
+def test_generated_four_bar_samples_lie_on_their_loci():
+    # the numeric half against the symbolic half: every traced pen point
+    # zeroes the exact locus, relative to the size of its terms
+    worst = 0.0
+    for spec, seed, theta in _four_bars([0]):
+        p = locus_equation(spec).locus
+        for s in trace(spec, theta, theta + 2 * math.pi, seed=seed, seed_theta=theta).samples:
+            terms = [float(c) * s.x**i * s.y**j for (i, j), c in p.terms]
+            worst = max(worst, abs(math.fsum(terms)) / math.fsum(map(abs, terms)))
+    assert worst < 1e-8
+
+
 def test_every_sample_converged(traces):
     for name, tr in traces.items():
         worst = max(s.residual for s in tr.samples)
@@ -271,7 +308,7 @@ def test_mirror_symmetry_axis_anchored():
         lo, hi = e.sweep
         base = catalog_trace(name)
         mirrored_seed = Configuration(
-            {jid: (-x, y) for jid, (x, y) in e.seed_config().positions.items()}
+            {jid: (-x, y) for jid, (x, y) in e.seed_config().items()}
         )
         mirrored = trace(
             e.spec, math.pi - lo, math.pi - hi, SolverSettings(),
@@ -363,7 +400,7 @@ def test_tracer_on_bar_midpoint(traces):
 
 def watt_seed(**joints):
     e = entry("watt")
-    return e.spec, Configuration({**e.seed_config().positions, **joints})
+    return e.spec, Configuration({**e.seed_config(), **joints})
 
 
 def test_overflowing_seed_keeps_its_errors():
@@ -380,7 +417,7 @@ def test_scaled_watt_traces_as_the_unscaled_one(traces, k):
     # (2.9e-11 for 30x, where it is 57600), so the scaled linkage takes the
     # same steps and its pen points are k times the unscaled ones
     e = entry("watt")
-    seed = Configuration({j: (x * k, y * k) for j, (x, y) in e.seed_config().positions.items()})
+    seed = Configuration({j: (x * k, y * k) for j, (x, y) in e.seed_config().items()})
     tr = trace(scaled(e.spec, F(k)), *e.sweep, seed=seed, seed_theta=e.theta_ref)
     base = traces["watt"]
     assert (tr.events, tr.stats.failed_calls) == ([], 0)
@@ -398,7 +435,7 @@ def test_watt_far_from_the_origin_raises_no_seed(offset):
         replace(j, anchor=(j.anchor[0] + offset, j.anchor[1])) if j.is_anchored else j
         for j in e.spec.joints
     ))
-    seed = Configuration({j: (x + offset, y) for j, (x, y) in e.seed_config().positions.items()})
+    seed = Configuration({j: (x + offset, y) for j, (x, y) in e.seed_config().items()})
     with pytest.raises(NoSeed):
         trace(spec, *e.sweep, seed=seed, seed_theta=e.theta_ref)
     with pytest.raises(NoSeed, match=r"^no solvable configuration at theta="):
