@@ -26,10 +26,28 @@ w_i)`` with weights built from 32-bit digits. Grevlex weighs variable i by
 ``2^(32n) - 2^(32i)``, and the block order puts the front block's grevlex
 weights above the back block's. Comparing packed keys orders monomials
 exactly like the textbook comparisons, and equal keys mean equal exponents,
-while every total degree stays below ``DEGREE_LIMIT`` = 2^32. ``MultiPoly`` rejects a term at or above it with ``ValueError``, and so
-does the engine, once per reduction step, before a shift could create one.
-Because the key is linear, shifting a term by x^s just adds ``key(s)`` to
-its key.
+while every total degree stays below ``DEGREE_LIMIT`` = 2^32. ``MultiPoly``
+rejects a term at or above it with ``ValueError``, and so does the engine,
+once per reduction step, before a shift could create one. Because the key
+is linear, shifting a term by x^s just adds ``key(s)`` to its key.
+
+The engine also packs the exponents themselves into one int (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", 2007): ``e_i`` sits in bits ``[33i, 33i + 32)`` and bit
+``33i + 32`` is a guard bit, with G the mask of all guard bits. A shift is
+one addition, ``a`` is divisible by ``b`` exactly when ``((a | G) - b) & G
+== G`` (a field with ``a_i < b_i`` borrows its own guard bit and no other),
+and the total degree is ``a % (2^33 - 1)``, since ``2^33 == 1`` modulo it
+and every total degree is below 2^32.
+The reducer search, the chain criterion and the minimal-basis test use
+these; exponent tuples remain only for the pair lcm and the coprime test,
+and are unpacked when a ``MultiPoly`` is built or an error names a shift.
+The normal form keeps the terms still to reduce in a dict from key to
+coefficient beside a max-heap of keys (Yan's geobuckets, JSC 1998, serve
+the same end). Each step pops the greatest term, cancels it with the first
+basis lead that divides it, and adds the shifted reducer tail, so a step
+touches only the reducer's terms, plus every stored coefficient when the
+step's multiplier is not 1.
 
 ``MultiPoly.subs`` replaces one variable: it accumulates every term's
 product into one term map and computes the replacement's powers once per
@@ -38,13 +56,13 @@ call.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import islice
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -413,47 +431,72 @@ def divide(
         p._check(g)
         if g.is_zero:
             raise ZeroDivisionError("zero divisor in division")
+    n = len(p.vars)
     key = order.key(p.vars)
     content, pt = _to_int_terms(p, key)
     ints = [_to_int_terms(g, key) for g in divisors]
     degs = [g.total_degree() for g in divisors]
-    quots: list[dict[Exponents, int]] = [dict() for _ in divisors]
-    rem, scale = _normal_form_int(pt, [t for _, t in ints], degs, key, quots)
+    quots: list[dict[int, int]] = [dict() for _ in divisors]
+    rem, scale = _normal_form_int(pt, [t for _, t in ints], degs, n, quots)
     # scale * prim(p) == sum(q_i * prim(g_i)) + rem, where p = content * prim(p)
     # and g_i = c_i * prim(g_i)
     factor = content / scale
     return (
         [
-            MultiPoly(p.vars, {e: factor / c * v for e, v in q.items()})
+            MultiPoly(p.vars, {_unpack(e, n): factor / c * v for e, v in q.items()})
             for q, (c, _) in zip(quots, ints)
         ],
-        MultiPoly(p.vars, {e: factor * c for _, e, c in rem}),
+        MultiPoly(p.vars, {_unpack(e, n): factor * c for _, e, c in rem}),
     )
 
 
 # ---------------------------------------------------------------------------
 # fraction-free engine used by divide and buchberger
 
-# internal term list: [(key, exp, int_coeff)] sorted descending by packed key
+# internal term list: [(key, packed exponents, int_coeff)] sorted descending
+# by key
 _Terms = list
+
+_FIELD = 33  # bits per packed exponent: 32 for the exponent, 1 guard bit
+_EXP_MASK = (1 << _DIGIT_BITS) - 1
+_DEGREE_MOD = (1 << _FIELD) - 1  # 2^(33i) == 1 modulo this
+
+
+def _pack(exp: Exponents) -> int:
+    p = 0
+    for e in reversed(exp):
+        p = (p << _FIELD) | e
+    return p
+
+
+def _unpack(p: int, n: int) -> Exponents:
+    return tuple((p >> (_FIELD * i)) & _EXP_MASK for i in range(n))
+
+
+@lru_cache(maxsize=64)
+def _guards(n: int) -> int:
+    """The guard bits of n packed fields."""
+    return _pack((1 << _DIGIT_BITS,) * n)
 
 
 def _to_int_terms(p: MultiPoly, key: Key) -> tuple[Fraction, _Terms]:
     """p as content * (primitive integer terms)."""
     content, prim = p.content_and_primitive()
-    out = [(key(e), e, int(c)) for e, c in prim.terms]
+    out = [(key(e), _pack(e), int(c)) for e, c in prim.terms]
     out.sort(key=lambda t: t[0], reverse=True)
     return content, out
 
 
 def _max_degree(terms: _Terms) -> int:
-    return max(sum(e) for _, e, _ in terms)
+    return max(e % _DEGREE_MOD for _, e, _ in terms)
 
 
-def _check_shift(shift: Exponents, degree: int) -> None:
-    """Guard one shift: x^shift times a polynomial of total degree at most
-    degree must keep every packed key exact."""
-    _check_degree(sum(shift) + degree, f"x^{shift} times a degree-{degree} polynomial")
+def _check_shift(shift: int, degree: int, n: int) -> None:
+    """Guard one packed shift: x^shift times a polynomial of total degree at
+    most degree must keep every exponent field and packed key exact."""
+    total = shift % _DEGREE_MOD + degree
+    if total >= DEGREE_LIMIT:
+        _check_degree(total, f"x^{_unpack(shift, n)} times a degree-{degree} polynomial")
 
 
 def _strip_content(terms: _Terms) -> _Terms:
@@ -469,98 +512,88 @@ def _strip_content(terms: _Terms) -> _Terms:
     return [(k, e, c // g) for k, e, c in terms]
 
 
-def _shift_terms(t: _Terms, shift: Exponents, kshift: int) -> _Terms:
-    """x^shift * t; kshift is key(shift)."""
-    if not any(shift):
-        return t
-    return [(k + kshift, tuple(map(add, e, shift)), c) for k, e, c in t]
-
-
-def _scale_merge(
-    a: int, p: _Terms, start: int, b: int, g: _Terms, shift: Exponents, kshift: int
-) -> _Terms:
-    """a*p[start:] + b*(x^shift * g[1:]), where g's lead is the term that
-    cancelled. Both inputs are sorted descending, and so is the result;
-    kshift is key(shift)."""
-    out: _Terms = []
-    # multiplying by a monomial preserves term order, so q stays sorted
-    q = _shift_terms(g, shift, kshift)
-    i, j = start, 1
-    np_, nq = len(p), len(q)
-    while i < np_ and j < nq:
-        kp, ep, cp = p[i]
-        kq, eq, cq = q[j]
-        if kp > kq:
-            out.append((kp, ep, a * cp))
-            i += 1
-        elif kq > kp:
-            out.append((kq, eq, b * cq))
-            j += 1
-        else:
-            c = a * cp + b * cq
-            if c:
-                out.append((kp, ep, c))
-            i += 1
-            j += 1
-    out.extend((k, e, a * c) for k, e, c in islice(p, i, None))
-    out.extend((k, e, b * c) for k, e, c in islice(q, j, None))
-    return out
-
-
 def _normal_form_int(
     p: _Terms,
     basis: Sequence[_Terms],
     degs: Sequence[int],
-    key: Key,
-    quots: Optional[list[dict[Exponents, int]]] = None,
+    n: int,
+    quots: Optional[list[dict[int, int]]] = None,
 ) -> tuple[_Terms, int]:
     """Full normal form of p against basis, fraction-free.
 
     Returns (terms, s): terms is the exact integer normal form of s*p, s a
     positive integer. Basis elements are tried in list order; degs[i] is the
-    maximal total degree of basis[i]. When quots holds one dict per basis
-    element, the integer quotients are added to them, so that
+    maximal total degree of basis[i]; n is the number of variables. When
+    quots holds one dict per basis element, the integer quotients are added
+    to them, keyed by packed exponents, so that
     s*p == sum(quots[i] * basis[i]) + terms.
+
+    The terms still to reduce sit in a dict from key to coefficient, with a
+    heap of negated keys and a dict from key to packed exponents beside it.
+    Each step pops the greatest key and cancels it with the first basis lead
+    that divides it, touching only the reducer's tail and, when the
+    multiplier a is not 1, the stored coefficients.
     """
+    guards = _guards(n)
+    leads = [g[0][1] for g in basis]
+    coeffs = {k: c for k, _, c in p}
+    exps = {k: e for k, e, _ in p}
+    heap = [-k for k, _, _ in p]  # p is descending, so this is a heap
     rem: _Terms = []
-    work = p
-    w = 0  # work[w:] is still to be reduced
     scale = 1
-    while w < len(work):
-        kw, ew, cw = work[w]
-        for i, g in enumerate(basis):
-            for x, y in zip(ew, g[0][1]):
-                if x < y:
-                    break
-            else:
-                reducer = g
+    while heap:
+        kw = -heappop(heap)
+        cw = coeffs.pop(kw)
+        if not cw:
+            continue
+        ew = exps[kw]
+        top = ew | guards
+        for i, eg in enumerate(leads):
+            if (top - eg) & guards == guards:
                 break
         else:
-            rem.append(work[w])
-            w += 1
+            rem.append((kw, ew, cw))
             continue
-        _, eg, cg = reducer[0]
+        kg, _, cg = basis[i][0]
         m = gcd(cw, cg)
         a = cg // m
         b = -(cw // m)
         if a < 0:
             a, b = -a, -b
-        shift = tuple(map(sub, ew, eg))
-        _check_shift(shift, degs[i])
-        work = _scale_merge(a, work, w + 1, b, reducer, shift, key(shift))
-        w = 0
+        shift = ew - eg
+        _check_shift(shift, degs[i], n)
+        # a * (old work) == -b * x^shift * reducer + (new work)
         if a != 1:
             scale *= a
+            for k in coeffs:
+                coeffs[k] *= a
             if rem:
                 rem = [(k, e, c * a) for k, e, c in rem]
-        if quots is not None:
-            # a * (old work) == -b * x^shift * reducer + (new work)
-            if a != 1:
+            if quots is not None:
                 for q in quots:
                     for e in q:
                         q[e] *= a
+        if quots is not None:
             quots[i][shift] = -b
+        _add_tail(coeffs, exps, heap, b, basis[i], kw - kg, shift)
     return rem, scale
+
+
+def _add_tail(
+    coeffs: dict[int, int], exps: dict[int, int], heap: list[int],
+    b: int, g: _Terms, kshift: int, shift: int,
+) -> None:
+    """Add b * x^shift * g[1:] to the terms in coeffs and exps, pushing each
+    new key, negated, on heap; kshift is the key of x^shift."""
+    for kt, et, ct in islice(g, 1, None):
+        k = kt + kshift
+        c = coeffs.get(k)
+        if c is None:
+            coeffs[k] = b * ct
+            exps[k] = et + shift
+            heappush(heap, -k)
+        else:
+            coeffs[k] = c + b * ct
 
 
 def _lcm_exp(a: Exponents, b: Exponents) -> Exponents:
@@ -587,6 +620,19 @@ def buchberger(
     return _buchberger(gens, order, _PairCounter(pair_budget), "computing a Groebner basis")
 
 
+def _spoly_int(gi: _Terms, gj: _Terms, klcm: int, plcm: int) -> _Terms:
+    """The fraction-free S-polynomial of gi and gj, whose leads have the lcm
+    with key klcm and packed exponents plcm, built with the reduction step."""
+    (ki, pi, ci), (kj, pj, cj) = gi[0], gj[0]
+    m = gcd(ci, cj)
+    coeffs: dict[int, int] = {}
+    exps: dict[int, int] = {}
+    heap: list[int] = []
+    _add_tail(coeffs, exps, heap, cj // m, gi, klcm - ki, plcm - pi)
+    _add_tail(coeffs, exps, heap, -(ci // m), gj, klcm - kj, plcm - pj)
+    return [(k, exps[k], coeffs[k]) for k in sorted(coeffs, reverse=True) if coeffs[k]]
+
+
 def _buchberger(
     gens: Sequence[MultiPoly],
     order: BlockElim,
@@ -600,22 +646,23 @@ def _buchberger(
     varnames = gens[0].vars
     for g in gens:
         g._check(gens[0])
+    n = len(varnames)
     key = order.key(varnames)
+    guards = _guards(n)
 
     basis = [_to_int_terms(g, key)[1] for g in gens]
     degs = [g.total_degree() for g in gens]
-
-    def lead(i: int) -> Exponents:
-        return basis[i][0][1]
+    # lead exponent tuples, for the pair lcm and the coprime test
+    leads = [_unpack(g[0][1], n) for g in basis]
 
     heap: list[tuple] = []
     pending: set[tuple[int, int]] = set()
 
     def push_pairs(j: int) -> None:
-        lj = lead(j)
+        lj = leads[j]
         for i in range(j):
-            l = _lcm_exp(lead(i), lj)
-            heapq.heappush(heap, (sum(l), key(l), i, j))
+            l = _lcm_exp(leads[i], lj)
+            heappush(heap, (sum(l), key(l), i, j))
             pending.add((i, j))
 
     for j in range(len(basis)):
@@ -623,19 +670,19 @@ def _buchberger(
 
     while heap:
         counter.spend()
-        _, _, i, j = heapq.heappop(heap)
+        _, klcm, i, j = heappop(heap)
         pending.discard((i, j))
-        li, lj = lead(i), lead(j)
+        li, lj = leads[i], leads[j]
         if _coprime(li, lj):
             continue
-        lcm = _lcm_exp(li, lj)
+        plcm = _pack(_lcm_exp(li, lj))
         # chain criterion: some k with lead dividing the lcm and both pairs done
+        top = plcm | guards
         skip = False
-        for k in range(len(basis)):
+        for k, g in enumerate(basis):
             if k in (i, j):
                 continue
-            lk = lead(k)
-            if all(a >= b for a, b in zip(lcm, lk)):
+            if (top - g[0][1]) & guards == guards:
                 a1, b1 = min(i, k), max(i, k)
                 a2, b2 = min(j, k), max(j, k)
                 if (a1, b1) not in pending and (a2, b2) not in pending:
@@ -643,42 +690,34 @@ def _buchberger(
                     break
         if skip:
             continue
-        # fraction-free S-polynomial
-        ci = basis[i][0][2]
-        cj = basis[j][0][2]
-        m = gcd(ci, cj)
-        si = tuple(map(sub, lcm, li))
-        sj = tuple(map(sub, lcm, lj))
-        _check_shift(si, degs[i])
-        _check_shift(sj, degs[j])
-        s = _scale_merge(
-            cj // m, _shift_terms(basis[i], si, key(si)), 1, -(ci // m), basis[j], sj, key(sj)
-        )
-        # the two lead terms cancel by construction; drop the residual lead if present
-        s = [t for t in s if t[2]]
-        s = _strip_content(_normal_form_int(_strip_content(s), basis, degs, key)[0])
+        _check_shift(plcm - basis[i][0][1], degs[i], n)
+        _check_shift(plcm - basis[j][0][1], degs[j], n)
+        s = _spoly_int(basis[i], basis[j], klcm, plcm)
+        s = _strip_content(_normal_form_int(_strip_content(s), basis, degs, n)[0])
         if s:
             basis.append(s)
             degs.append(_max_degree(s))
+            leads.append(_unpack(s[0][1], n))
             push_pairs(len(basis) - 1)
 
-    return _reduce_basis(varnames, basis, order)
+    return _reduce_basis(varnames, basis)
 
 
-def _reduce_basis(varnames, basis: list[_Terms], order: BlockElim) -> list[MultiPoly]:
+def _reduce_basis(varnames, basis: list[_Terms]) -> list[MultiPoly]:
     """Minimalize and tail-reduce an integer basis; return it sorted by lead,
-    each element primitive with a positive lead under order."""
-    key = order.key(varnames)
+    each element primitive with a positive lead under the basis's order."""
+    n = len(varnames)
+    guards = _guards(n)
     # minimal: drop any element whose lead is divisible by another's
     keep: list[_Terms] = []
     leads = [g[0][1] for g in basis]
     for i, g in enumerate(basis):
-        li = leads[i]
+        top = leads[i] | guards
         redundant = False
         for j, lj in enumerate(leads):
             if i == j:
                 continue
-            if all(a >= b for a, b in zip(li, lj)) and (li != lj or j < i):
+            if (top - lj) & guards == guards and (leads[i] != lj or j < i):
                 redundant = True
                 break
         if not redundant:
@@ -688,12 +727,12 @@ def _reduce_basis(varnames, basis: list[_Terms], order: BlockElim) -> list[Multi
     reduced: list[_Terms] = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
-        nf = _strip_content(_normal_form_int(g, others, degs[:i] + degs[i + 1 :], key)[0])
+        nf = _strip_content(_normal_form_int(g, others, degs[:i] + degs[i + 1 :], n)[0])
         if nf:
             # _strip_content leaves the sign of a content-1 element as it is
             reduced.append(nf if nf[0][2] > 0 else [(k, e, -c) for k, e, c in nf])
     reduced.sort(key=lambda t: t[0][0])
-    return [MultiPoly(varnames, {e: Fraction(c) for _, e, c in t}) for t in reduced]
+    return [MultiPoly(varnames, {_unpack(e, n): Fraction(c) for _, e, c in t}) for t in reduced]
 
 
 # ---------------------------------------------------------------------------

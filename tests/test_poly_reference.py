@@ -1,13 +1,17 @@
-"""Packed monomial keys, the degree guard and cached substitution, checked
-against the tuple keys and the per-term substitution loop they replaced,
-which are kept here as reference implementations."""
+"""Packed monomial keys, the degree guard, cached substitution and the
+heap-driven division engine, checked against the tuple keys, the per-term
+substitution loop and the list-merge normal form they replaced, which are
+kept here as reference implementations."""
 
 from fractions import Fraction as F
+from itertools import islice
+from math import gcd
+from operator import add, sub
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, reject, settings, strategies as st  # noqa: E402
 
 from conftest import LEX, Lex  # noqa: E402
 from linkagekit.poly import (  # noqa: E402
@@ -18,6 +22,8 @@ from linkagekit.poly import (  # noqa: E402
     buchberger,
     divide,
 )
+
+DEGREE_BITS = 32  # DEGREE_LIMIT == 2**DEGREE_BITS
 
 # -- references --------------------------------------------------------------
 
@@ -59,6 +65,106 @@ def ref_subs(p, replacements):
     return out
 
 
+class TooLong(Exception):
+    """The reference division ran past its step allowance."""
+
+
+def ref_shift_terms(t, shift, kshift):
+    if not any(shift):
+        return t
+    return [(k + kshift, tuple(map(add, e, shift)), c) for k, e, c in t]
+
+
+def ref_scale_merge(a, p, start, b, g, shift, kshift):
+    """a*p[start:] + b*(x^shift * g[1:]), both sorted descending by key."""
+    out = []
+    q = ref_shift_terms(g, shift, kshift)
+    i, j = start, 1
+    while i < len(p) and j < len(q):
+        kp, ep, cp = p[i]
+        kq, eq, cq = q[j]
+        if kp > kq:
+            out.append((kp, ep, a * cp))
+            i += 1
+        elif kq > kp:
+            out.append((kq, eq, b * cq))
+            j += 1
+        else:
+            c = a * cp + b * cq
+            if c:
+                out.append((kp, ep, c))
+            i += 1
+            j += 1
+    out.extend((k, e, a * c) for k, e, c in islice(p, i, None))
+    out.extend((k, e, b * c) for k, e, c in islice(q, j, None))
+    return out
+
+
+def ref_normal_form(p, basis, degs, key, quots, max_steps):
+    """Fraction-free normal form on (key, exponent tuple, int) term lists,
+    rebuilding the whole work list at every reduction step."""
+    rem, work, w, scale, steps = [], p, 0, 1, 0
+    while w < len(work):
+        kw, ew, cw = work[w]
+        for i, g in enumerate(basis):
+            if all(x >= y for x, y in zip(ew, g[0][1])):
+                break
+        else:
+            rem.append(work[w])
+            w += 1
+            continue
+        steps += 1
+        if steps > max_steps:
+            raise TooLong
+        reducer = basis[i]
+        _, eg, cg = reducer[0]
+        m = gcd(cw, cg)
+        a, b = cg // m, -(cw // m)
+        if a < 0:
+            a, b = -a, -b
+        shift = tuple(map(sub, ew, eg))
+        total = sum(shift) + degs[i]
+        if total >= DEGREE_LIMIT:
+            raise ValueError(
+                f"total degree {total} of x^{shift} times a degree-{degs[i]} polynomial "
+                f"reaches the limit 2^{DEGREE_BITS} of the packed monomial keys"
+            )
+        work = ref_scale_merge(a, work, w + 1, b, reducer, shift, key(shift))
+        w = 0
+        if a != 1:
+            scale *= a
+            rem = [(k, e, c * a) for k, e, c in rem]
+            for q in quots:
+                for e in q:
+                    q[e] *= a
+        quots[i][shift] = -b
+    return rem, scale
+
+
+def ref_divide(p, divisors, order, max_steps=2000):
+    """divide as it ran on the list-merge engine; raises TooLong after
+    max_steps reduction steps."""
+    key = order.key(p.vars)
+
+    def int_terms(q):
+        content, prim = q.content_and_primitive()
+        terms = sorted(((key(e), e, int(c)) for e, c in prim.terms), reverse=True)
+        return content, terms
+
+    content, pt = int_terms(p)
+    ints = [int_terms(g) for g in divisors]
+    quots = [{} for _ in divisors]
+    rem, scale = ref_normal_form(
+        pt, [t for _, t in ints], [g.total_degree() for g in divisors], key, quots, max_steps
+    )
+    factor = content / scale
+    return (
+        [MultiPoly(p.vars, {e: factor / c * v for e, v in q.items()})
+         for q, (c, _) in zip(quots, ints)],
+        MultiPoly(p.vars, {e: factor * c for _, e, c in rem}),
+    )
+
+
 # -- strategies --------------------------------------------------------------
 
 
@@ -91,6 +197,7 @@ def exponents(n, limit=DEGREE_LIMIT):
 
 
 rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 6))
+nonzero = st.builds(F, st.integers(1, 20) | st.integers(-20, -1), st.integers(1, 6))
 V3 = ("x", "y", "z")
 
 
@@ -99,6 +206,37 @@ def polys(max_deg=3, max_terms=5):
     return st.dictionaries(mono, rationals, max_size=max_terms).map(
         lambda t: MultiPoly(V3, t)
     )
+
+
+@st.composite
+def divisions(draw):
+    """(p, divisors, order) over 1 to 12 variables. Some terms of p are
+    divisor terms times a small monomial, so that reduction steps happen
+    also where single exponents come close to 2^32."""
+    varnames, order = draw(ring_and_order())
+    n = len(varnames)
+
+    def poly(max_terms):
+        terms = draw(st.dictionaries(exponents(n), nonzero, min_size=1, max_size=max_terms))
+        return MultiPoly(varnames, terms)
+
+    divisors = [poly(4) for _ in range(draw(st.integers(1, 3)))]
+    terms = dict(poly(5).terms)
+    small = st.tuples(*[st.integers(0, 2)] * n)
+    for g in divisors:
+        for e, _ in draw(st.lists(st.sampled_from(g.terms), max_size=2)):
+            e = tuple(map(add, e, draw(small)))
+            if sum(e) < DEGREE_LIMIT:
+                terms[e] = draw(nonzero)
+    return MultiPoly(varnames, terms), divisors, order
+
+
+def outcome(div, p, divisors, order):
+    """(quotients, remainder) of one division, or the message it raised."""
+    try:
+        return div(p, divisors, order)
+    except ValueError as exc:
+        return str(exc)
 
 
 # -- properties --------------------------------------------------------------
@@ -172,3 +310,59 @@ def test_degree_guard_in_products_and_engine():
     for gens in ([g3, xz], [xz, g3]):
         with pytest.raises(ValueError, match=r"x\^\(0, 0, 1\) times a degree-4294967295"):
             buchberger(gens, LEX)
+
+
+@settings(max_examples=150, deadline=None)
+@given(divisions())
+def test_divide_matches_list_merge_reference(case):
+    p, divisors, order = case
+    try:
+        expected = outcome(ref_divide, p, divisors, order)
+    except TooLong:
+        reject()  # a long reduction chain, say x^(2^31) by x - 1
+    assert outcome(divide, p, divisors, order) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_monomial_divides_exactly_when_every_exponent_does(data):
+    varnames, order = data.draw(ring_and_order())
+    a, b = data.draw(exponents(len(varnames))), data.draw(exponents(len(varnames)))
+    quotient, rem = divide(MultiPoly(varnames, {a: 3}), [MultiPoly(varnames, {b: 2})], order)
+    if all(x >= y for x, y in zip(a, b)):
+        assert rem.is_zero
+        assert quotient == [MultiPoly(varnames, {tuple(map(sub, a, b)): F(3, 2)})]
+    else:
+        assert rem == MultiPoly(varnames, {a: 3})
+        assert quotient[0].is_zero
+
+
+@pytest.mark.parametrize("n", [2, 3, 12])
+@pytest.mark.parametrize("k", [1, 2, 2**31, DEGREE_LIMIT - 1])
+def test_no_borrow_across_exponent_fields(n, k):
+    """A lead in one variable never divides a power of another, however
+    large: a borrow from a neighbouring field would fake that divisibility."""
+    names = tuple(f"v{i}" for i in range(n))
+    for order in (GREVLEX, LEX, BlockElim(names[:1]), BlockElim(names[1:])):
+        for i in range(n):
+            power = MultiPoly(names, {tuple(k if m == i else 0 for m in range(n)): 1})
+            for j in range(n):
+                if j == i:
+                    continue
+                lead = MultiPoly.variable(names, names[j])
+                quotient, rem = divide(power, [lead, lead + 1], order)
+                assert rem == power and all(q.is_zero for q in quotient)
+
+
+@pytest.mark.parametrize("exp", [
+    (DEGREE_LIMIT - 1,), (0, DEGREE_LIMIT - 1), (DEGREE_LIMIT - 1, 0, 0),
+    (2**31, 2**31 - 1), (1, 1, DEGREE_LIMIT - 3), (3,) * 12,
+])
+def test_equal_monomials_divide(exp):
+    names = tuple(f"v{i}" for i in range(len(exp)))
+    m = MultiPoly(names, {exp: 5})
+    for order in (GREVLEX, LEX, BlockElim(names[-1:])):
+        quotient, rem = divide(m, [m], order)
+        assert rem.is_zero and quotient == [MultiPoly.const(names, 1)]
+        # and inside a Groebner basis: the duplicate generator goes
+        assert buchberger([m, m * 2], order) == [MultiPoly(names, {exp: 1})]
