@@ -23,8 +23,6 @@ from linkagekit.poly import (  # noqa: E402
     divide,
 )
 
-DEGREE_BITS = 32  # DEGREE_LIMIT == 2**DEGREE_BITS
-
 # -- references --------------------------------------------------------------
 
 
@@ -127,7 +125,7 @@ def ref_normal_form(p, basis, degs, key, quots, max_steps):
         if total >= DEGREE_LIMIT:
             raise ValueError(
                 f"total degree {total} of x^{shift} times a degree-{degs[i]} polynomial "
-                f"reaches the limit 2^{DEGREE_BITS} of the packed monomial keys"
+                f"reaches the limit 2^{DEGREE_LIMIT.bit_length() - 1} of the packed monomial keys"
             )
         work = ref_scale_merge(a, work, w + 1, b, reducer, shift, key(shift))
         w = 0
