@@ -203,8 +203,8 @@ def _rational_roots(f: MultiPoly) -> list[Fraction]:
     seq = [g, _derivative(g)]
     while seq[-1].total_degree() > 0:
         # -rem scaled by a positive constant keeps the Sturm signs
-        content, prim = (-divide(seq[-2], [seq[-1]])[1]).content_and_primitive()
-        seq.append(prim if content > 0 else -prim)
+        rem = -divide(seq[-2], [seq[-1]])[1]
+        seq.append(rem.primitive() if rem.content > 0 else -rem.primitive())
     rows = [[int(p.coefficient((i,))) for i in range(p.total_degree(), -1, -1)] for p in seq]
 
     def value(row: list[int], s: int) -> int:

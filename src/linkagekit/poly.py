@@ -1,24 +1,27 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Polynomials are sparse term maps from exponent vectors to ``fractions.Fraction``
-coefficients, kept in a canonical form: no zero coefficients, terms sorted
-strictly descending under graded reverse lexicographic order. The one
-monomial order is a two-block elimination order, BlockElim; grevlex is the
-block order with an empty front (GREVLEX). Alongside it come multivariate
-division with quotient tracking, Buchberger's algorithm with
-the coprime-lead and chain criteria, and elimination ideals via the block
-order. Everything here is exact; no floating point enters any coefficient.
+A polynomial is its content, a rational (0 for the zero polynomial), times
+its primitive part: integer terms with coprime coefficients and a positive
+lead, sorted strictly descending under graded reverse lexicographic order.
+The form is canonical, and the ring operations work on the integers: a sum
+over a common denominator, a product as the product of the contents times
+that of the primitive parts, which is primitive by Gauss's lemma. ``terms``,
+``as_dict()`` and ``coefficient()`` give exponent tuples and ``Fraction``
+coefficients. The one monomial order is a two-block elimination order,
+BlockElim; grevlex is the block order with an empty front (GREVLEX).
+Alongside it come multivariate division with quotient tracking,
+Buchberger's algorithm with the coprime-lead and chain criteria, and
+elimination ideals via the block order. No floating point enters any
+coefficient.
 
 One division engine serves division, reduction and the Buchberger loop: the
 standard algorithm (Cox, Little and O'Shea, *Ideals, Varieties, and
-Algorithms*, ch. 2 section 3) run fraction-free on integer-coefficient
-primitive polynomials (denominators cleared, content stripped after every
-Buchberger reduction) to keep bignum growth under control. ``divide`` rescales
-its integer quotients and remainder back to rationals. Each element of a
-reduced basis is primitive with a positive lead, which makes the basis
-unique. Buchberger and eliminate count critical pairs against a budget,
-DEFAULT_PAIR_BUDGET (200 000) unless told otherwise; the budget bounds
-pairs, not time.
+Algorithms*, ch. 2 section 3) run fraction-free on the primitive integer
+terms, content stripped after every Buchberger reduction, to keep bignum
+growth under control. Each element of a reduced basis is primitive with a
+positive lead, which makes the basis unique. Buchberger and eliminate count
+critical pairs against a budget, DEFAULT_PAIR_BUDGET (200 000) unless told
+otherwise; the budget bounds pairs, not time.
 
 Every monomial order here is a weight order (Cox, Little and O'Shea, ch. 2
 section 2), so each packs exactly into one Python int: ``key(e) = sum(e_i *
@@ -27,42 +30,38 @@ w_i)`` with weights built from 32-bit digits. Grevlex weighs variable i by
 weights above the back block's. Comparing packed keys orders monomials
 exactly like the textbook comparisons, and equal keys mean equal exponents,
 while every total degree stays below ``DEGREE_LIMIT`` = 2^32. ``MultiPoly``
-rejects a term at or above it with ``ValueError``, and so does the engine,
-once per reduction step, before a shift could create one. Because the key
-is linear, shifting a term by x^s just adds ``key(s)`` to its key.
+rejects a term at or above it with ``ValueError``, a product checks its
+exact degree once, and the engine checks once per reduction step, before a
+shift could create one. The key is linear: shifting by x^s adds ``key(s)``.
 
-The engine also packs the exponents themselves into one int (Monagan and
-Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", 2007): ``e_i`` sits in bits ``[33i, 33i + 32)`` and bit
-``33i + 32`` is a guard bit, with G the mask of all guard bits. A shift is
-one addition, ``a`` is divisible by ``b`` exactly when ``((a | G) - b) & G
-== G`` (a field with ``a_i < b_i`` borrows its own guard bit and no other),
-and the total degree is ``a % (2^33 - 1)``, since ``2^33 == 1`` modulo it
-and every total degree is below 2^32.
-The reducer search, the chain criterion and the minimal-basis test use
-these; exponent tuples remain only for the pair lcm and the coprime test,
-and are unpacked when a ``MultiPoly`` is built or an error names a shift.
+The exponents are packed into one int too (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", 2007):
+``e_i`` sits in bits ``[33i, 33i + 32)`` and bit ``33i + 32`` is a guard
+bit, with G the mask of all guard bits. A shift is one addition, ``a`` is
+divisible by ``b`` exactly when ``((a | G) - b) & G == G`` (a field with
+``a_i < b_i`` borrows its own guard bit and no other), and the total degree
+is ``a % (2^33 - 1)``, since ``2^33 == 1`` modulo it and every total degree
+is below 2^32. A term is ``(key, packed exponents, int coefficient)``; a
+``MultiPoly``'s terms are keyed under grevlex, so the engine reads them as
+they are under grevlex and re-keys them under any other order. Exponent
+tuples remain for the pair lcm, the coprime test and error messages.
 The normal form keeps the terms still to reduce in a dict from key to
 coefficient beside a max-heap of keys (Yan's geobuckets, JSC 1998, serve
 the same end). Each step pops the greatest term, cancels it with the first
 basis lead that divides it, and adds the shifted reducer tail, so a step
 touches only the reducer's terms, plus every stored coefficient when the
 step's multiplier is not 1.
-
-``MultiPoly.subs`` replaces one variable: it accumulates every term's
-product into one term map and computes the replacement's powers once per
-call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heappop, heappush
-from itertools import islice
-from math import gcd
-from operator import add, mul
+from itertools import chain, islice
+from math import gcd, lcm
+from operator import mul, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -113,12 +112,20 @@ class _PairCounter:
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# monomial orders and packed terms
 
 _DIGIT_BITS = 32
 DEGREE_LIMIT = 1 << _DIGIT_BITS  # total degrees must stay below this
 
 Key = Callable[[Exponents], int]
+
+# a term: (key, packed exponents, int coefficient); a term list is sorted
+# descending by key
+_Terms = Sequence
+
+_FIELD = 33  # bits per packed exponent: 32 for the exponent, 1 guard bit
+_EXP_MASK = (1 << _DIGIT_BITS) - 1
+_DEGREE_MOD = (1 << _FIELD) - 1  # 2^(33i) == 1 modulo this
 
 
 @lru_cache(maxsize=64)
@@ -140,6 +147,50 @@ def _check_degree(degree: int, what: object) -> None:
             f"total degree {degree} of {what} reaches the limit 2^{_DIGIT_BITS} "
             "of the packed monomial keys"
         )
+
+
+def _pack(exp: Exponents) -> int:
+    p = 0
+    for e in reversed(exp):
+        p = (p << _FIELD) | e
+    return p
+
+
+def _unpack(p: int, n: int) -> Exponents:
+    return tuple((p >> (_FIELD * i)) & _EXP_MASK for i in range(n))
+
+
+def _rekey(terms: Iterable[tuple[int, ...]], key: Key, n: int) -> list:
+    """Terms, or (packed exponents, coefficient) pairs, keyed by key and
+    sorted descending."""
+    return sorted(((key(_unpack(e, n)), e, c) for *_, e, c in terms), reverse=True)
+
+
+def _sum_terms(terms: Iterable[tuple[int, int, int]]) -> list:
+    """Terms added up by key, zeros dropped, sorted descending."""
+    coeffs: dict[int, int] = {}
+    exps: dict[int, int] = {}
+    for k, e, c in terms:
+        if k in coeffs:
+            coeffs[k] += c
+        else:
+            coeffs[k] = c
+            exps[k] = e
+    return [(k, exps[k], coeffs[k]) for k in sorted(coeffs, reverse=True) if coeffs[k]]
+
+
+def _strip_content(terms: _Terms) -> _Terms:
+    """terms divided by their content: coprime, with a positive lead."""
+    if not terms:
+        return terms
+    g = 0
+    for _, _, c in terms:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if terms[0][2] < 0:
+        g = -g
+    return terms if g == 1 else [(k, e, c // g) for k, e, c in terms]
 
 
 @dataclass(frozen=True)
@@ -189,9 +240,10 @@ def _monomial_text(varnames: Sequence[str], exp: Exponents) -> str:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial over an ordered variable list."""
+    """Immutable sparse polynomial over an ordered variable list: content
+    times the primitive integer terms, keyed under grevlex."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "content", "_ints")
 
     def __init__(self, varnames: Sequence[str], terms: Mapping[Exponents, Scalar]):
         n = len(varnames)
@@ -206,19 +258,23 @@ class MultiPoly:
             c = Fraction(coeff)
             if c:
                 clean[exp] = clean.get(exp, Fraction(0)) + c
-        key = _packed_key(_grevlex_weights(n))
+        den = lcm(*(c.denominator for c in clean.values()))
+        ints = ((_pack(e), int(c * den)) for e, c in clean.items() if c)
+        self._fill(varnames, Fraction(1, den), _rekey(ints, GREVLEX.key(varnames), n))
+
+    def _fill(self, varnames: Sequence[str], scale: Fraction, terms: _Terms) -> None:
+        """Set self to scale * terms: grevlex terms, descending, without zeros."""
+        prim = _strip_content(terms)
+        content = scale * (terms[0][2] // prim[0][2]) if terms else Fraction(0)
         object.__setattr__(self, "vars", tuple(varnames))
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(
-                sorted(
-                    ((e, c) for e, c in clean.items() if c),
-                    key=lambda t: key(t[0]),
-                    reverse=True,
-                )
-            ),
-        )
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "_ints", tuple(prim))
+
+    @classmethod
+    def _from_terms(cls, varnames: Sequence[str], scale: Fraction, terms: _Terms) -> "MultiPoly":
+        p = object.__new__(cls)
+        p._fill(varnames, scale, terms)
+        return p
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("MultiPoly is immutable")
@@ -227,29 +283,35 @@ class MultiPoly:
 
     @classmethod
     def const(cls, varnames: Sequence[str], value: Scalar) -> "MultiPoly":
-        return cls(varnames, {tuple(0 for _ in varnames): Fraction(value)})
+        c = Fraction(value)  # the constant monomial has key 0 and packs to 0
+        return cls._from_terms(varnames, c, [(0, 0, 1)] if c else [])
 
     @classmethod
     def variable(cls, varnames: Sequence[str], name: str) -> "MultiPoly":
-        idx = list(varnames).index(name)
-        exp = tuple(1 if i == idx else 0 for i in range(len(varnames)))
-        return cls(varnames, {exp: Fraction(1)})
+        i = list(varnames).index(name)
+        term = (_grevlex_weights(len(varnames))[i], 1 << (_FIELD * i), 1)
+        return cls._from_terms(varnames, Fraction(1), [term])
 
     # -- basic queries
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
+
+    @property
+    def terms(self) -> tuple[tuple[Exponents, Fraction], ...]:
+        """(exponents, coefficient) pairs, grevlex-descending."""
+        n = len(self.vars)
+        return tuple((_unpack(e, n), self.content * c) for _, e, c in self._ints)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e, _ in self.terms)
+        # grevlex sorts by total degree first
+        return self._ints[0][1] % _DEGREE_MOD if self._ints else -1
 
     def coefficient(self, exp: Exponents) -> Fraction:
-        for e, c in self.terms:
-            if e == exp:
-                return c
+        for _, e, c in self._ints:
+            if _unpack(e, len(self.vars)) == exp:
+                return self.content * c
         return Fraction(0)
 
     def as_dict(self) -> dict[Exponents, Fraction]:
@@ -264,31 +326,41 @@ class MultiPoly:
     def __add__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.vars, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return MultiPoly(self.vars, acc)
+        a, b = self.content, other.content
+        den = lcm(a.denominator, b.denominator)
+        sa, sb = int(a * den), int(b * den)
+        return MultiPoly._from_terms(self.vars, Fraction(1, den), _sum_terms(chain(
+            ((k, e, sa * c) for k, e, c in self._ints),
+            ((k, e, sb * c) for k, e, c in other._ints),
+        )))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms})
+        return MultiPoly._from_terms(self.vars, -self.content, self._ints)
 
     def __sub__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.vars, other)
-        return self + (-other)
+        return self + (-other) if isinstance(other, (MultiPoly, int, Fraction)) else NotImplemented
 
     def __rsub__(self, other) -> "MultiPoly":
-        return (-self) + other
+        return (-self) + other if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return MultiPoly(self.vars, {e: k * c for e, k in self.terms})
+            c = self.content * other
+            return MultiPoly._from_terms(self.vars, c, self._ints if c else ())
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
-        return MultiPoly(self.vars, _mul_terms(self.terms, other.terms))
+        if self._ints:
+            _check_power(self._ints[0][1], other, 1)
+        terms = (
+            (k1 + k2, e1 + e2, c1 * c2) for k1, e1, c1 in self._ints for k2, e2, c2 in other._ints
+        )
+        return MultiPoly._from_terms(self.vars, self.content * other.content, _sum_terms(terms))
 
     __rmul__ = __mul__
 
@@ -303,10 +375,10 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars, self.content, self._ints) == (other.vars, other.content, other._ints)
 
     def __hash__(self) -> int:
-        return hash((self.vars, self.terms))
+        return hash((self.vars, self.content, self._ints))
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.text()!r})"
@@ -316,77 +388,59 @@ class MultiPoly:
     def subs(self, var: str, rep: Union["MultiPoly", Scalar]) -> "MultiPoly":
         """Substitute a polynomial or a constant for one variable, exactly.
 
-        Every term's product accumulates into one term map; the powers of rep
-        are computed once per call and cached.
+        With rep = (a/b) * P, P primitive, and d the top power of var, every
+        term c * m * var^k becomes c * a^k * b^(d-k) * m * P^k, and the sum
+        is scaled by content / b^d. The powers of P are computed once per
+        call.
         """
         i = self.vars.index(var)
-        zero = (0,) * len(self.vars)
         if isinstance(rep, MultiPoly):
             self._check(rep)
-            base = list(rep.terms)
         else:
-            c = Fraction(rep)
-            base = [(zero, c)] if c else []
-        # powers[k] holds rep to the k-th power, as (exp, coeff) pairs
-        powers: list[Sequence[tuple[Exponents, Fraction]]] = [[(zero, Fraction(1))], base]
-        acc: dict[Exponents, Fraction] = {}
-        for exp, coeff in self.terms:
-            e = exp[i]
-            term = [(exp[:i] + (0,) + exp[i + 1 :], coeff)]
-            if e:
-                while len(powers) <= e:
-                    powers.append(_mul_terms(powers[-1], base).items())
-                term = _mul_terms(term, powers[e]).items()
-            for m, c in term:
-                acc[m] = acc.get(m, 0) + c
-        return MultiPoly(self.vars, acc)
+            rep = MultiPoly.const(self.vars, rep)
+        if not self._ints:
+            return self
+        a, b = rep.content.numerator, rep.content.denominator
+        shift, weight = _FIELD * i, _grevlex_weights(len(self.vars))[i]
+        powers = [MultiPoly.const(self.vars, 1), rep.primitive()]  # powers[k] is P^k
+        top = max((e >> shift) & _EXP_MASK for _, e, _ in self._ints)
+        acc = []
+        for k, e, c in self._ints:
+            d = (e >> shift) & _EXP_MASK
+            k, e, c = k - d * weight, e - (d << shift), c * a**d * b ** (top - d)
+            _check_power(e, rep, d)
+            while len(powers) <= d:
+                powers.append(powers[-1] * powers[1])
+            acc += [(k + kp, e + ep, c * cp) for kp, ep, cp in powers[d]._ints]
+        return MultiPoly._from_terms(self.vars, self.content / b**top, _sum_terms(acc))
 
     def restrict(self, varnames: Sequence[str]) -> "MultiPoly":
         """Re-express over another variable list, which must hold every
         variable this polynomial uses; variables new to it get exponent 0."""
         varnames = tuple(varnames)
-        index = {v: i for i, v in enumerate(self.vars)}
-        pos = [index.get(v) for v in varnames]
-        kept = set(pos)
-        acc: dict[Exponents, Fraction] = {}
-        for exp, coeff in self.terms:
-            if any(e and i not in kept for i, e in enumerate(exp)):
-                raise VariableMismatchError("polynomial uses variables outside the restriction")
-            acc[tuple(0 if i is None else exp[i] for i in pos)] = coeff
-        return MultiPoly(varnames, acc)
+        if not set(_used_vars(self)) <= set(varnames):
+            raise VariableMismatchError("polynomial uses variables outside the restriction")
+        # the field of each variable in both lists moves to its new place
+        moves = [(_FIELD * self.vars.index(v), _FIELD * j) for j, v in enumerate(varnames)
+                 if v in self.vars]
+        terms = ((sum(((e >> a) & _EXP_MASK) << b for a, b in moves), c) for _, e, c in self._ints)
+        key = GREVLEX.key(varnames)
+        return MultiPoly._from_terms(varnames, self.content, _rekey(terms, key, len(varnames)))
 
     # -- normal forms
 
-    def content_and_primitive(self) -> tuple[Fraction, "MultiPoly"]:
-        """Split into content * primitive integer part, primitive lead positive."""
-        if not self.terms:
-            return Fraction(0), self
-        den = 1
-        for _, c in self.terms:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [(e, int(c * den)) for e, c in self.terms]
-        g = 0
-        for _, c in ints:
-            g = gcd(g, c)
-        lead_c = ints[0][1]  # terms are grevlex-descending
-        if lead_c < 0:
-            g = -g
-        prim = MultiPoly(self.vars, {e: Fraction(c // g) for e, c in ints})
-        return Fraction(g, den), prim
-
     def primitive(self) -> "MultiPoly":
-        return self.content_and_primitive()[1]
+        """The primitive integer part: coprime coefficients, positive lead."""
+        return MultiPoly._from_terms(self.vars, Fraction(1), self._ints)
 
     def text(self) -> str:
         """Canonical display form: primitive integer coefficients, positive lead,
         terms grevlex-descending with explicit signs."""
-        if not self.terms:
+        if not self._ints:
             return "0"
-        prim = self.primitive()
         pieces = []
-        for i, (exp, coeff) in enumerate(prim.terms):
-            c = int(coeff)
-            mono = _monomial_text(prim.vars, exp)
+        for i, (_, e, c) in enumerate(self._ints):
+            mono = _monomial_text(self.vars, _unpack(e, len(self.vars)))
             mag = abs(c)
             if not mono:
                 body = str(mag)
@@ -401,16 +455,20 @@ class MultiPoly:
         return " ".join(pieces)
 
 
-def _mul_terms(
-    p: Iterable[tuple[Exponents, Fraction]], q: Sequence[tuple[Exponents, Fraction]]
-) -> dict[Exponents, Fraction]:
-    """Product of two term lists as an unsorted term map (zeros possible)."""
-    acc: dict[Exponents, Fraction] = {}
-    for e1, c1 in p:
-        for e2, c2 in q:
-            e = tuple(map(add, e1, e2))
-            acc[e] = acc.get(e, 0) + c1 * c2
-    return acc
+def _check_power(e: int, q: MultiPoly, d: int) -> None:
+    """Guard x^e * q^d, e packed: its total degree is exact, and the error
+    names its lead monomial."""
+    degree = e % _DEGREE_MOD + d * q.total_degree()
+    if degree >= DEGREE_LIMIT:
+        n = len(q.vars)
+        lead = zip(_unpack(e, n), _unpack(q._ints[0][1], n))
+        _check_degree(degree, tuple(x + d * y for x, y in lead))
+
+
+def _used_vars(p: MultiPoly) -> list[str]:
+    """The variables p uses: the fields of the OR of its packed exponents."""
+    used = _unpack(reduce(or_, (e for _, e, _ in p._ints), 0), len(p.vars))
+    return [v for v, m in zip(p.vars, used) if m]
 
 
 # ---------------------------------------------------------------------------
@@ -424,67 +482,39 @@ def divide(
     p == sum(q_i * g_i) + r and no remainder term divisible by any divisor lead.
 
     Divisors are tried in list order, so the result is deterministic. The work
-    runs in the fraction-free engine on primitive integer forms; quotients and
-    remainder are rescaled to p and the divisors afterwards.
+    runs in the fraction-free engine on the primitive integer terms; the
+    contents of p and the divisors give the contents of the results.
     """
     for g in divisors:
         p._check(g)
         if g.is_zero:
             raise ZeroDivisionError("zero divisor in division")
     n = len(p.vars)
-    key = order.key(p.vars)
-    content, pt = _to_int_terms(p, key)
-    ints = [_to_int_terms(g, key) for g in divisors]
+    grevlex, key = order == GREVLEX, order.key(p.vars)
+    pt, *ints = (q._ints if grevlex else _rekey(q._ints, key, n) for q in (p, *divisors))
     degs = [g.total_degree() for g in divisors]
     quots: list[dict[int, int]] = [dict() for _ in divisors]
-    rem, scale = _normal_form_int(pt, [t for _, t in ints], degs, n, quots)
+    rem, scale = _normal_form_int(pt, ints, degs, n, quots)
     # scale * prim(p) == sum(q_i * prim(g_i)) + rem, where p = content * prim(p)
     # and g_i = c_i * prim(g_i)
-    factor = content / scale
+    factor, gkey = p.content / scale, GREVLEX.key(p.vars)
     return (
         [
-            MultiPoly(p.vars, {_unpack(e, n): factor / c * v for e, v in q.items()})
-            for q, (c, _) in zip(quots, ints)
+            MultiPoly._from_terms(p.vars, factor / g.content, _rekey(q.items(), gkey, n))
+            for q, g in zip(quots, divisors)
         ],
-        MultiPoly(p.vars, {_unpack(e, n): factor * c for _, e, c in rem}),
+        MultiPoly._from_terms(p.vars, factor, rem if grevlex else _rekey(rem, gkey, n)),
     )
 
 
 # ---------------------------------------------------------------------------
 # fraction-free engine used by divide and buchberger
 
-# internal term list: [(key, packed exponents, int_coeff)] sorted descending
-# by key
-_Terms = list
-
-_FIELD = 33  # bits per packed exponent: 32 for the exponent, 1 guard bit
-_EXP_MASK = (1 << _DIGIT_BITS) - 1
-_DEGREE_MOD = (1 << _FIELD) - 1  # 2^(33i) == 1 modulo this
-
-
-def _pack(exp: Exponents) -> int:
-    p = 0
-    for e in reversed(exp):
-        p = (p << _FIELD) | e
-    return p
-
-
-def _unpack(p: int, n: int) -> Exponents:
-    return tuple((p >> (_FIELD * i)) & _EXP_MASK for i in range(n))
-
 
 @lru_cache(maxsize=64)
 def _guards(n: int) -> int:
     """The guard bits of n packed fields."""
     return _pack((1 << _DIGIT_BITS,) * n)
-
-
-def _to_int_terms(p: MultiPoly, key: Key) -> tuple[Fraction, _Terms]:
-    """p as content * (primitive integer terms)."""
-    content, prim = p.content_and_primitive()
-    out = [(key(e), _pack(e), int(c)) for e, c in prim.terms]
-    out.sort(key=lambda t: t[0], reverse=True)
-    return content, out
 
 
 def _max_degree(terms: _Terms) -> int:
@@ -497,19 +527,6 @@ def _check_shift(shift: int, degree: int, n: int) -> None:
     total = shift % _DEGREE_MOD + degree
     if total >= DEGREE_LIMIT:
         _check_degree(total, f"x^{_unpack(shift, n)} times a degree-{degree} polynomial")
-
-
-def _strip_content(terms: _Terms) -> _Terms:
-    if not terms:
-        return terms
-    g = 0
-    for _, _, c in terms:
-        g = gcd(g, c)
-        if g == 1:
-            return terms
-    if terms[0][2] < 0:
-        g = -g
-    return [(k, e, c // g) for k, e, c in terms]
 
 
 def _normal_form_int(
@@ -575,25 +592,18 @@ def _normal_form_int(
                         q[e] *= a
         if quots is not None:
             quots[i][shift] = -b
-        _add_tail(coeffs, exps, heap, b, basis[i], kw - kg, shift)
+        # add b * x^shift * tail, pushing each new key
+        kshift = kw - kg
+        for kt, et, ct in islice(basis[i], 1, None):
+            k = kt + kshift
+            c = coeffs.get(k)
+            if c is None:
+                coeffs[k] = b * ct
+                exps[k] = et + shift
+                heappush(heap, -k)
+            else:
+                coeffs[k] = c + b * ct
     return rem, scale
-
-
-def _add_tail(
-    coeffs: dict[int, int], exps: dict[int, int], heap: list[int],
-    b: int, g: _Terms, kshift: int, shift: int,
-) -> None:
-    """Add b * x^shift * g[1:] to the terms in coeffs and exps, pushing each
-    new key, negated, on heap; kshift is the key of x^shift."""
-    for kt, et, ct in islice(g, 1, None):
-        k = kt + kshift
-        c = coeffs.get(k)
-        if c is None:
-            coeffs[k] = b * ct
-            exps[k] = et + shift
-            heappush(heap, -k)
-        else:
-            coeffs[k] = c + b * ct
 
 
 def _lcm_exp(a: Exponents, b: Exponents) -> Exponents:
@@ -622,15 +632,13 @@ def buchberger(
 
 def _spoly_int(gi: _Terms, gj: _Terms, klcm: int, plcm: int) -> _Terms:
     """The fraction-free S-polynomial of gi and gj, whose leads have the lcm
-    with key klcm and packed exponents plcm, built with the reduction step."""
+    with key klcm and packed exponents plcm."""
     (ki, pi, ci), (kj, pj, cj) = gi[0], gj[0]
     m = gcd(ci, cj)
-    coeffs: dict[int, int] = {}
-    exps: dict[int, int] = {}
-    heap: list[int] = []
-    _add_tail(coeffs, exps, heap, cj // m, gi, klcm - ki, plcm - pi)
-    _add_tail(coeffs, exps, heap, -(ci // m), gj, klcm - kj, plcm - pj)
-    return [(k, exps[k], coeffs[k]) for k in sorted(coeffs, reverse=True) if coeffs[k]]
+    return _sum_terms(chain(
+        ((k + klcm - ki, e + plcm - pi, c * (cj // m)) for k, e, c in islice(gi, 1, None)),
+        ((k + klcm - kj, e + plcm - pj, -c * (ci // m)) for k, e, c in islice(gj, 1, None)),
+    ))
 
 
 def _buchberger(
@@ -650,7 +658,8 @@ def _buchberger(
     key = order.key(varnames)
     guards = _guards(n)
 
-    basis = [_to_int_terms(g, key)[1] for g in gens]
+    grevlex = order == GREVLEX
+    basis = [g._ints if grevlex else _rekey(g._ints, key, n) for g in gens]
     degs = [g.total_degree() for g in gens]
     # lead exponent tuples, for the pair lcm and the coprime test
     leads = [_unpack(g[0][1], n) for g in basis]
@@ -700,12 +709,13 @@ def _buchberger(
             leads.append(_unpack(s[0][1], n))
             push_pairs(len(basis) - 1)
 
-    return _reduce_basis(varnames, basis)
+    return _reduce_basis(varnames, basis, grevlex)
 
 
-def _reduce_basis(varnames, basis: list[_Terms]) -> list[MultiPoly]:
+def _reduce_basis(varnames, basis: list[_Terms], grevlex: bool) -> list[MultiPoly]:
     """Minimalize and tail-reduce an integer basis; return it sorted by lead,
-    each element primitive with a positive lead under the basis's order."""
+    each element primitive with a positive lead under the basis's order, which
+    grevlex tells apart from any other."""
     n = len(varnames)
     guards = _guards(n)
     # minimal: drop any element whose lead is divisible by another's
@@ -729,10 +739,12 @@ def _reduce_basis(varnames, basis: list[_Terms]) -> list[MultiPoly]:
         others = keep[:i] + keep[i + 1 :]
         nf = _strip_content(_normal_form_int(g, others, degs[:i] + degs[i + 1 :], n)[0])
         if nf:
-            # _strip_content leaves the sign of a content-1 element as it is
-            reduced.append(nf if nf[0][2] > 0 else [(k, e, -c) for k, e, c in nf])
+            reduced.append(nf)
     reduced.sort(key=lambda t: t[0][0])
-    return [MultiPoly(varnames, {_unpack(e, n): Fraction(c) for _, e, c in t}) for t in reduced]
+    if not grevlex:
+        key = GREVLEX.key(varnames)
+        reduced = [_rekey(t, key, n) for t in reduced]
+    return [MultiPoly._from_terms(varnames, Fraction(1), t) for t in reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +829,8 @@ def eliminate(
         # a variable costs the terms of the generators that contain it
         cost = dict.fromkeys(ring, 0)
         for g in work:
-            for v, m in zip(ring, _used_mask(g)):
-                cost[v] += m * len(g.terms)
+            for v in _used_vars(g):
+                cost[v] += len(g._ints)
         live = [v for v in ring if v in keep or cost[v]]
         work = [g.restrict(live) for g in work]
         front_used = [v for v in live if v not in keep]
@@ -829,22 +841,9 @@ def eliminate(
         drop = tuple(v for v in front_used if v in cheapest)
         basis = _buchberger(work, BlockElim(drop), counter, f"dropping {', '.join(drop)}")
         dropset = set(drop)
-        work = [
-            g
-            for g in basis
-            if not (dropset & {v for v, m in zip(g.vars, _used_mask(g)) if m})
-        ]
+        work = [g for g in basis if dropset.isdisjoint(_used_vars(g))]
         if not work:
             return []
 
     return _buchberger(work, GREVLEX, counter, "running the final grevlex basis")
 
-
-def _used_mask(p: MultiPoly) -> list[bool]:
-    n = len(p.vars)
-    mask = [False] * n
-    for e, _ in p.terms:
-        for i in range(n):
-            if e[i]:
-                mask[i] = True
-    return mask

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -73,6 +74,15 @@ def test_variable_mismatch_raises():
     q = MultiPoly(("u", "v"), {(1, 0): F(1)})
     with pytest.raises(VariableMismatchError):
         X + q
+
+
+@pytest.mark.parametrize("other", [0.5, 1.0, "1", None, [1]], ids=repr)
+@pytest.mark.parametrize("op", [add, sub, mul])
+def test_unsupported_operands_raise_type_error(op, other):
+    # neither side can take the other: no float enters a coefficient
+    for a, b in ((X, other), (other, X)):
+        with pytest.raises(TypeError):
+            op(a, b)
 
 
 def test_division_reexpansion_random():

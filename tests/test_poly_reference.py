@@ -1,12 +1,13 @@
-"""Packed monomial keys, the degree guard, cached substitution and the
-heap-driven division engine, checked against the tuple keys, the per-term
-substitution loop and the list-merge normal form they replaced, which are
-kept here as reference implementations."""
+"""Packed monomial keys, the degree guard, the integer ring operations,
+cached substitution and the heap-driven division engine, checked against
+the tuple keys, the Fraction term-map arithmetic, the per-term substitution
+loop and the list-merge normal form they replaced, which are kept here as
+reference implementations."""
 
 from fractions import Fraction as F
 from itertools import islice
-from math import gcd
-from operator import add, sub
+from math import gcd, lcm
+from operator import add, mul, sub
 
 import pytest
 
@@ -19,6 +20,7 @@ from linkagekit.poly import (  # noqa: E402
     GREVLEX,
     BlockElim,
     MultiPoly,
+    VariableMismatchError,
     buchberger,
     divide,
 )
@@ -40,6 +42,67 @@ def ref_key(order, varnames):
         ref_grevlex_key(tuple(exp[i] for i in front)),
         ref_grevlex_key(tuple(exp[i] for i in back)),
     )
+
+
+def ref_add(p, q):
+    """p + q on Fraction term maps."""
+    acc = dict(p.terms)
+    for e, c in q.terms:
+        acc[e] = acc.get(e, F(0)) + c
+    return MultiPoly(p.vars, acc)
+
+
+def ref_mul(p, q):
+    """p * q on Fraction term maps; a scalar q scales every coefficient."""
+    if not isinstance(q, MultiPoly):
+        return MultiPoly(p.vars, {e: k * F(q) for e, k in p.terms})
+    acc = {}
+    for e1, c1 in p.terms:
+        for e2, c2 in q.terms:
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return MultiPoly(p.vars, acc)
+
+
+def ref_restrict(p, varnames):
+    """p over another variable list, one Fraction term at a time."""
+    index = {v: i for i, v in enumerate(p.vars)}
+    pos = [index.get(v) for v in varnames]
+    kept = set(pos)
+    acc = {}
+    for exp, coeff in p.terms:
+        if any(e and i not in kept for i, e in enumerate(exp)):
+            raise VariableMismatchError("polynomial uses variables outside the restriction")
+        acc[tuple(0 if i is None else exp[i] for i in pos)] = coeff
+    return MultiPoly(tuple(varnames), acc)
+
+
+def ref_content_and_primitive(p):
+    """(content, primitive integer terms, grevlex-descending, lead positive),
+    from p's Fraction terms sorted by the tuple key."""
+    terms = sorted(p.terms, key=lambda t: ref_grevlex_key(t[0]), reverse=True)
+    if not terms:
+        return F(0), []
+    den = lcm(*(c.denominator for _, c in terms))
+    ints = [(e, int(c * den)) for e, c in terms]
+    g = gcd(*(c for _, c in ints))
+    if ints[0][1] < 0:
+        g = -g
+    return F(g, den), [(e, c // g) for e, c in ints]
+
+
+def ref_text(p):
+    pieces = []
+    for i, (exp, c) in enumerate(ref_content_and_primitive(p)[1]):
+        mono = "*".join(
+            name if e == 1 else f"{name}^{e}" for name, e in zip(p.vars, exp) if e
+        )
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        if i == 0:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(pieces) or "0"
 
 
 def ref_subs(p, replacements):
@@ -145,9 +208,8 @@ def ref_divide(p, divisors, order, max_steps=2000):
     key = order.key(p.vars)
 
     def int_terms(q):
-        content, prim = q.content_and_primitive()
-        terms = sorted(((key(e), e, int(c)) for e, c in prim.terms), reverse=True)
-        return content, terms
+        terms = sorted(((key(e), e, int(c)) for e, c in q.primitive().terms), reverse=True)
+        return q.content, terms
 
     content, pt = int_terms(p)
     ints = [int_terms(g) for g in divisors]
@@ -196,14 +258,21 @@ def exponents(n, limit=DEGREE_LIMIT):
 
 rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 6))
 nonzero = st.builds(F, st.integers(1, 20) | st.integers(-20, -1), st.integers(1, 6))
-V3 = ("x", "y", "z")
 
 
-def polys(max_deg=3, max_terms=5):
-    mono = st.tuples(*[st.integers(0, max_deg)] * len(V3))
+def polys(varnames, max_deg=3, max_terms=5):
+    mono = st.tuples(*[st.integers(0, max_deg)] * len(varnames))
     return st.dictionaries(mono, rationals, max_size=max_terms).map(
-        lambda t: MultiPoly(V3, t)
+        lambda t: MultiPoly(varnames, t)
     )
+
+
+@st.composite
+def substitutions(draw):
+    """(p, variable, replacement) over 1 to 12 variables, in small degrees."""
+    varnames = tuple(f"v{i}" for i in range(draw(st.integers(1, 12))))
+    rep = draw(polys(varnames, max_deg=2, max_terms=3) | rationals | st.integers(-3, 3))
+    return draw(polys(varnames)), draw(st.sampled_from(varnames)), rep
 
 
 @st.composite
@@ -229,10 +298,25 @@ def divisions(draw):
     return MultiPoly(varnames, terms), divisors, order
 
 
-def outcome(div, p, divisors, order):
-    """(quotients, remainder) of one division, or the message it raised."""
+@st.composite
+def ring_pairs(draw):
+    """(p, q) over 1 to 12 variables, with mixed denominators and exponents
+    up to the degree limit. Some terms of q are the negated terms of p, so
+    that p + q cancels them, down to zero when all of them are."""
+    n = draw(st.integers(1, 12))
+    varnames = tuple(f"v{i}" for i in range(n))
+    p = draw(st.dictionaries(exponents(n), nonzero, max_size=5))
+    q = draw(st.dictionaries(exponents(n), nonzero, max_size=4))
+    for e, c in p.items():
+        if draw(st.booleans()):
+            q[e] = -c
+    return MultiPoly(varnames, p), MultiPoly(varnames, q)
+
+
+def outcome(op, *args):
+    """What op returned, or the message of the ValueError it raised."""
     try:
-        return div(p, divisors, order)
+        return op(*args)
     except ValueError as exc:
         return str(exc)
 
@@ -260,14 +344,70 @@ def test_packed_key_is_linear(data):
     assert key(tuple(x + y for x, y in zip(a, b))) == key(a) + key(b)
 
 
+@settings(max_examples=300, deadline=None)
+@given(ring_pairs(), rationals | st.integers(-3, 3))
+@example((MultiPoly(("x", "y"), {(DEGREE_LIMIT // 2, 0): 1, (0, 1): F(-1, 2)}),) * 2, 0)
+def test_ring_operations_match_term_map_reference(pair, s):
+    p, q = pair
+    assert p + q == ref_add(p, q)
+    assert p - q == ref_add(p, ref_mul(q, -1))
+    assert -p == ref_mul(p, -1)
+    assert p * s == s * p == ref_mul(p, s)
+    const = MultiPoly.const(p.vars, s)
+    assert p + s == s + p == ref_add(p, const)
+    assert p - s == ref_add(p, ref_mul(const, -1))
+    assert s - p == ref_add(const, ref_mul(p, -1))
+    # products of large exponents reach the degree guard, with the same message
+    assert outcome(mul, p, q) == outcome(ref_mul, p, q)
+    assert outcome(mul, p, p) == outcome(ref_mul, p, p)
+    for r in (p, q, p + q):
+        assert r.text() == ref_text(r)
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    polys(),
-    st.sampled_from(V3),
-    polys(max_deg=2, max_terms=3) | rationals | st.integers(-3, 3),
-)
-def test_subs_matches_reference(p, var, rep):
+@given(ring_pairs(), st.data())
+def test_restrict_matches_reference(pair, data):
+    p = pair[0] + pair[1]
+    names = data.draw(st.lists(st.sampled_from(p.vars + ("w0", "w1")), unique=True))
+    assert outcome(MultiPoly.restrict, p, names) == outcome(ref_restrict, p, names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.dictionaries(exponents(n), rationals, max_size=6))
+))
+def test_canonical_form(case):
+    n, terms = case
+    p = MultiPoly(tuple(f"v{i}" for i in range(n)), terms)
+    assert p.as_dict() == {e: F(c) for e, c in terms.items() if c}
+    for r in (p, -p, p * F(-3, 4), p + F(1, 3)):
+        prim = r.primitive()
+        assert r.content * prim == r
+        content, ints = ref_content_and_primitive(r)
+        assert (r.content, prim.terms) == (content, tuple((e, F(c)) for e, c in ints))
+        if not r.is_zero:
+            coeffs = [c.numerator for _, c in prim.terms]
+            assert all(c.denominator == 1 for _, c in prim.terms)
+            assert gcd(*coeffs) == 1 and coeffs[0] > 0
+        again = MultiPoly(r.vars, r.as_dict())
+        assert again == r and hash(again) == hash(r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitutions())
+def test_subs_matches_reference(case):
+    p, var, rep = case
     assert p.subs(var, rep) == ref_subs(p, {var: rep})
+
+
+def test_degree_guard_in_subs():
+    # the first term whose product reaches the limit names its top monomial
+    x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
+    p = x**2 * y + x * MultiPoly(("x", "y"), {(0, DEGREE_LIMIT - 2): 1})
+    with pytest.raises(ValueError, match=r"total degree 4294967296 of \(0, 4294967296\)"):
+        p.subs("x", y * y)
+    # one degree less passes
+    assert p.subs("x", y) == MultiPoly(("x", "y"), {(0, 3): 1, (0, DEGREE_LIMIT - 1): 1})
 
 
 @settings(max_examples=50, deadline=None)

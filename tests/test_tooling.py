@@ -1,9 +1,14 @@
-"""The test configuration itself: a failing property test must report its
-example and let the rest of the run go on."""
+"""The test configuration and the benchmark's checks: a failing property
+test must report its example and let the rest of the run go on, and one
+round of each gated benchmark workload must pass the checks the benchmark
+applies to its outputs."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -25,3 +30,23 @@ def test_failing_property_prints_its_example(tmp_path):
     assert "INTERNALERROR" not in out
     assert "Falsifying example" in out
     assert "1 failed, 1 passed" in out
+
+
+def _bench_workloads():
+    """bench/workloads.py, imported from its file: bench is not a package."""
+    path = PYPROJECT.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["trace_sweep", "certify_catalog"])
+def test_bench_round_passes_its_checks(workload):
+    """One round of a gated benchmark workload, built with seed 1: every
+    operation's output passes the benchmark's own check."""
+    ops = _bench_workloads().build(workload, 1)
+    assert ops
+    for op in ops:
+        assert op.check(op.run()) is None, op.label
