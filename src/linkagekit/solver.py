@@ -12,9 +12,13 @@ bar triples (rigid beams with interior joints) become affine rows plus the
 outer bar's quadric, since the raw triple encoding has an
 everywhere-singular Jacobian, and the driver's quadric gives way to two
 driver-angle rows. _compile turns those rows, once per trace, into integer
-index tables over one coordinate list (free coordinates, then anchors) that
-the residuals read as Python floats; the Jacobian copies a template of its
-constant rows. Once a square passes the float range every bar row reads
+index tables over one coordinate list (free coordinates, then anchors). The
+state Newton and the continuation carry is a plain list of Python floats,
+and numpy serves only LAPACK's solve, the Jacobians and their SVDs: each
+Jacobian is a copy of a template of its constant rows with the quadric
+gradients added. One evaluation of a point gives both the full residual and
+the reduced rows, squaring each bar once. Once a square passes the float
+range every row of its group (the reduced quadrics, or the other bars) reads
 inf, which Newton refuses. Convergence is always measured against the full
 original constraint set, never the rewritten rows, at settings.tol or at the
 rounding floor of a bar row, 4 ulp of the largest squared bar length,
@@ -29,16 +33,18 @@ Jacobian, or when its line search has halved a step MAX_HALVINGS (8) times
 without lowering the reduced residual; the continuation then halves its
 step. Just past a workspace boundary the line search runs out within a few
 iterations. NoSeed is the one error for a failed solve: trace raises it when
-the seed solve or the seed leg fails. The reduced residual of a point the
-line search accepts is the next iteration's, not computed again, and a
-sample's full residual is the one its Newton call accepted it with. Work is
-counted in each Trace's SolveStats.
+the seed solve or the seed leg fails. The residuals of a point the line
+search accepts, and their norm, are the next iteration's, not computed
+again, and a sample's full residual is the one its Newton call accepted it
+with. Work is counted in each Trace's SolveStats.
 
 Each accepted step of the sweep is flagged from the Jacobian at its own
 solution, so a singular-configuration event depends on the configuration,
-not on Newton's path. Their condition numbers come from one batched SVD per
-CONDITION_BATCH (64) steps and are compared with CONDITION_THRESHOLD
-(10^10) in step order. A NaN or infinite angle, or a leg longer than
+not on Newton's path. The solutions are kept for CONDITION_BATCH (64)
+steps; then their Jacobians are built in one vectorised pass, their
+condition numbers come from one batched SVD, and they are compared with
+CONDITION_THRESHOLD (10^10) in step order. The largest is kept in
+SolveStats.max_condition. A NaN or infinite angle, or a leg longer than
 MAX_SWEEP_STEPS (10^5) steps, is refused with SweepError before any step; a
 linkage whose anchor coordinates or squared bar lengths overflow a float, or
 whose default layout does, is refused with a plain ValueError.
@@ -127,6 +133,7 @@ class SolveStats:
     failed_calls: int = 0
     failed_iterations: int = 0  # iterations run by the failed calls
     backtracks: int = 0  # line-search step halvings
+    max_condition: float = 0.0  # largest over the sweep's steps; 0.0 with no step
 
 
 @dataclass(frozen=True)
@@ -163,25 +170,28 @@ class _Compiled:
     anchor_xy: list[float]
     affine: list[tuple[int, int, int, float, float]]  # mid, a, b, 1-t, t: mid = (1-t)*a + t*b
     quad: list[tuple[int, int, float]]  # a, b, length**2 of the reduced quadric rows
-    bars: list[tuple[int, int, float]]  # a, b, length**2 of every bar, for the full check
+    rest: list[tuple[int, int, float]]  # a, b, length**2 of the other bars, only checked
     driver: int  # index of the driven joint
     driver_anchor: tuple[float, float]
     driver_length: float
     tracer: tuple[int, Optional[int], float]  # a, b, offset; b is None for a joint tracer
     template: np.ndarray  # Jacobian over every coordinate: constant affine and driver rows
     slots: np.ndarray  # flat template indices of the quadric gradients, as jacobian lists them
+    heads: np.ndarray  # slot k's gradient is 2 * (v[heads[k]] - v[tails[k]]),
+    tails: np.ndarray  # up to the sign of a zero
     tol_floor: float  # 4 ulp of the largest squared bar length
 
-    def to_vec(self, cfg: Configuration) -> np.ndarray:
+    def to_vec(self, cfg: Configuration) -> list[float]:
         missing = [j for j in self.free if j not in cfg]
         if missing:
             raise ValueError(f"seed missing free joints {missing}")
         bad = [j for j in self.free if not all(map(math.isfinite, cfg[j]))]
         if bad:
             raise ValueError(f"seed coordinates of {bad} are not finite")
-        x = np.empty(2 * len(self.free))
-        for k, j in enumerate(self.free):
-            x[2 * k], x[2 * k + 1] = cfg[j]
+        x = []
+        for j in self.free:
+            px, py = cfg[j]
+            x += (float(px), float(py))
         return x
 
     def drive(self, theta: float) -> tuple[float, float, float, float]:
@@ -190,37 +200,45 @@ class _Compiled:
         ax, ay = self.driver_anchor
         return c, s, ax + c, ay + s
 
-    def reduced_residual(self, x: np.ndarray, drive: tuple[float, ...]) -> list[float]:
-        v = x.tolist() + self.anchor_xy
+    def residuals(self, x: list[float], drive: tuple[float, ...]) -> tuple[float, list[float]]:
+        """The full residual, max |row| over every bar and the driver's
+        position, and the reduced rows Newton solves, squaring each bar once."""
+        v = x + self.anchor_xy
         rows = []
         for mid, a, b, u, t in self.affine:
             rows += (v[mid] - u * v[a] - t * v[b], v[mid + 1] - u * v[a + 1] - t * v[b + 1])
-        rows += _bar_rows(v, self.quad)
+        quad = _bar_rows(v, self.quad)
+        rows += quad
         f = self.driver
         rows += (v[f] - drive[2], v[f + 1] - drive[3])
-        return rows
+        ax, ay = self.driver_anchor
+        # builtin max skips NaN rows after the leading 0.0
+        full = max([0.0, *map(abs, quad), *map(abs, _bar_rows(v, self.rest)),
+                    abs(v[f] - ax - drive[0]), abs(v[f + 1] - ay - drive[1])])
+        return full, rows
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        v = x.tolist() + self.anchor_xy
+    def jacobian(self, x: list[float]) -> np.ndarray:
+        v = x + self.anchor_xy
         grad = []
         for a, b, _ in self.quad:
             gx, gy = 2 * (v[a] - v[b]), 2 * (v[a + 1] - v[b + 1])
-            grad += (gx, gy, -gx, -gy)
+            # what adding to the template's zero slots stores: 0.0 for -0.0
+            grad += (0.0 + gx, 0.0 + gy, 0.0 - gx, 0.0 - gy)
         J = self.template.copy()
-        # added to the zero slots, so a -0.0 gradient is stored as 0.0
-        J.reshape(-1)[self.slots] += grad
+        J.reshape(-1)[self.slots] = grad
         return J[:, : len(x)]
 
-    def full_residual(self, x: np.ndarray, drive: tuple[float, ...]) -> float:
-        v = x.tolist() + self.anchor_xy
-        f = self.driver
-        ax, ay = self.driver_anchor
-        bars = map(abs, _bar_rows(v, self.bars))
-        # builtin max skips NaN rows after the leading 0.0
-        return max([0.0, *bars, abs(v[f] - ax - drive[0]), abs(v[f + 1] - ay - drive[1])])
+    def jacobians(self, xs: list[list[float]]) -> np.ndarray:
+        """jacobian at each state of xs, stacked, built in one pass."""
+        v = np.array([x + self.anchor_xy for x in xs])
+        J = np.repeat(self.template[np.newaxis], len(xs), axis=0)
+        # 2*(v[b] - v[a]) is -2*(v[a] - v[b]) up to the sign of a zero, and
+        # added to the zero slots either zero is stored as 0.0
+        J.reshape(len(xs), -1)[:, self.slots] += 2 * (v[:, self.heads] - v[:, self.tails])
+        return J[:, :, : len(xs[0])]
 
-    def tracer_point(self, x: np.ndarray) -> tuple[float, float]:
-        v = x.tolist() + self.anchor_xy
+    def tracer_point(self, x: list[float]) -> tuple[float, float]:
+        v = x + self.anchor_xy
         a, b, off = self.tracer
         if b is None:
             return v[a], v[a + 1]
@@ -252,7 +270,8 @@ def _compile(spec: LinkageSpec) -> _Compiled:
         return [(at[b.a], at[b.b], squares[b]) for b in bars]
 
     # the driver's quadric gives way to the two driver-angle rows
-    quad = table([b for b in quadrics if b.id != driver_bar.id])
+    solved = [b for b in quadrics if b.id != driver_bar.id]
+    quad = table(solved)
     width = 2 * len(at)
     template = np.zeros((2 * len(triples) + len(quad) + 2, width))
     affine = []
@@ -275,13 +294,15 @@ def _compile(spec: LinkageSpec) -> _Compiled:
         anchor_xy=[c for xy in anchors.values() for c in xy],
         affine=affine,
         quad=quad,
-        bars=table(spec.bars),
+        rest=table([b for b in spec.bars if b not in solved]),
         driver=at[free_id],
         driver_anchor=anchors[anchor_id],
         driver_length=float(driver_bar.length),
         tracer=tracer,
         template=template,
         slots=np.array(slots, dtype=np.intp),
+        heads=np.array([i for a, b, _ in quad for i in (a, a + 1, b, b + 1)], dtype=np.intp),
+        tails=np.array([i for a, b, _ in quad for i in (b, b + 1, a, a + 1)], dtype=np.intp),
         tol_floor=4 * math.ulp(max(squares.values())),
     )
 
@@ -299,46 +320,44 @@ def _inf_norm(rows: list[float]) -> float:
 def _conditions(jacobians: Sequence[np.ndarray]) -> list[float]:
     """The 2-norm condition number of each Jacobian, from one batched SVD:
     inf for an exactly singular one."""
-    if not jacobians:
+    if len(jacobians) == 0:
         return []
-    sv = np.linalg.svd(np.array(jacobians), compute_uv=False)
+    sv = np.linalg.svd(np.asarray(jacobians), compute_uv=False)
     low = sv[:, -1]
     return np.divide(sv[:, 0], low, out=np.full(len(sv), math.inf), where=low != 0).tolist()
 
 
 def _newton(
-    comp: _Compiled, theta: float, x: np.ndarray, settings: SolverSettings, stats: SolveStats
+    comp: _Compiled, theta: float, x: list[float], settings: SolverSettings, stats: SolveStats
 ):
     """Damped Newton from x. Returns (x, residual, ok) and adds its work to
     stats. It fails at MAX_NEWTON_ITERS, on a singular step, or when
     MAX_HALVINGS halvings of a step do not lower the reduced residual."""
     drive = comp.drive(theta)
     tol = max(settings.tol, comp.tol_floor)
-    r = None
+    full, r = comp.residuals(x, drive)
+    base = _inf_norm(r)
     for it in range(MAX_NEWTON_ITERS + 1):
-        full = comp.full_residual(x, drive)
         if full < tol or it == MAX_NEWTON_ITERS:
             break
-        if r is None:
-            r = comp.reduced_residual(x, drive)
-        J = comp.jacobian(x)
         try:
-            delta = np.linalg.solve(J, -np.array(r))
+            # the Newton step is -delta: x - s*delta rounds as x + s*(-delta) would
+            delta = np.linalg.solve(comp.jacobian(x), r).tolist()
         except np.linalg.LinAlgError:
             break
-        base = _inf_norm(r)
         scale = 1.0
         for _ in range(MAX_HALVINGS):
-            xn = x + scale * delta
-            # the reduced residual of an accepted point is the next iteration's r
-            rn = comp.reduced_residual(xn, drive)
-            if _inf_norm(rn) < base:
+            xn = [c - scale * d for c, d in zip(x, delta)]
+            # the residuals of an accepted point, and their norm, are the next iteration's
+            fn, rn = comp.residuals(xn, drive)
+            bn = _inf_norm(rn)
+            if bn < base:
                 break
             scale /= 2
             stats.backtracks += 1
         else:
             break
-        x, r = xn, rn
+        x, full, r, base = xn, fn, rn, bn
     ok = full < tol
     stats.calls += 1
     stats.iterations += it
@@ -412,7 +431,7 @@ def default_layout(spec: LinkageSpec) -> Configuration:
 
 def _steps(
     comp: _Compiled,
-    x: np.ndarray,
+    x: list[float],
     theta: float,
     theta_to: float,
     settings: SolverSettings,
@@ -435,7 +454,11 @@ def _steps(
         nxt = theta + step
         if (theta_to - nxt) * sign < 0:
             nxt = theta_to
-        guess = x if x_prev is None else x + (x - x_prev) * (nxt - theta) / (theta - theta_prev)
+        if x_prev is None:
+            guess = x
+        else:
+            ahead, back = nxt - theta, theta - theta_prev
+            guess = [c + (c - p) * ahead / back for c, p in zip(x, x_prev)]
         xn, full, ok = _newton(comp, nxt, guess, settings, stats)
         if ok:
             x_prev, theta_prev = x, theta
@@ -514,17 +537,21 @@ def trace(
     samples: list[TraceSample] = []
     events: list[BranchEvent] = []
 
-    def record(theta: float, x: np.ndarray, residual: float) -> None:
+    def record(theta: float, x: list[float], residual: float) -> None:
         px, py = comp.tracer_point(x)
         samples.append(TraceSample(theta, px, py, residual))
 
     near_singular = False
 
-    def flag(steps: list[tuple[float, np.ndarray]]) -> None:
+    def flag(steps: list[tuple[float, list[float]]]) -> None:
         """Compare each step's condition number with the threshold, in step
         order, from one SVD over their Jacobians."""
         nonlocal near_singular
-        for (at, _), cond in zip(steps, _conditions([J for _, J in steps])):
+        if not steps:
+            return
+        conditions = _conditions(comp.jacobians([x for _, x in steps]))
+        stats.max_condition = max(stats.max_condition, *conditions)
+        for (at, _), cond in zip(steps, conditions):
             if cond > CONDITION_THRESHOLD:
                 if not near_singular:
                     events.append(BranchEvent(at, EventKind.SINGULAR_CONFIGURATION))
@@ -534,10 +561,10 @@ def trace(
 
     theta = theta_start
     record(theta, x, full)
-    batch: list[tuple[float, np.ndarray]] = []
+    batch: list[tuple[float, list[float]]] = []
     for theta, x, full in _steps(comp, x, theta, theta_end, settings, stats):
         record(theta, x, full)
-        batch.append((theta, comp.jacobian(x)))
+        batch.append((theta, x))
         if len(batch) == CONDITION_BATCH:
             flag(batch)
             batch = []

@@ -145,9 +145,8 @@ def solve(spec, theta, seed):
     x, _, ok = solver._newton(comp, theta, comp.to_vec(seed), SolverSettings(), SolveStats())
     if not ok:
         return None
-    v = x.tolist()
     anchors = {j.id: (float(j.anchor[0]), float(j.anchor[1])) for j in spec.anchored_joints}
-    return Configuration({**anchors, **dict(zip(comp.free, zip(v[::2], v[1::2])))})
+    return Configuration({**anchors, **dict(zip(comp.free, zip(x[::2], x[1::2])))})
 
 
 def scaled(spec, factor):

@@ -159,9 +159,18 @@ def test_stats_flag_only_adds_a_stderr_line(capsys, tmp_path):
     assert flagged == plain
     assert err_stats[:2] == [
         "workspace boundary at theta = 4.207028",
-        "newton: 163 calls, 429 iterations, 22 failed calls (58 iterations), 354 backtracks",
+        "newton: 163 calls, 429 iterations, 22 failed calls (58 iterations), 354 backtracks, "
+        "max condition 1.967e+05",
     ]
     assert len(err_stats) == len(err) + 1
+
+
+@pytest.mark.parametrize("flag", ["--svg", "--csv"])
+def test_unwritable_output_path_exits_two_in_one_line(capsys, tmp_path, flag):
+    path = tmp_path / "missing" / "pen.out"
+    code, out, err = run(capsys, "trace", "watt", flag, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"linkagekit: [Errno 2] No such file or directory: {str(path)!r}\n"
 
 
 def test_svg_escapes_markup_in_the_model_name(capsys, tmp_path):

@@ -82,10 +82,12 @@ def test_trace_counts_newton_work(traces):
     # hart_inversor's 163 calls: the seed solve, 13 steps of the seed leg from
     # pi to 3.02, then 127 accepted and 22 failed steps of the sweep
     assert traces["hart_inversor"].stats == SolveStats(
-        calls=163, iterations=429, failed_calls=22, failed_iterations=58, backtracks=354
+        calls=163, iterations=429, failed_calls=22, failed_iterations=58, backtracks=354,
+        max_condition=196723.01910739904,
     )
     assert traces["hart_aframe"].stats == SolveStats(
-        calls=134, iterations=319, failed_calls=21, failed_iterations=52, backtracks=357
+        calls=134, iterations=319, failed_calls=21, failed_iterations=52, backtracks=357,
+        max_condition=289428.65905842674,
     )
     e = entry("watt")
     cfg = solve(e.spec, 0.1, e.seed_config())

@@ -1,0 +1,160 @@
+"""The solver's fused residual evaluator and its batched Jacobians, checked
+against the separate full and reduced residuals they replaced, which are
+kept here as reference implementations, and against the per-point
+Jacobian."""
+
+import math
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from linkagekit import solver
+from linkagekit.catalog import entry, names
+from linkagekit.solver import SolverSettings, SolveStats
+
+# -- references --------------------------------------------------------------
+
+
+def ref_bar_rows(v, bars):
+    """Squared distance minus squared length for each (a, b, length**2);
+    every row reads inf once a square passes the float range."""
+    try:
+        return [(v[a] - v[b]) ** 2 + (v[a + 1] - v[b + 1]) ** 2 - sq for a, b, sq in bars]
+    except OverflowError:
+        return [math.inf] * len(bars)
+
+
+def ref_every_bar(spec, comp):
+    """(a, b, length**2) of every bar of spec, indexed as comp indexes joints."""
+    anchors = [j.id for j in spec.joints if j.is_anchored]
+    at = {j: 2 * k for k, j in enumerate([*comp.free, *anchors])}
+    return [(at[b.a], at[b.b], float(b.length) ** 2) for b in spec.bars]
+
+
+def ref_reduced_residual(comp, x, drive):
+    v = list(x) + comp.anchor_xy
+    rows = []
+    for mid, a, b, u, t in comp.affine:
+        rows += (v[mid] - u * v[a] - t * v[b], v[mid + 1] - u * v[a + 1] - t * v[b + 1])
+    rows += ref_bar_rows(v, comp.quad)
+    f = comp.driver
+    rows += (v[f] - drive[2], v[f + 1] - drive[3])
+    return rows
+
+
+def ref_full_residual(comp, bars, x, drive):
+    v = list(x) + comp.anchor_xy
+    f = comp.driver
+    ax, ay = comp.driver_anchor
+    rows = map(abs, ref_bar_rows(v, bars))
+    return max([0.0, *rows, abs(v[f] - ax - drive[0]), abs(v[f + 1] - ay - drive[1])])
+
+
+# -- helpers -----------------------------------------------------------------
+
+
+def bits(values):
+    """float.hex of each value: signed zeros differ, and every NaN reads nan."""
+    return [float.hex(v) for v in values]
+
+
+def sweep_states(name, count):
+    """The compiled model and the first count states its catalog sweep
+    accepts, as trace reaches them."""
+    e = entry(name)
+    comp = solver._compile(e.spec)
+    settings, stats = SolverSettings(), SolveStats()
+    x, _, ok = solver._newton(comp, e.theta_ref, comp.to_vec(e.seed_config()), settings, stats)
+    assert ok
+    lo, hi = e.sweep
+    for _, x, _ in solver._steps(comp, x, e.theta_ref, lo, settings, stats):
+        pass
+    states = []
+    for _, x, _ in solver._steps(comp, x, lo, hi, settings, stats):
+        states.append(x)
+        if len(states) == count:
+            break
+    assert len(states) == count
+    return comp, states
+
+
+def check_residuals(spec, comp, x, drive):
+    """The fused evaluator against both references, bit for bit."""
+    full, rows = comp.residuals(x, drive)
+    assert bits(rows) == bits(ref_reduced_residual(comp, x, drive))
+    assert bits([full]) == bits([ref_full_residual(comp, ref_every_bar(spec, comp), x, drive)])
+    return full, rows
+
+
+# -- tests -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", names())
+def test_residuals_match_the_separate_references(name):
+    spec = entry(name).spec
+    comp, states = sweep_states(name, 64)
+    seed = comp.to_vec(entry(name).seed_config())
+    rng = random.Random(name)
+    points = [seed, *states]
+    for scale in (1e-6, 1e-2, 1.0, 1e3):
+        points += [[c + rng.gauss(0, scale) for c in x] for x in (seed, states[-1])]
+    for theta in (entry(name).theta_ref, 0.0, 2.5):
+        drive = comp.drive(theta)
+        for x in points:
+            check_residuals(spec, comp, x, drive)
+
+
+@pytest.mark.parametrize("name", names())
+@pytest.mark.parametrize("far", [1e200, math.inf])
+def test_residuals_match_past_the_float_range(name, far):
+    spec = entry(name).spec
+    comp, (x, *_) = sweep_states(name, 1)
+    drive = comp.drive(entry(name).theta_ref)
+    free = 2 * len(comp.free)
+    quad_rows = slice(2 * len(comp.affine), 2 * len(comp.affine) + len(comp.quad))
+
+    # a free end of a reduced quadric bar sits far away; a square that
+    # overflows sets every quadric row to inf, an infinite coordinate only
+    # the rows that read it
+    for a, b, _ in comp.quad:
+        moved = list(x)
+        moved[a if a < free else b] = far
+        full, rows = check_residuals(spec, comp, moved, drive)
+        assert full == math.inf
+        if far == 1e200:
+            assert rows[quad_rows] == [math.inf] * len(comp.quad)
+    # every free coordinate far away: at inf a bar between two free joints reads NaN
+    check_residuals(spec, comp, [far] * free, drive)
+
+    # only the driver bar, checked but not solved, reaches the driver anchor
+    anchor = next(j.id for j in spec.joints if j.is_anchored
+                  and spec.driver.bar in [b.id for b in spec.bars_at(j.id)])
+    index = [j.id for j in spec.joints if j.is_anchored].index(anchor)
+    anchor_xy = list(comp.anchor_xy)
+    anchor_xy[2 * index] = far
+    far_anchor = replace(comp, anchor_xy=anchor_xy)
+    assert all(free + 2 * index not in (a, b) for a, b, _ in comp.quad)
+    full, rows = check_residuals(spec, far_anchor, x, drive)
+    assert full == math.inf
+    if far == 1e200:
+        assert all(map(math.isfinite, rows))
+
+
+@pytest.mark.parametrize("name", names())
+def test_batched_jacobians_match_per_point(name):
+    comp, states = sweep_states(name, 64)
+    batch = comp.jacobians(states)
+    stacked = np.array([comp.jacobian(x) for x in states])
+    assert batch.shape == stacked.shape
+    assert np.array_equal(batch, stacked)
+    assert np.array_equal(np.signbit(batch), np.signbit(stacked))
+
+
+def test_samples_and_events_hold_plain_floats(traces):
+    for name, tr in traces.items():
+        for s in tr.samples:
+            assert {type(s.theta), type(s.x), type(s.y), type(s.residual)} == {float}, name
+        assert all(type(e.theta) is float for e in tr.events), name
+        assert type(tr.stats.max_condition) is float, name
