@@ -23,34 +23,39 @@ positive lead, which makes the basis unique. Buchberger and eliminate count
 critical pairs against a budget, DEFAULT_PAIR_BUDGET (200 000) unless told
 otherwise; the budget bounds pairs, not time.
 
-Every monomial order here is a weight order (Cox, Little and O'Shea, ch. 2
-section 2), so each packs exactly into one Python int: ``key(e) = sum(e_i *
-w_i)`` with weights built from 32-bit digits. Grevlex weighs variable i by
-``2^(32n) - 2^(32i)``, and the block order puts the front block's grevlex
-weights above the back block's. Comparing packed keys orders monomials
-exactly like the textbook comparisons, and equal keys mean equal exponents,
-while every total degree stays below ``DEGREE_LIMIT`` = 2^32. ``MultiPoly``
-rejects a term at or above it with ``ValueError``, a product checks its
-exact degree once, and the engine checks once per reduction step, before a
-shift could create one. The key is linear: shifting by x^s adds ``key(s)``.
-
-The exponents are packed into one int too (Monagan and Pearce, "Polynomial
+The exponents are packed into one int (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", 2007):
 ``e_i`` sits in bits ``[33i, 33i + 32)`` and bit ``33i + 32`` is a guard
 bit, with G the mask of all guard bits. A shift is one addition, ``a`` is
 divisible by ``b`` exactly when ``((a | G) - b) & G == G`` (a field with
 ``a_i < b_i`` borrows its own guard bit and no other), and the total degree
-is ``a % (2^33 - 1)``, since ``2^33 == 1`` modulo it and every total degree
-is below 2^32. A term is ``(key, packed exponents, int coefficient)``; a
-``MultiPoly``'s terms are keyed under grevlex, so the engine reads them as
-they are under grevlex and re-keys them under any other order. Exponent
-tuples remain for the pair lcm, the coprime test and error messages.
-The normal form keeps the terms still to reduce in a dict from key to
-coefficient beside a max-heap of keys (Yan's geobuckets, JSC 1998, serve
-the same end). Each step pops the greatest term, cancels it with the first
-basis lead that divides it, and adds the shifted reducer tail, so a step
-touches only the reducer's terms, plus every stored coefficient when the
-step's multiplier is not 1.
+is ``a % (2^33 - 1)``, since ``2^33 == 1`` modulo it. The same borrow picks
+the fields of a pair lcm, and two leads are coprime exactly when their lcm
+is their sum. Exponent tuples are only the public face: the constructor,
+``terms``, ``as_dict()``, ``coefficient()``, ``text()`` and the
+degree-guard messages.
+
+Every monomial order here is a weight order (Cox, Little and O'Shea, ch. 2
+section 2), so each packs exactly into one Python int. Grevlex weighs
+variable i of n by ``2^(33n) - 2^(33i)``, so the key of packed exponents
+``p`` is ``(p % (2^33 - 1)) * 2^(33n) - p``, two big-int operations. The
+block order masks out each block's fields, takes their grevlex keys and
+lifts the front block's above the back block's range. Keys order monomials
+exactly like the textbook comparisons, and equal keys mean equal exponents,
+while every field is below 2^32 and every total degree below 2^33 - 1, as
+for the lcm of any two terms. Every term's total degree stays below
+``DEGREE_LIMIT`` = 2^32: ``MultiPoly`` rejects one at or above it with
+``ValueError``, a product checks its exact degree once, and the engine
+checks once per reduction step, before a shift could create one. The key
+is linear: shifting by x^s adds ``key(s)``. A term is ``(key, packed
+exponents, int coefficient)``; a ``MultiPoly``'s terms are keyed under
+grevlex, so the engine reads them as they are under grevlex and re-keys
+them under any other order. The normal form keeps the terms still to
+reduce in a dict from key to coefficient beside a max-heap of keys (Yan's
+geobuckets, JSC 1998, serve the same end). Each step pops the greatest
+term, cancels it with the first basis lead that divides it, and adds the
+shifted reducer tail, so a step touches only the reducer's terms, plus
+every stored coefficient when the step's multiplier is not 1.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from itertools import chain, islice
 from math import gcd, lcm
-from operator import mul, or_
+from operator import or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -117,7 +122,7 @@ class _PairCounter:
 _DIGIT_BITS = 32
 DEGREE_LIMIT = 1 << _DIGIT_BITS  # total degrees must stay below this
 
-Key = Callable[[Exponents], int]
+Key = Callable[[int], int]  # packed exponents -> monomial key
 
 # a term: (key, packed exponents, int coefficient); a term list is sorted
 # descending by key
@@ -126,19 +131,6 @@ _Terms = Sequence
 _FIELD = 33  # bits per packed exponent: 32 for the exponent, 1 guard bit
 _EXP_MASK = (1 << _DIGIT_BITS) - 1
 _DEGREE_MOD = (1 << _FIELD) - 1  # 2^(33i) == 1 modulo this
-
-
-@lru_cache(maxsize=64)
-def _grevlex_weights(n: int) -> tuple[int, ...]:
-    top = 1 << (_DIGIT_BITS * n)
-    return tuple(top - (1 << (_DIGIT_BITS * i)) for i in range(n))
-
-
-def _packed_key(weights: tuple[int, ...]) -> Key:
-    def key(exp: Exponents) -> int:
-        return sum(map(mul, exp, weights))
-
-    return key
 
 
 def _check_degree(degree: int, what: object) -> None:
@@ -160,10 +152,10 @@ def _unpack(p: int, n: int) -> Exponents:
     return tuple((p >> (_FIELD * i)) & _EXP_MASK for i in range(n))
 
 
-def _rekey(terms: Iterable[tuple[int, ...]], key: Key, n: int) -> list:
+def _rekey(terms: Iterable[tuple[int, ...]], key: Key) -> list:
     """Terms, or (packed exponents, coefficient) pairs, keyed by key and
     sorted descending."""
-    return sorted(((key(_unpack(e, n)), e, c) for *_, e, c in terms), reverse=True)
+    return sorted(((key(e), e, c) for *_, e, c in terms), reverse=True)
 
 
 def _sum_terms(terms: Iterable[tuple[int, int, int]]) -> list:
@@ -205,19 +197,21 @@ class BlockElim:
     front: tuple[str, ...]
 
     def key(self, varnames: Sequence[str]) -> Key:
-        front = [i for i, v in enumerate(varnames) if v in self.front]
-        back = [i for i, v in enumerate(varnames) if v not in self.front]
-        unknown = set(self.front) - set(varnames)
+        unknown = set(self.front).difference(varnames)
         if unknown:
             raise VariableMismatchError(f"front variables {sorted(unknown)} not in ring")
-        # the back block's grevlex keys stay below 2^(W*(len(back)+1))
-        lift = 1 << (_DIGIT_BITS * (len(back) + 1))
-        weights = [0] * len(varnames)
-        for i, w in zip(front, _grevlex_weights(len(front))):
-            weights[i] = w * lift
-        for i, w in zip(back, _grevlex_weights(len(back))):
-            weights[i] = w
-        return _packed_key(tuple(weights))
+        n = len(varnames)
+        front = sum(_EXP_MASK << (_FIELD * varnames.index(v)) for v in set(self.front))
+        back = _guards(n) - (_guards(n) >> _DIGIT_BITS) - front  # every field less the front
+        top = _FIELD * n
+        # a block's grevlex key stays below 2^lift while its degree is below 2^33 - 1
+        lift = top + _FIELD
+
+        def key(p: int) -> int:
+            f, b = p & front, p & back
+            return (((f % _DEGREE_MOD << top) - f) << lift) + (b % _DEGREE_MOD << top) - b
+
+        return key
 
 
 # grevlex is the block order with an empty front: every variable is in the
@@ -260,7 +254,7 @@ class MultiPoly:
                 clean[exp] = clean.get(exp, Fraction(0)) + c
         den = lcm(*(c.denominator for c in clean.values()))
         ints = ((_pack(e), int(c * den)) for e, c in clean.items() if c)
-        self._fill(varnames, Fraction(1, den), _rekey(ints, GREVLEX.key(varnames), n))
+        self._fill(varnames, Fraction(1, den), _rekey(ints, GREVLEX.key(varnames)))
 
     def _fill(self, varnames: Sequence[str], scale: Fraction, terms: _Terms) -> None:
         """Set self to scale * terms: grevlex terms, descending, without zeros."""
@@ -288,9 +282,8 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, varnames: Sequence[str], name: str) -> "MultiPoly":
-        i = list(varnames).index(name)
-        term = (_grevlex_weights(len(varnames))[i], 1 << (_FIELD * i), 1)
-        return cls._from_terms(varnames, Fraction(1), [term])
+        unit = 1 << (_FIELD * list(varnames).index(name))
+        return cls._from_terms(varnames, Fraction(1), [(GREVLEX.key(varnames)(unit), unit, 1)])
 
     # -- basic queries
 
@@ -401,7 +394,8 @@ class MultiPoly:
         if not self._ints:
             return self
         a, b = rep.content.numerator, rep.content.denominator
-        shift, weight = _FIELD * i, _grevlex_weights(len(self.vars))[i]
+        shift = _FIELD * i
+        weight = GREVLEX.key(self.vars)(1 << shift)
         powers = [MultiPoly.const(self.vars, 1), rep.primitive()]  # powers[k] is P^k
         top = max((e >> shift) & _EXP_MASK for _, e, _ in self._ints)
         acc = []
@@ -424,8 +418,7 @@ class MultiPoly:
         moves = [(_FIELD * self.vars.index(v), _FIELD * j) for j, v in enumerate(varnames)
                  if v in self.vars]
         terms = ((sum(((e >> a) & _EXP_MASK) << b for a, b in moves), c) for _, e, c in self._ints)
-        key = GREVLEX.key(varnames)
-        return MultiPoly._from_terms(varnames, self.content, _rekey(terms, key, len(varnames)))
+        return MultiPoly._from_terms(varnames, self.content, _rekey(terms, GREVLEX.key(varnames)))
 
     # -- normal forms
 
@@ -467,8 +460,8 @@ def _check_power(e: int, q: MultiPoly, d: int) -> None:
 
 def _used_vars(p: MultiPoly) -> list[str]:
     """The variables p uses: the fields of the OR of its packed exponents."""
-    used = _unpack(reduce(or_, (e for _, e, _ in p._ints), 0), len(p.vars))
-    return [v for v, m in zip(p.vars, used) if m]
+    used = reduce(or_, (e for _, e, _ in p._ints), 0)
+    return [v for i, v in enumerate(p.vars) if used >> (_FIELD * i) & _EXP_MASK]
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +484,7 @@ def divide(
             raise ZeroDivisionError("zero divisor in division")
     n = len(p.vars)
     grevlex, key = order == GREVLEX, order.key(p.vars)
-    pt, *ints = (q._ints if grevlex else _rekey(q._ints, key, n) for q in (p, *divisors))
+    pt, *ints = (q._ints if grevlex else _rekey(q._ints, key) for q in (p, *divisors))
     degs = [g.total_degree() for g in divisors]
     quots: list[dict[int, int]] = [dict() for _ in divisors]
     rem, scale = _normal_form_int(pt, ints, degs, n, quots)
@@ -500,10 +493,10 @@ def divide(
     factor, gkey = p.content / scale, GREVLEX.key(p.vars)
     return (
         [
-            MultiPoly._from_terms(p.vars, factor / g.content, _rekey(q.items(), gkey, n))
+            MultiPoly._from_terms(p.vars, factor / g.content, _rekey(q.items(), gkey))
             for q, g in zip(quots, divisors)
         ],
-        MultiPoly._from_terms(p.vars, factor, rem if grevlex else _rekey(rem, gkey, n)),
+        MultiPoly._from_terms(p.vars, factor, rem if grevlex else _rekey(rem, gkey)),
     )
 
 
@@ -606,12 +599,14 @@ def _normal_form_int(
     return rem, scale
 
 
-def _lcm_exp(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _coprime(a: Exponents, b: Exponents) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def _lcm(a: int, b: int, guards: int) -> int:
+    """The lcm of packed exponents a and b: each field from a where a's is
+    at least b's, that is where the field keeps its guard bit in
+    (a | guards) - b, and from b elsewhere. A kept guard bit less the lowest
+    bit of its field masks the field."""
+    ge = ((a | guards) - b) & guards
+    pick = ge - (ge >> _DIGIT_BITS)
+    return (a & pick) | (b & ~pick)
 
 
 def buchberger(
@@ -659,10 +654,9 @@ def _buchberger(
     guards = _guards(n)
 
     grevlex = order == GREVLEX
-    basis = [g._ints if grevlex else _rekey(g._ints, key, n) for g in gens]
+    basis = [g._ints if grevlex else _rekey(g._ints, key) for g in gens]
     degs = [g.total_degree() for g in gens]
-    # lead exponent tuples, for the pair lcm and the coprime test
-    leads = [_unpack(g[0][1], n) for g in basis]
+    leads = [g[0][1] for g in basis]
 
     heap: list[tuple] = []
     pending: set[tuple[int, int]] = set()
@@ -670,8 +664,8 @@ def _buchberger(
     def push_pairs(j: int) -> None:
         lj = leads[j]
         for i in range(j):
-            l = _lcm_exp(leads[i], lj)
-            heappush(heap, (sum(l), key(l), i, j))
+            l = _lcm(leads[i], lj, guards)
+            heappush(heap, (l % _DEGREE_MOD, key(l), i, j, l))
             pending.add((i, j))
 
     for j in range(len(basis)):
@@ -679,19 +673,18 @@ def _buchberger(
 
     while heap:
         counter.spend()
-        _, klcm, i, j = heappop(heap)
+        _, klcm, i, j, plcm = heappop(heap)
         pending.discard((i, j))
-        li, lj = leads[i], leads[j]
-        if _coprime(li, lj):
+        # coprime leads: their lcm is their product, the sum of the packed leads
+        if plcm == leads[i] + leads[j]:
             continue
-        plcm = _pack(_lcm_exp(li, lj))
         # chain criterion: some k with lead dividing the lcm and both pairs done
         top = plcm | guards
         skip = False
-        for k, g in enumerate(basis):
+        for k, lk in enumerate(leads):
             if k in (i, j):
                 continue
-            if (top - g[0][1]) & guards == guards:
+            if (top - lk) & guards == guards:
                 a1, b1 = min(i, k), max(i, k)
                 a2, b2 = min(j, k), max(j, k)
                 if (a1, b1) not in pending and (a2, b2) not in pending:
@@ -699,14 +692,14 @@ def _buchberger(
                     break
         if skip:
             continue
-        _check_shift(plcm - basis[i][0][1], degs[i], n)
-        _check_shift(plcm - basis[j][0][1], degs[j], n)
+        _check_shift(plcm - leads[i], degs[i], n)
+        _check_shift(plcm - leads[j], degs[j], n)
         s = _spoly_int(basis[i], basis[j], klcm, plcm)
         s = _strip_content(_normal_form_int(_strip_content(s), basis, degs, n)[0])
         if s:
             basis.append(s)
             degs.append(_max_degree(s))
-            leads.append(_unpack(s[0][1], n))
+            leads.append(s[0][1])
             push_pairs(len(basis) - 1)
 
     return _reduce_basis(varnames, basis, grevlex)
@@ -743,7 +736,7 @@ def _reduce_basis(varnames, basis: list[_Terms], grevlex: bool) -> list[MultiPol
     reduced.sort(key=lambda t: t[0][0])
     if not grevlex:
         key = GREVLEX.key(varnames)
-        reduced = [_rekey(t, key, n) for t in reduced]
+        reduced = [_rekey(t, key) for t in reduced]
     return [MultiPoly._from_terms(varnames, Fraction(1), t) for t in reduced]
 
 
@@ -759,33 +752,22 @@ def _substitute_linear(gens: list[MultiPoly], eliminable: set[str]) -> list[Mult
     relations before Buchberger runs. gens must not be empty.
     """
     varnames = gens[0].vars
+    # packed exponents of each eliminable variable, in ring order; one already
+    # substituted away appears in no generator
+    units = {1 << (_FIELD * i): v for i, v in enumerate(varnames) if v in eliminable}
     work = list(gens)
-    changed = True
-    while changed:
-        changed = False
+    while True:
         for g in work:
-            if g.is_zero or g.total_degree() != 1:
-                continue
-            # pick the first eliminable variable with nonzero coefficient; one
-            # already substituted away has coefficient 0 everywhere
-            target = None
-            for vi, v in enumerate(varnames):
-                if v not in eliminable:
-                    continue
-                unit = tuple(1 if k == vi else 0 for k in range(len(varnames)))
-                c = g.coefficient(unit)
-                if c:
-                    target = (v, unit, c)
+            if g.total_degree() == 1:
+                coeffs = {e: c for _, e, c in g._ints}
+                unit = next((u for u in units if u in coeffs), None)
+                if unit is not None:
                     break
-            if target is None:
-                continue
-            v, unit, c = target
-            rest = MultiPoly(varnames, {e: k for e, k in g.terms if e != unit})
-            replacement = rest * Fraction(-1, 1) * (1 / c)
-            work = [h.subs(v, replacement) for h in work if h is not g]
-            changed = True
-            break
-    return [h for h in work if not h.is_zero]
+        else:
+            return [h for h in work if not h.is_zero]
+        v = units[unit]
+        rep = MultiPoly.variable(varnames, v) - g.primitive() * Fraction(1, coeffs[unit])
+        work = [h.subs(v, rep) for h in work if h is not g]
 
 
 def eliminate(

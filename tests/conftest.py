@@ -15,7 +15,7 @@ from linkagekit import solver
 from linkagekit.catalog import entry, names
 from linkagekit.locus import locus_equation
 from linkagekit.model import Configuration
-from linkagekit.poly import DEGREE_LIMIT, GREVLEX, MultiPoly
+from linkagekit.poly import DEGREE_LIMIT, GREVLEX, MultiPoly, _pack, _unpack
 from linkagekit.solver import SolveStats, SolverSettings, trace
 
 
@@ -68,15 +68,22 @@ def sympy_divide(p, divisors):
 
 class Lex:
     """Pure lexicographic order as a weight order: variable i of n weighs
-    DEGREE_LIMIT^(n-1-i), so the packed keys compare like exponent tuples."""
+    DEGREE_LIMIT^(n-1-i), so the keys of packed exponents compare like
+    exponent tuples."""
 
     def key(self, varnames):
         n = len(varnames)
         weights = tuple(DEGREE_LIMIT ** (n - 1 - i) for i in range(n))
-        return lambda exp: sum(map(mul, exp, weights))
+        return lambda p: sum(map(mul, _unpack(p, n), weights))
 
 
 LEX = Lex()
+
+
+def tuple_key(order, varnames):
+    """order's key on exponent tuples."""
+    key = order.key(varnames)
+    return lambda exp: key(_pack(exp))
 
 
 def evaluate(p, point):
@@ -96,7 +103,7 @@ def leading_term(p, order=GREVLEX):
     """(exponents, coefficient) of p's greatest term under order."""
     if not p.terms:
         raise ValueError("zero polynomial has no leading term")
-    key = order.key(p.vars)
+    key = tuple_key(order, p.vars)
     return max(p.terms, key=lambda t: key(t[0]))
 
 

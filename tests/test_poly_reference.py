@@ -1,8 +1,9 @@
-"""Packed monomial keys, the degree guard, the integer ring operations,
-cached substitution and the heap-driven division engine, checked against
-the tuple keys, the Fraction term-map arithmetic, the per-term substitution
-loop and the list-merge normal form they replaced, which are kept here as
-reference implementations."""
+"""Packed monomial keys, the packed pair lcm, the degree guard, the integer
+ring operations, cached substitution, the heap-driven division engine and
+the packed linear substitution, checked against the tuple keys and lcms,
+the Fraction term-map arithmetic, the per-term substitution loop, the
+list-merge normal form and the coefficient-scanning linear substitution
+they replaced, which are kept here as reference implementations."""
 
 from fractions import Fraction as F
 from itertools import islice
@@ -14,13 +15,20 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, reject, settings, strategies as st  # noqa: E402
 
-from conftest import LEX, Lex  # noqa: E402
+from conftest import LEX, Lex, tuple_key  # noqa: E402
+from linkagekit.catalog import entry, names  # noqa: E402
+from linkagekit.locus import constraint_ideal  # noqa: E402
 from linkagekit.poly import (  # noqa: E402
     DEGREE_LIMIT,
     GREVLEX,
     BlockElim,
     MultiPoly,
     VariableMismatchError,
+    _guards,
+    _lcm,
+    _pack,
+    _substitute_linear,
+    _unpack,
     buchberger,
     divide,
 )
@@ -205,7 +213,7 @@ def ref_normal_form(p, basis, degs, key, quots, max_steps):
 def ref_divide(p, divisors, order, max_steps=2000):
     """divide as it ran on the list-merge engine; raises TooLong after
     max_steps reduction steps."""
-    key = order.key(p.vars)
+    key = tuple_key(order, p.vars)
 
     def int_terms(q):
         terms = sorted(((key(e), e, int(c)) for e, c in q.primitive().terms), reverse=True)
@@ -223,6 +231,39 @@ def ref_divide(p, divisors, order, max_steps=2000):
          for q, (c, _) in zip(quots, ints)],
         MultiPoly(p.vars, {e: factor * c for _, e, c in rem}),
     )
+
+
+def ref_substitute_linear(gens, eliminable):
+    """The linear substitution of eliminate, scanning each degree-1
+    generator's coefficients variable by variable."""
+    varnames = gens[0].vars
+    work = list(gens)
+    changed = True
+    while changed:
+        changed = False
+        for g in work:
+            if g.is_zero or g.total_degree() != 1:
+                continue
+            # pick the first eliminable variable with nonzero coefficient; one
+            # already substituted away has coefficient 0 everywhere
+            target = None
+            for vi, v in enumerate(varnames):
+                if v not in eliminable:
+                    continue
+                unit = tuple(1 if k == vi else 0 for k in range(len(varnames)))
+                c = g.coefficient(unit)
+                if c:
+                    target = (v, unit, c)
+                    break
+            if target is None:
+                continue
+            v, unit, c = target
+            rest = MultiPoly(varnames, {e: k for e, k in g.terms if e != unit})
+            replacement = rest * F(-1, 1) * (1 / c)
+            work = [h.subs(v, replacement) for h in work if h is not g]
+            changed = True
+            break
+    return [h for h in work if not h.is_zero]
 
 
 # -- strategies --------------------------------------------------------------
@@ -299,6 +340,22 @@ def divisions(draw):
 
 
 @st.composite
+def linear_systems(draw):
+    """(gens, eliminable) over 1 to 6 variables: degree-1 generators with
+    rational coefficients, higher-degree ones, and duplicates, some the same
+    object and some equal copies."""
+    varnames = tuple(f"v{i}" for i in range(draw(st.integers(1, 6))))
+    n = len(varnames)
+    monos = [tuple(int(k == i) for k in range(n)) for i in range(n)] + [(0,) * n]
+    linear = st.dictionaries(st.sampled_from(monos), nonzero, min_size=1, max_size=n + 1)
+    gens = draw(st.lists(linear.map(lambda t: MultiPoly(varnames, t)), min_size=1, max_size=3))
+    gens += draw(st.lists(polys(varnames, max_deg=2, max_terms=3), max_size=3))
+    for g in draw(st.lists(st.sampled_from(gens), max_size=2)):
+        gens.append(g if draw(st.booleans()) else MultiPoly(varnames, g.as_dict()))
+    return draw(st.permutations(gens)), draw(st.sets(st.sampled_from(varnames), min_size=1))
+
+
+@st.composite
 def ring_pairs(draw):
     """(p, q) over 1 to 12 variables, with mixed denominators and exponents
     up to the degree limit. Some terms of q are the negated terms of p, so
@@ -329,9 +386,13 @@ def outcome(op, *args):
 def test_packed_key_orders_like_tuple_key(data):
     varnames, order = data.draw(ring_and_order())
     vec = exponents(len(varnames))
-    a, b = data.draw(vec), data.draw(vec)
-    key, ref = order.key(varnames), ref_key(order, varnames)
+    a, b, c = data.draw(vec), data.draw(vec), data.draw(vec)
+    key, ref = tuple_key(order, varnames), ref_key(order, varnames)
     assert _sign(key(a), key(b)) == _sign(ref(a), ref(b))
+    # and the lcms of a and b with c, of total degree up to 2^33 - 2, as the
+    # Buchberger heap keys the pairs of a new basis element
+    ac, bc = tuple(map(max, a, c)), tuple(map(max, b, c))
+    assert _sign(key(ac), key(bc)) == _sign(ref(ac), ref(bc))
 
 
 @settings(max_examples=200, deadline=None)
@@ -340,8 +401,23 @@ def test_packed_key_is_linear(data):
     varnames, order = data.draw(ring_and_order())
     vec = exponents(len(varnames), DEGREE_LIMIT // 2)
     a, b = data.draw(vec), data.draw(vec)
-    key = order.key(varnames)
+    key = tuple_key(order, varnames)
     assert key(tuple(x + y for x, y in zip(a, b))) == key(a) + key(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[st.integers(0, 3) | st.integers(0, DEGREE_LIMIT - 1)] * n)] * 2)
+))
+@example(((DEGREE_LIMIT - 1, 0, 1), (0, DEGREE_LIMIT - 1, 1)))
+@example(((1, DEGREE_LIMIT - 1), (2, 0)))
+def test_packed_lcm_and_coprime_test(pair):
+    # fields up to 2^32 - 1, where a borrow between fields would show
+    a, b = pair
+    n = len(a)
+    lcm = _lcm(_pack(a), _pack(b), _guards(n))
+    assert _unpack(lcm, n) == tuple(map(max, a, b)) and lcm == _pack(_unpack(lcm, n))
+    assert (lcm == _pack(a) + _pack(b)) == (not any(map(min, a, b)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -448,6 +524,20 @@ def test_degree_guard_in_products_and_engine():
     for gens in ([g3, xz], [xz, g3]):
         with pytest.raises(ValueError, match=r"x\^\(0, 0, 1\) times a degree-4294967295"):
             buchberger(gens, LEX)
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_systems())
+def test_substitute_linear_matches_reference(case):
+    gens, eliminable = case
+    assert _substitute_linear(gens, eliminable) == ref_substitute_linear(gens, eliminable)
+
+
+@pytest.mark.parametrize("name", names())
+def test_substitute_linear_matches_reference_on_catalog(name):
+    gens = list(constraint_ideal(entry(name).spec).generators)
+    eliminable = set(gens[0].vars) - {"x", "y"}
+    assert _substitute_linear(gens, eliminable) == ref_substitute_linear(gens, eliminable)
 
 
 @settings(max_examples=150, deadline=None)
