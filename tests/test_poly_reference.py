@@ -6,7 +6,7 @@ list-merge normal form and the coefficient-scanning linear substitution
 they replaced, which are kept here as reference implementations."""
 
 from fractions import Fraction as F
-from itertools import islice
+from itertools import islice, product
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -393,6 +393,19 @@ def test_packed_key_orders_like_tuple_key(data):
     # Buchberger heap keys the pairs of a new basis element
     ac, bc = tuple(map(max, a, c)), tuple(map(max, b, c))
     assert _sign(key(ac), key(bc)) == _sign(ref(ac), ref(bc))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_packed_key_orders_lcm_range_extremes_like_tuple_key(n):
+    # every field 0, 1 or near 2^32 with total degree up to 2^33 - 2, so that
+    # one block's smallest step meets the other block's largest lcm range
+    varnames = tuple(f"v{i}" for i in range(n))
+    values = (0, 1, DEGREE_LIMIT - 2, DEGREE_LIMIT - 1)
+    vecs = [e for e in product(values, repeat=n) if sum(e) <= 2 * DEGREE_LIMIT - 2]
+    fronts = [tuple(v for v, m in zip(varnames, mask) if m) for mask in product((0, 1), repeat=n)]
+    for order in [LEX] + [BlockElim(front) for front in fronts]:
+        key, ref = tuple_key(order, varnames), ref_key(order, varnames)
+        assert sorted(vecs, key=key) == sorted(vecs, key=ref), order
 
 
 @settings(max_examples=200, deadline=None)
