@@ -384,20 +384,20 @@ class MultiPoly:
         With rep = (a/b) * P, P primitive, and d the top power of var, every
         term c * m * var^k becomes c * a^k * b^(d-k) * m * P^k, and the sum
         is scaled by content / b^d. The powers of P are computed once per
-        call.
+        call. A polynomial without var is returned as it is.
         """
         i = self.vars.index(var)
         if isinstance(rep, MultiPoly):
             self._check(rep)
         else:
             rep = MultiPoly.const(self.vars, rep)
-        if not self._ints:
+        shift = _FIELD * i
+        top = max(((e >> shift) & _EXP_MASK for _, e, _ in self._ints), default=0)
+        if not top:
             return self
         a, b = rep.content.numerator, rep.content.denominator
-        shift = _FIELD * i
         weight = GREVLEX.key(self.vars)(1 << shift)
         powers = [MultiPoly.const(self.vars, 1), rep.primitive()]  # powers[k] is P^k
-        top = max((e >> shift) & _EXP_MASK for _, e, _ in self._ints)
         acc = []
         for k, e, c in self._ints:
             d = (e >> shift) & _EXP_MASK

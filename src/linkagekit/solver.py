@@ -16,8 +16,12 @@ index tables over one coordinate list (free coordinates, then anchors). The
 state Newton and the continuation carry is a plain list of Python floats,
 and numpy serves only LAPACK's solve, the Jacobians and their SVDs: each
 Jacobian is a copy of a template of its constant rows with the quadric
-gradients added. One evaluation of a point gives both the full residual and
-the reduced rows, squaring each bar once. Once a square passes the float
+gradients added. Each Newton step calls numpy.linalg._umath_linalg.solve1,
+the gufunc np.linalg.solve calls for a 1-D right-hand side, directly, under
+np.linalg.solve's own error settings entered once per Newton call: the same
+bits, and LinAlgError for a singular matrix, without the wrapper's argument
+checks. One evaluation of a point gives both the full residual and the
+reduced rows, squaring each bar once. Once a square passes the float
 range every row of its group (the reduced quadrics, or the other bars) reads
 inf, which Newton refuses. Convergence is always measured against the full
 original constraint set, never the rewritten rows, at settings.tol or at the
@@ -62,6 +66,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import Bar, Configuration, LinkageSpec, reduced_constraints
 
@@ -327,6 +332,20 @@ def _conditions(jacobians: Sequence[np.ndarray]) -> list[float]:
     return np.divide(sv[:, 0], low, out=np.full(len(sv), math.inf), where=low != 0).tolist()
 
 
+def _raise_singular(err: str, flag: int) -> None:
+    """The errstate handler np.linalg.solve installs: its gufunc flags a
+    singular matrix as an invalid floating-point operation."""
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve_errors() -> np.errstate:
+    """np.linalg.solve's error settings around its gufunc: a singular matrix
+    raises LinAlgError, and an inf or NaN right-hand side raises nothing,
+    its step comes out non-finite."""
+    return np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
 def _newton(
     comp: _Compiled, theta: float, x: list[float], settings: SolverSettings, stats: SolveStats
 ):
@@ -337,27 +356,28 @@ def _newton(
     tol = max(settings.tol, comp.tol_floor)
     full, r = comp.residuals(x, drive)
     base = _inf_norm(r)
-    for it in range(MAX_NEWTON_ITERS + 1):
-        if full < tol or it == MAX_NEWTON_ITERS:
-            break
-        try:
-            # the Newton step is -delta: x - s*delta rounds as x + s*(-delta) would
-            delta = np.linalg.solve(comp.jacobian(x), r).tolist()
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        for _ in range(MAX_HALVINGS):
-            xn = [c - scale * d for c, d in zip(x, delta)]
-            # the residuals of an accepted point, and their norm, are the next iteration's
-            fn, rn = comp.residuals(xn, drive)
-            bn = _inf_norm(rn)
-            if bn < base:
+    with _solve_errors():
+        for it in range(MAX_NEWTON_ITERS + 1):
+            if full < tol or it == MAX_NEWTON_ITERS:
                 break
-            scale /= 2
-            stats.backtracks += 1
-        else:
-            break
-        x, full, r, base = xn, fn, rn, bn
+            try:
+                # the Newton step is -delta: x - s*delta rounds as x + s*(-delta) would
+                delta = _umath_linalg.solve1(comp.jacobian(x), r, signature="dd->d").tolist()
+            except np.linalg.LinAlgError:
+                break
+            scale = 1.0
+            for _ in range(MAX_HALVINGS):
+                xn = [c - scale * d for c, d in zip(x, delta)]
+                # the residuals of an accepted point, and their norm, are the next iteration's
+                fn, rn = comp.residuals(xn, drive)
+                bn = _inf_norm(rn)
+                if bn < base:
+                    break
+                scale /= 2
+                stats.backtracks += 1
+            else:
+                break
+            x, full, r, base = xn, fn, rn, bn
     ok = full < tol
     stats.calls += 1
     stats.iterations += it

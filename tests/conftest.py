@@ -5,6 +5,8 @@ rational references, independent of poly's integer engine, for checking the
 bases it produces; Lex, evaluate, reflect, scaled and solve serve tests
 only, so the package does not carry them."""
 
+import math
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 from operator import mul
@@ -14,7 +16,7 @@ import pytest
 from linkagekit import solver
 from linkagekit.catalog import entry, names
 from linkagekit.locus import locus_equation
-from linkagekit.model import Configuration
+from linkagekit.model import Bar, Configuration, Driver, Joint, LinkageSpec, Tracer
 from linkagekit.poly import DEGREE_LIMIT, GREVLEX, MultiPoly, _pack, _unpack
 from linkagekit.solver import SolveStats, SolverSettings, trace
 
@@ -166,3 +168,38 @@ def scaled(spec, factor):
         ),
         bars=tuple(replace(b, length=b.length * factor) for b in spec.bars),
     )
+
+
+def four_bar(rng):
+    """A four-bar with rational bars between 1 and 40, many of them
+    non-Grashof, and a seed assembled at a random crank angle theta:
+    (spec, seed, theta), or None where it does not assemble."""
+    d, a, b, c = (F(rng.randint(4, 40), rng.randint(1, 4)) for _ in range(4))
+    theta = rng.uniform(0, 2 * math.pi)
+    p = (float(a) * math.cos(theta), float(a) * math.sin(theta))
+    dx, dy = float(d) - p[0], -p[1]
+    dist = math.hypot(dx, dy)
+    along = (dist**2 + float(b) ** 2 - float(c) ** 2) / (2 * dist)
+    if along**2 >= float(b) ** 2:
+        return None
+    h = math.sqrt(float(b) ** 2 - along**2)
+    q = (p[0] + (along * dx - h * dy) / dist, p[1] + (along * dy + h * dx) / dist)
+    spec = LinkageSpec(
+        name="four_bar",
+        joints=(Joint("A", (F(0), F(0))), Joint("B", (d, F(0))),
+                Joint("P", None), Joint("Q", None)),
+        bars=(Bar("crank", "A", "P", a), Bar("coupler", "P", "Q", b),
+              Bar("rocker", "B", "Q", c)),
+        driver=Driver("crank"),
+        tracer=Tracer(bar="coupler", offset=F(rng.randint(-4, 8), 4)),
+    )
+    return spec, Configuration({"A": (0.0, 0.0), "B": (float(d), 0.0), "P": p, "Q": q}), theta
+
+
+def four_bars(seeds):
+    """The generated four-bars that assemble, 50 draws per seed."""
+    out = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        out += [fb for fb in (four_bar(rng) for _ in range(50)) if fb is not None]
+    return out

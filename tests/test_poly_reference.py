@@ -489,6 +489,20 @@ def test_subs_matches_reference(case):
     assert p.subs(var, rep) == ref_subs(p, {var: rep})
 
 
+@given(substitutions())
+def test_subs_without_the_variable_returns_the_polynomial(case):
+    # a polynomial free of the variable comes back as the same object, equal
+    # to the reference substitution; the argument checks still run first
+    p, var, rep = case
+    p = p.subs(var, 0)
+    assert p.subs(var, rep) is p
+    assert p == ref_subs(p, {var: rep})
+    with pytest.raises(VariableMismatchError):
+        p.subs(var, MultiPoly(p.vars + ("w",), {}))
+    with pytest.raises(ValueError):
+        p.subs("w", rep)
+
+
 def test_degree_guard_in_subs():
     # the first term whose product reaches the limit names its top monomial
     x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import random
 import re
 from dataclasses import replace
 from fractions import Fraction as F
@@ -10,7 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import catalog_trace, reflect, scaled, solve
+from conftest import catalog_trace, four_bars, reflect, scaled, solve
 from linkagekit import solver
 from linkagekit.catalog import entry, names
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer, validate
@@ -140,32 +139,6 @@ def test_driver_listed_anchor_last_traces_the_same(traces):
     assert tr.stats == traces["watt"].stats
 
 
-def four_bar(rng):
-    """A four-bar with rational bars between 1 and 40, many of them
-    non-Grashof, and a seed assembled at a random crank angle theta:
-    (spec, seed, theta), or None where it does not assemble."""
-    d, a, b, c = (F(rng.randint(4, 40), rng.randint(1, 4)) for _ in range(4))
-    theta = rng.uniform(0, 2 * math.pi)
-    p = (float(a) * math.cos(theta), float(a) * math.sin(theta))
-    dx, dy = float(d) - p[0], -p[1]
-    dist = math.hypot(dx, dy)
-    along = (dist**2 + float(b) ** 2 - float(c) ** 2) / (2 * dist)
-    if along**2 >= float(b) ** 2:
-        return None
-    h = math.sqrt(float(b) ** 2 - along**2)
-    q = (p[0] + (along * dx - h * dy) / dist, p[1] + (along * dy + h * dx) / dist)
-    spec = LinkageSpec(
-        name="four_bar",
-        joints=(Joint("A", (F(0), F(0))), Joint("B", (d, F(0))),
-                Joint("P", None), Joint("Q", None)),
-        bars=(Bar("crank", "A", "P", a), Bar("coupler", "P", "Q", b),
-              Bar("rocker", "B", "Q", c)),
-        driver=Driver("crank"),
-        tracer=Tracer(bar="coupler", offset=F(rng.randint(-4, 8), 4)),
-    )
-    return spec, Configuration({"A": (0.0, 0.0), "B": (float(d), 0.0), "P": p, "Q": q}), theta
-
-
 def _fold_distance(theta, spec):
     """Distance in rad from theta to the nearest exact fold angle of a
     four-bar: where |P(theta) - B| = b + c or |b - c|, that is
@@ -184,10 +157,7 @@ def test_boundaries_of_generated_four_bars_sit_on_exact_folds():
     # A four-bar's dyad folds where the crank pin's distance to the rocker
     # pivot reaches b + c or |b - c|, at rational cosines. Every workspace
     # boundary must be recorded there; a sweep that meets none turns fully.
-    linkages = []
-    for seed in range(3):
-        rng = random.Random(seed)
-        linkages += [fb for fb in (four_bar(rng) for _ in range(50)) if fb is not None]
+    linkages = four_bars(range(3))
     boundaries = 0
     for spec, seed, theta in linkages:
         tr = trace(spec, theta, theta + 2 * math.pi, seed=seed, seed_theta=theta)
@@ -202,21 +172,12 @@ def test_boundaries_of_generated_four_bars_sit_on_exact_folds():
     assert (len(linkages), boundaries) == (68, 43)
 
 
-def _four_bars(seeds):
-    """The generated four-bars that assemble, 50 draws per seed."""
-    out = []
-    for seed in seeds:
-        rng = random.Random(seed)
-        out += [fb for fb in (four_bar(rng) for _ in range(50)) if fb is not None]
-    return out
-
-
 def test_generated_four_bar_loci_are_circular():
     # a four-bar coupler curve is a circular sextic: its top-degree form is
     # c*(x^2 + y^2)^3; a tracer on the crank or rocker pin draws a circle
     circle = MultiPoly(("x", "y"), {(2, 0): 1, (0, 2): 1})
     degrees = []
-    for spec, _, _ in _four_bars(range(3)):
+    for spec, _, _ in four_bars(range(3)):
         p = locus_equation(spec).locus
         d = p.total_degree()
         assert d == (2 if spec.tracer.offset in (0, 1) else 6)
@@ -230,7 +191,7 @@ def test_generated_four_bar_samples_lie_on_their_loci():
     # the numeric half against the symbolic half: every traced pen point
     # zeroes the exact locus, relative to the size of its terms
     worst = 0.0
-    for spec, seed, theta in _four_bars([0]):
+    for spec, seed, theta in four_bars([0]):
         p = locus_equation(spec).locus
         for s in trace(spec, theta, theta + 2 * math.pi, seed=seed, seed_theta=theta).samples:
             terms = [float(c) * s.x**i * s.y**j for (i, j), c in p.terms]
@@ -538,12 +499,21 @@ def test_inf_norm_matches_numpy():
         assert got == want or (math.isnan(got) and math.isnan(want)), rows
 
 
-def test_singular_seed_raises_no_seed():
+def test_singular_seed_raises_no_seed(monkeypatch):
     # the coupler's ends coincide, so its quadric row has a zero gradient
-    # and the first Newton solve fails
+    # and the first Newton solve fails; no catalog sweep reaches this path
     spec, seed = watt_seed(D=(0.0, 4.0))
+    seen = []
+    newton = solver._newton
+    monkeypatch.setattr(solver, "_newton", lambda *args: seen.append(args[-1]) or newton(*args))
+    errors = np.geterr(), np.geterrcall()
     with pytest.raises(NoSeed, match=r"^no solvable configuration at theta=0$"):
         trace(spec, 0.0, 0.1, seed=seed, seed_theta=0.0)
+    assert seen == [SolveStats(calls=1, failed_calls=1)]
+    # the error settings _newton enters for its solves do not leak out of it
+    assert (np.geterr(), np.geterrcall()) == errors
+    catalog_trace("watt")
+    assert (np.geterr(), np.geterrcall()) == errors
 
 
 # the singular-configuration events of watt's whole sweep, as float.hex of

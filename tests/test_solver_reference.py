@@ -1,7 +1,7 @@
-"""The solver's fused residual evaluator and its batched Jacobians, checked
-against the separate full and reduced residuals they replaced, which are
-kept here as reference implementations, and against the per-point
-Jacobian."""
+"""The solver's fused residual evaluator, its batched Jacobians and its
+linear step, checked against the separate full and reduced residuals they
+replaced, which are kept here as reference implementations, against the
+per-point Jacobian, and against np.linalg.solve."""
 
 import math
 import random
@@ -10,8 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import catalog_trace, four_bars
 from linkagekit import solver
 from linkagekit.catalog import entry, names
+from linkagekit.model import Configuration
 from linkagekit.solver import SolverSettings, SolveStats
 
 # -- references --------------------------------------------------------------
@@ -60,24 +62,30 @@ def bits(values):
     return [float.hex(v) for v in values]
 
 
+def accepted_states(spec, seed, seed_theta, lo, hi, count=None):
+    """The compiled model and the first count (theta, state) pairs, or all of
+    them, that a sweep from lo to hi accepts, as trace reaches them."""
+    comp = solver._compile(spec)
+    settings, stats = SolverSettings(), SolveStats()
+    x, _, ok = solver._newton(comp, seed_theta, comp.to_vec(seed), settings, stats)
+    assert ok
+    for _, x, _ in solver._steps(comp, x, seed_theta, lo, settings, stats):
+        pass
+    states = []
+    for theta, x, _ in solver._steps(comp, x, lo, hi, settings, stats):
+        states.append((theta, x))
+        if len(states) == count:
+            break
+    return comp, states
+
+
 def sweep_states(name, count):
     """The compiled model and the first count states its catalog sweep
     accepts, as trace reaches them."""
     e = entry(name)
-    comp = solver._compile(e.spec)
-    settings, stats = SolverSettings(), SolveStats()
-    x, _, ok = solver._newton(comp, e.theta_ref, comp.to_vec(e.seed_config()), settings, stats)
-    assert ok
-    lo, hi = e.sweep
-    for _, x, _ in solver._steps(comp, x, e.theta_ref, lo, settings, stats):
-        pass
-    states = []
-    for _, x, _ in solver._steps(comp, x, lo, hi, settings, stats):
-        states.append(x)
-        if len(states) == count:
-            break
+    comp, states = accepted_states(e.spec, e.seed_config(), e.theta_ref, *e.sweep, count)
     assert len(states) == count
-    return comp, states
+    return comp, [x for _, x in states]
 
 
 def check_residuals(spec, comp, x, drive):
@@ -158,3 +166,86 @@ def test_samples_and_events_hold_plain_floats(traces):
             assert {type(s.theta), type(s.x), type(s.y), type(s.residual)} == {float}, name
         assert all(type(e.theta) is float for e in tr.events), name
         assert type(tr.stats.max_condition) is float, name
+
+
+# -- the linear step -----------------------------------------------------------
+# _newton calls numpy's private gufunc, the one np.linalg.solve calls for a
+# 1-D right-hand side, under the error settings np.linalg.solve enters for it.
+# These tests hold it to np.linalg.solve, bit for bit and error for error.
+
+
+def direct_step(J, r):
+    """_newton's linear step, as _newton makes it."""
+    with solver._solve_errors():
+        return solver._umath_linalg.solve1(J, r, signature="dd->d")
+
+
+def outcome(solve, J, r):
+    """The bits of the solution, or the error raised."""
+    try:
+        return bits(solve(J, r).tolist())
+    except np.linalg.LinAlgError as err:
+        return f"LinAlgError: {err}"
+
+
+def check_steps(comp, states):
+    """The direct step against np.linalg.solve on the Jacobian and the
+    reduced residual rows at each (theta, state)."""
+    for theta, x in states:
+        J = comp.jacobian(x)
+        _, r = comp.residuals(x, comp.drive(theta))
+        assert outcome(direct_step, J, r) == outcome(np.linalg.solve, J, r)
+
+
+@pytest.mark.parametrize("name", names())
+def test_step_matches_numpy_solve_on_catalog_sweeps(name):
+    e = entry(name)
+    check_steps(*accepted_states(e.spec, e.seed_config(), e.theta_ref, *e.sweep))
+
+
+def test_step_matches_numpy_solve_on_generated_four_bars():
+    for spec, seed, theta in four_bars(range(3)):
+        check_steps(*accepted_states(spec, seed, theta, theta, theta + 2 * math.pi))
+
+
+def test_newton_solves_match_numpy_solve(monkeypatch):
+    # every solve _newton makes over the catalog sweeps, at its own iterates;
+    # none of them meets a singular matrix
+    gufuncs, solves = solver._umath_linalg, []
+
+    class Spy:
+        @staticmethod
+        def solve1(J, r, signature):
+            delta = gufuncs.solve1(J, r, signature=signature)
+            assert bits(delta.tolist()) == bits(np.linalg.solve(J, r).tolist())
+            solves.append(J.shape)
+            return delta
+
+    monkeypatch.setattr(solver, "_umath_linalg", Spy)
+    for name in names():
+        catalog_trace(name)
+    assert len(solves) == 4233
+
+
+def test_step_fails_as_numpy_solve():
+    # a singular matrix raises; an inf or NaN right-hand side raises in
+    # neither, and the non-finite step is left to the line search to refuse
+    e = entry("watt")
+    comp = solver._compile(e.spec)
+    seed = e.seed_config()
+    x = comp.to_vec(seed)
+    J, (_, r) = comp.jacobian(x), comp.residuals(x, comp.drive(0.0))
+    # the coupler's ends coincide, so its quadric row has a zero gradient
+    x = comp.to_vec(Configuration({**seed, "D": (0.0, 4.0)}))
+    singular, (_, rs) = comp.jacobian(x), comp.residuals(x, comp.drive(0.0))
+    cases = [(singular, rs), (np.zeros((3, 3)), [1.0, 0.0, 0.0]),
+             (np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 2.0])]
+    for bad in (math.inf, -math.inf, math.nan):
+        cases += [(J, [bad] + r[1:]), (J, [bad] * len(r)), (singular, [bad] + rs[1:])]
+    for J, r in cases:
+        want = outcome(np.linalg.solve, J, r)
+        assert outcome(direct_step, J, r) == want
+        if np.linalg.matrix_rank(J) < len(J):
+            assert want == "LinAlgError: Singular matrix"
+        else:
+            assert {"inf", "-inf", "nan"} & set(want)
