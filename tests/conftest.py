@@ -2,8 +2,9 @@
 once per run. to_sympy and sympy_divide serve oracle tests, which skip
 themselves when sympy is missing. leading_term, spoly and reduce are plain
 rational references, independent of poly's integer engine, for checking the
-bases it produces; Lex, evaluate, reflect, scaled and solve serve tests
-only, so the package does not carry them."""
+bases it produces; Lex, evaluate, reflect, scaled, solve and the generated
+four-bars (four_bar, four_bars) serve tests only, so the package does not
+carry them."""
 
 import math
 import random

@@ -168,7 +168,7 @@ def test_samples_and_events_hold_plain_floats(traces):
         assert type(tr.stats.max_condition) is float, name
 
 
-# -- the linear step -----------------------------------------------------------
+# -- the linear step --------------------------------------------------------
 # _newton calls numpy's private gufunc, the one np.linalg.solve calls for a
 # 1-D right-hand side, under the error settings np.linalg.solve enters for it.
 # These tests hold it to np.linalg.solve, bit for bit and error for error.
