@@ -3,55 +3,58 @@
 The bar-length system is solved by damped Newton iteration at a fixed driver
 angle, and curves are traced by predictor-corrector continuation: each angle
 step starts Newton from the secant through the last two accepted solutions
-(from the last solution while there is only one), halving the step on
-failure. One continuation loop both carries the seed to the sweep start and
-sweeps the window; a stall is NoSeed in the first use and a workspace
-boundary in the second. Newton runs on the rows of
-model.reduced_constraints, the encoding the locus builder shares: collinear
-bar triples (rigid beams with interior joints) become affine rows plus the
-outer bar's quadric, since the raw triple encoding has an
-everywhere-singular Jacobian, and the driver's quadric gives way to two
+(the last solution alone at first), halving the step on failure. One
+continuation loop both carries the seed to the sweep start and sweeps the
+window; a stall is NoSeed in the first use and a workspace boundary in the
+second. Newton runs on the rows of model.reduced_constraints, the encoding the
+locus builder shares: collinear bar triples (rigid beams with interior joints)
+become affine rows plus the outer bar's quadric, since the raw triple encoding
+has an everywhere-singular Jacobian, and the driver's quadric gives way to two
 driver-angle rows. _compile turns those rows, once per trace, into integer
-index tables over one coordinate list (free coordinates, then anchors). The
-state Newton and the continuation carry is a plain list of Python floats,
-and numpy serves only LAPACK's solve, the Jacobians and their SVDs: each
-Jacobian is a copy of a template of its constant rows with the quadric
-gradients added. Each Newton step calls numpy.linalg._umath_linalg.solve1,
-the gufunc np.linalg.solve calls for a 1-D right-hand side, directly, under
-np.linalg.solve's own error settings entered once per Newton call: the same
-bits, and LinAlgError for a singular matrix, without the wrapper's argument
-checks. One evaluation of a point gives both the full residual and the
-reduced rows, squaring each bar once. Once a square passes the float
-range every row of its group (the reduced quadrics, or the other bars) reads
-inf, which Newton refuses. Convergence is always measured against the full
-original constraint set, never the rewritten rows, at settings.tol or at the
-rounding floor of a bar row, 4 ulp of the largest squared bar length,
-whichever is larger: the row's two squares, their sum and the rounded
-length**2 account for 2.5 of them, and the rounding of joint coordinates
-within a few bar lengths of the origin for the rest. Coordinates far from
-the origin round more coarsely than the floor allows for; there Newton
-does not converge, and trace raises NoSeed instead of accepting the seed.
+index tables over one coordinate list (free coordinates, then anchors).
+
+The system is solved in a frame, the usual diagonal scaling of a nonlinear
+system: its origin is the driver's anchor and its unit u the least power of
+two no shorter than any quadric bar (a bar between two anchors is none).
+Framed anchors and squared lengths are rounded once from the exact rationals,
+so a linkage moved anywhere, or scaled by a power of two, solves the same
+framed system. to_vec maps a seed into the frame, tracer_point maps pen points
+back, and a sample's residual is reported in model units, (r*u)*u; condition
+numbers are those of the framed Jacobians.
+
+The state is a plain list of Python floats; numpy serves only LAPACK's solve,
+the Jacobians (copies of a template of the constant rows, with the quadric
+gradients added) and their SVDs. Each Newton step calls
+numpy.linalg._umath_linalg.solve1, the gufunc np.linalg.solve calls for a 1-D
+right-hand side, under np.linalg.solve's own error settings entered once per
+Newton call: the same bits, and LinAlgError for a singular matrix. One
+evaluation of a point gives the full residual and the reduced rows, squaring
+each bar once as dx*dx + dy*dy; a row past the float range reads inf or NaN on
+its own, and Newton refuses it. Convergence is measured on the full original
+constraint set, never the rewritten rows, at settings.tol (model units, so
+tol/u**2 in the frame) or at the rounding floor of a bar row, 4 ulp of the
+largest framed squared quadric length, whichever is larger: the row's two
+squares, their sum and the rounded length**2 account for 2.5 of them, and the
+rounding of framed joint coordinates for the rest.
 
 A Newton call fails at MAX_NEWTON_ITERS (50) iterations, on a singular
 Jacobian, or when its line search has halved a step MAX_HALVINGS (8) times
-without lowering the reduced residual; the continuation then halves its
-step. Just past a workspace boundary the line search runs out within a few
-iterations. NoSeed is the one error for a failed solve: trace raises it when
-the seed solve or the seed leg fails. The residuals of a point the line
-search accepts, and their norm, are the next iteration's, not computed
-again, and a sample's full residual is the one its Newton call accepted it
-with. Work is counted in each Trace's SolveStats.
+without lowering the reduced residual; the continuation then halves its step.
+NoSeed, the one error for a failed solve, is raised when the seed solve or the
+seed leg fails. The residuals of a point the line search accepts are the next
+iteration's, and a sample's full residual is the one its Newton call accepted
+it with. Work is counted in each Trace's SolveStats.
 
 Each accepted step of the sweep is flagged from the Jacobian at its own
-solution, so a singular-configuration event depends on the configuration,
-not on Newton's path. The solutions are kept for CONDITION_BATCH (64)
-steps; then their Jacobians are built in one vectorised pass, their
-condition numbers come from one batched SVD, and they are compared with
-CONDITION_THRESHOLD (10^10) in step order. The largest is kept in
-SolveStats.max_condition. A NaN or infinite angle, or a leg longer than
-MAX_SWEEP_STEPS (10^5) steps, is refused with SweepError before any step; a
-linkage whose anchor coordinates or squared bar lengths overflow a float, or
-whose default layout does, is refused with a plain ValueError.
+solution, so a singular-configuration event depends on the configuration, not
+on Newton's path: CONDITION_BATCH (64) steps at a time, their Jacobians are
+built in one vectorised pass, and their condition numbers come from one
+batched SVD and are compared with CONDITION_THRESHOLD (10^10) in step order.
+The largest is kept in SolveStats.max_condition. A NaN or infinite angle, or a
+leg longer than MAX_SWEEP_STEPS (10^5) steps, is refused with SweepError
+before any step; a linkage whose anchor coordinates or squared bar lengths
+overflow a float in model units, or whose default layout does, with a plain
+ValueError.
 
 This is the one module that imports numpy, and only the commands that trace
 load it. The total-least-squares line through a traced window is fitted in
@@ -63,6 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -157,34 +161,33 @@ class Trace:
 
 
 def _bar_rows(v: list[float], bars: list[tuple[int, int, float]]) -> list[float]:
-    """Squared distance minus squared length for each (a, b, length**2);
-    every row reads inf once a square passes the float range."""
-    try:
-        return [(v[a] - v[b]) ** 2 + (v[a + 1] - v[b + 1]) ** 2 - sq for a, b, sq in bars]
-    except OverflowError:  # float ** 2 raises where float * float gives inf
-        return [math.inf] * len(bars)
+    """Squared distance minus squared length for each (a, b, length**2)."""
+    return [(dx := v[a] - v[b]) * dx + (dy := v[a + 1] - v[b + 1]) * dy - sq
+            for a, b, sq in bars]
 
 
 @dataclass
 class _Compiled:
     """model.reduced_constraints as integer index tables over one coordinate
-    list: the free coordinates x first, the anchor coordinates after them. A
-    joint at index i has its x there and its y at i + 1."""
+    list in the frame: the free coordinates x first, the anchor coordinates
+    after them. A joint at index i has its x there and its y at i + 1. A
+    framed point p is origin + unit * p in model units."""
 
     free: list[str]  # free[k] owns x[2k], x[2k + 1]
+    origin: tuple[float, float]  # the driver's anchor, in model units
+    unit: float  # a power of two
     anchor_xy: list[float]
     affine: list[tuple[int, int, int, float, float]]  # mid, a, b, 1-t, t: mid = (1-t)*a + t*b
     quad: list[tuple[int, int, float]]  # a, b, length**2 of the reduced quadric rows
     rest: list[tuple[int, int, float]]  # a, b, length**2 of the other bars, only checked
     driver: int  # index of the driven joint
-    driver_anchor: tuple[float, float]
     driver_length: float
-    tracer: tuple[int, Optional[int], float]  # a, b, offset; b is None for a joint tracer
+    tracer: tuple[int, int, float]  # a, b, offset; a joint tracer is (a, a, 0.0)
     template: np.ndarray  # Jacobian over every coordinate: constant affine and driver rows
     slots: np.ndarray  # flat template indices of the quadric gradients, as jacobian lists them
     heads: np.ndarray  # slot k's gradient is 2 * (v[heads[k]] - v[tails[k]]),
     tails: np.ndarray  # up to the sign of a zero
-    tol_floor: float  # 4 ulp of the largest squared bar length
+    tol_floor: float  # 4 ulp of the largest framed squared quadric length
 
     def to_vec(self, cfg: Configuration) -> list[float]:
         missing = [j for j in self.free if j not in cfg]
@@ -193,33 +196,25 @@ class _Compiled:
         bad = [j for j in self.free if not all(map(math.isfinite, cfg[j]))]
         if bad:
             raise ValueError(f"seed coordinates of {bad} are not finite")
-        x = []
-        for j in self.free:
-            px, py = cfg[j]
-            x += (float(px), float(py))
-        return x
+        u = self.unit
+        return [(float(c) - o) / u for j in self.free for c, o in zip(cfg[j], self.origin)]
 
-    def drive(self, theta: float) -> tuple[float, float, float, float]:
-        """L cos(theta), L sin(theta), and the driven joint's target."""
-        c, s = self.driver_length * math.cos(theta), self.driver_length * math.sin(theta)
-        ax, ay = self.driver_anchor
-        return c, s, ax + c, ay + s
+    def drive(self, theta: float) -> tuple[float, float]:
+        """The driven joint's target, L cos(theta) and L sin(theta)."""
+        return self.driver_length * math.cos(theta), self.driver_length * math.sin(theta)
 
-    def residuals(self, x: list[float], drive: tuple[float, ...]) -> tuple[float, list[float]]:
+    def residuals(self, x: list[float], drive: tuple[float, float]) -> tuple[float, list[float]]:
         """The full residual, max |row| over every bar and the driver's
         position, and the reduced rows Newton solves, squaring each bar once."""
         v = x + self.anchor_xy
         rows = []
         for mid, a, b, u, t in self.affine:
             rows += (v[mid] - u * v[a] - t * v[b], v[mid + 1] - u * v[a + 1] - t * v[b + 1])
-        quad = _bar_rows(v, self.quad)
-        rows += quad
-        f = self.driver
-        rows += (v[f] - drive[2], v[f + 1] - drive[3])
-        ax, ay = self.driver_anchor
+        checked = _bar_rows(v, self.quad)
+        checked += (v[self.driver] - drive[0], v[self.driver + 1] - drive[1])
+        rows += checked
         # builtin max skips NaN rows after the leading 0.0
-        full = max([0.0, *map(abs, quad), *map(abs, _bar_rows(v, self.rest)),
-                    abs(v[f] - ax - drive[0]), abs(v[f + 1] - ay - drive[1])])
+        full = max([0.0, *map(abs, checked), *map(abs, _bar_rows(v, self.rest))])
         return full, rows
 
     def jacobian(self, x: list[float]) -> np.ndarray:
@@ -243,33 +238,38 @@ class _Compiled:
         return J[:, :, : len(xs[0])]
 
     def tracer_point(self, x: list[float]) -> tuple[float, float]:
+        """The pen point, in model units."""
         v = x + self.anchor_xy
         a, b, off = self.tracer
-        if b is None:
-            return v[a], v[a + 1]
-        return ((1 - off) * v[a] + off * v[b], (1 - off) * v[a + 1] + off * v[b + 1])
+        px, py = (1 - off) * v[a] + off * v[b], (1 - off) * v[a + 1] + off * v[b + 1]
+        return self.origin[0] + self.unit * px, self.origin[1] + self.unit * py
 
 
 def _compile(spec: LinkageSpec) -> _Compiled:
+    anchored = spec.anchored_joints
     try:
-        anchors = {
-            j.id: (float(j.anchor[0]), float(j.anchor[1])) for j in spec.joints if j.is_anchored
-        }
-        squares = {b: float(b.length) ** 2 for b in spec.bars}
+        # a trace reports in model units, where each of these must fit a float
+        for value in [c for j in anchored for c in j.anchor] + [b.length ** 2 for b in spec.bars]:
+            float(value)
     except OverflowError:
         raise ValueError(
             f"{spec.name!r} has an anchor coordinate or a squared bar length "
             "beyond the float range"
         ) from None
-    free = [j.id for j in spec.joints if not j.is_anchored]
-    at = {j: 2 * k for k, j in enumerate([*free, *anchors])}
-
     triples, quadrics = reduced_constraints(spec)
     driver_bar = spec.bar(spec.driver.bar)
-    if spec.joint(driver_bar.a).is_anchored:
-        anchor_id, free_id = driver_bar.a, driver_bar.b
-    else:
-        anchor_id, free_id = driver_bar.b, driver_bar.a
+    anchor_id, free_id = driver_bar.a, driver_bar.b
+    if not spec.joint(anchor_id).is_anchored:
+        anchor_id, free_id = free_id, anchor_id
+
+    # the frame: the driver's anchor, and the least power of two no shorter than any quadric bar
+    origin = spec.joint(anchor_id).anchor
+    m, e = math.frexp(float(max(b.length for b in quadrics)))
+    unit = Fraction(2) ** (e - 1 if m == 0.5 else e)
+    anchor_xy = [float((c - o) / unit) for j in anchored for c, o in zip(j.anchor, origin)]
+    squares = {b: float((b.length / unit) ** 2) for b in spec.bars}
+    free = [j.id for j in spec.joints if not j.is_anchored]
+    at = {j: 2 * k for k, j in enumerate([*free, *(a.id for a in anchored)])}
 
     def table(bars: Sequence[Bar]) -> list[tuple[int, int, float]]:
         return [(at[b.a], at[b.b], squares[b]) for b in bars]
@@ -292,23 +292,24 @@ def _compile(spec: LinkageSpec) -> _Compiled:
     slots = [r * width + i for r, (a, b, _) in zip(rows, quad) for i in (a, a + 1, b, b + 1)]
 
     tr = spec.tracer
-    bar = spec.bar(tr.bar) if tr.on_bar else None
-    tracer = (at[bar.a], at[bar.b], float(tr.offset)) if bar else (at[tr.joint], None, 0.0)
+    ends = (spec.bar(tr.bar).a, spec.bar(tr.bar).b) if tr.on_bar else (tr.joint, tr.joint)
+    tracer = (at[ends[0]], at[ends[1]], float(tr.offset) if tr.on_bar else 0.0)
     return _Compiled(
         free=free,
-        anchor_xy=[c for xy in anchors.values() for c in xy],
+        origin=(float(origin[0]), float(origin[1])),
+        unit=float(unit),
+        anchor_xy=anchor_xy,
         affine=affine,
         quad=quad,
         rest=table([b for b in spec.bars if b not in solved]),
         driver=at[free_id],
-        driver_anchor=anchors[anchor_id],
-        driver_length=float(driver_bar.length),
+        driver_length=float(driver_bar.length / unit),
         tracer=tracer,
         template=template,
         slots=np.array(slots, dtype=np.intp),
         heads=np.array([i for a, b, _ in quad for i in (a, a + 1, b, b + 1)], dtype=np.intp),
         tails=np.array([i for a, b, _ in quad for i in (b, b + 1, a, a + 1)], dtype=np.intp),
-        tol_floor=4 * math.ulp(max(squares.values())),
+        tol_floor=4 * math.ulp(max(squares[b] for b in quadrics)),
     )
 
 
@@ -353,7 +354,7 @@ def _newton(
     stats. It fails at MAX_NEWTON_ITERS, on a singular step, or when
     MAX_HALVINGS halvings of a step do not lower the reduced residual."""
     drive = comp.drive(theta)
-    tol = max(settings.tol, comp.tol_floor)
+    tol = max(settings.tol / comp.unit / comp.unit, comp.tol_floor)
     full, r = comp.residuals(x, drive)
     base = _inf_norm(r)
     with _solve_errors():
@@ -558,8 +559,7 @@ def trace(
     events: list[BranchEvent] = []
 
     def record(theta: float, x: list[float], residual: float) -> None:
-        px, py = comp.tracer_point(x)
-        samples.append(TraceSample(theta, px, py, residual))
+        samples.append(TraceSample(theta, *comp.tracer_point(x), residual * comp.unit * comp.unit))
 
     near_singular = False
 

@@ -2,7 +2,7 @@
 once per run. to_sympy and sympy_divide serve oracle tests, which skip
 themselves when sympy is missing. leading_term, spoly and reduce are plain
 rational references, independent of poly's integer engine, for checking the
-bases it produces; Lex, evaluate, reflect, scaled, solve and the generated
+bases it produces; Lex, evaluate, reflect, scaled, moved, solve and the generated
 four-bars (four_bar, four_bars) serve tests only, so the package does not
 carry them."""
 
@@ -155,8 +155,11 @@ def solve(spec, theta, seed):
     x, _, ok = solver._newton(comp, theta, comp.to_vec(seed), SolverSettings(), SolveStats())
     if not ok:
         return None
+    # x is in the solver's frame: a framed point p is origin + unit * p
+    (ox, oy), u = comp.origin, comp.unit
     anchors = {j.id: (float(j.anchor[0]), float(j.anchor[1])) for j in spec.anchored_joints}
-    return Configuration({**anchors, **dict(zip(comp.free, zip(x[::2], x[1::2])))})
+    free = {j: (ox + u * px, oy + u * py) for j, px, py in zip(comp.free, x[::2], x[1::2])}
+    return Configuration({**anchors, **free})
 
 
 def scaled(spec, factor):
@@ -169,6 +172,14 @@ def scaled(spec, factor):
         ),
         bars=tuple(replace(b, length=b.length * factor) for b in spec.bars),
     )
+
+
+def moved(spec, offset):
+    """spec with every anchor moved offset along x."""
+    return replace(spec, joints=tuple(
+        replace(j, anchor=(j.anchor[0] + offset, j.anchor[1])) if j.is_anchored else j
+        for j in spec.joints
+    ))
 
 
 def four_bar(rng):

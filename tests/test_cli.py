@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import scaled
+from conftest import moved, scaled
 from linkagekit import model
 from linkagekit.catalog import entry
 from linkagekit.cli import main
@@ -159,8 +159,8 @@ def test_stats_flag_only_adds_a_stderr_line(capsys, tmp_path):
     assert flagged == plain
     assert err_stats[:2] == [
         "workspace boundary at theta = 4.207028",
-        "newton: 163 calls, 429 iterations, 22 failed calls (58 iterations), 354 backtracks, "
-        "max condition 1.967e+05",
+        "newton: 163 calls, 428 iterations, 22 failed calls (58 iterations), 351 backtracks, "
+        "max condition 2.521e+04",
     ]
     assert len(err_stats) == len(err) + 1
 
@@ -314,6 +314,15 @@ def test_unreachable_linkage_exits_three(capsys, tmp_path):
     code, _, err = run(capsys, "trace", str(path), "--from", "0", "--to", "1")
     assert code == 3
     assert "no solvable configuration" in err
+
+
+def test_linkage_far_from_the_origin_traces(capsys, tmp_path):
+    # watt moved 10^6 along x, seeded from its default layout
+    path = tmp_path / "far.json"
+    path.write_text(model.save(moved(entry("watt").spec, 10**6)))
+    code, out, _ = run(capsys, "trace", str(path), "--from", "-0.8", "--to", "0.8", "--json")
+    assert code == 0
+    assert len(json.loads(out)["samples"]) == 161
 
 
 def test_file_trace_requires_sweep_bounds(capsys, tmp_path):

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import catalog_trace, four_bars, reflect, scaled, solve
+from conftest import catalog_trace, four_bars, moved, reflect, scaled, solve
 from linkagekit import solver
 from linkagekit.catalog import entry, names
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer, validate
@@ -52,13 +52,13 @@ def nearest_theta_pairs(a, b, tol=1e-9, map_b=lambda t: t, min_fraction=0.5):
 # Recorded on x86-64 Linux, CPython 3.11, numpy 2.4; another libm or LAPACK
 # build may move the last bit.
 TRACE_SHA256 = {
-    "compass": "9e4880687705ec413c29c31ffd5aca146c4eae92c2d5f32baaa73b8e25807f7c",
-    "chebyshev": "354f3866b7cb6adb1e4110e31e290553f04b2c9dc9bc71f077395009092de595",
-    "chebyshev_open": "22c059eb86336b4017531c6ea1fc88a0dba37d6b06d935c58dcb997dfbeca19f",
-    "chebyshev_lambda": "c77cdb38a62f01a7850c0438d88e25fe58c6bc39be74a740c9f1716a80ec9ca3",
-    "watt": "6b31d4eba6e5fd156f694fd670f6dda668c4937dd39c5aeac09ea012711995ff",
-    "hart_inversor": "4660a92cccfa0fbf6e82c5d579759d6b65d0e0dd3ff603d14b6b7abdb8227b12",
-    "hart_aframe": "2343b6d7ad4e245a5f717f96010f0a3cfae178f116723dd423d7a49e9ce38cee",
+    "compass": "5c57dea1060e3fd09ea132f9e450047e34c43f6101b953723d92d88ed7dc0950",
+    "chebyshev": "822767fe1d21370e0b9f0abfafb74f9590038e632df09cd67fb50c5085161e75",
+    "chebyshev_open": "31574bf7637cbada49009c43cd84a8eded3915826456fdafe32a9a298aa740c6",
+    "chebyshev_lambda": "5aa66c8415d7ea55b4c72544301c48ed449132ba8df9a08615c65b62950b7ce6",
+    "watt": "99755a028e40060237aaf70fff9a1987d7f174217e036de99fa49a90fb3c0861",
+    "hart_inversor": "e2fcaa5f38151976f3142b6808c3299876e276757d8871ace41710029a53cc1c",
+    "hart_aframe": "5695cd9a04c24dc4d0d2220db861b43f43b232517483a0c5cb194c07925ce311",
 }
 
 
@@ -81,12 +81,12 @@ def test_trace_counts_newton_work(traces):
     # hart_inversor's 163 calls: the seed solve, 13 steps of the seed leg from
     # pi to 3.02, then 127 accepted and 22 failed steps of the sweep
     assert traces["hart_inversor"].stats == SolveStats(
-        calls=163, iterations=429, failed_calls=22, failed_iterations=58, backtracks=354,
-        max_condition=196723.01910739904,
+        calls=163, iterations=428, failed_calls=22, failed_iterations=58, backtracks=351,
+        max_condition=25212.36700783836,
     )
     assert traces["hart_aframe"].stats == SolveStats(
         calls=134, iterations=319, failed_calls=21, failed_iterations=52, backtracks=357,
-        max_condition=289428.65905842674,
+        max_condition=47407.88114014431,
     )
     e = entry("watt")
     cfg = solve(e.spec, 0.1, e.seed_config())
@@ -101,7 +101,7 @@ def test_halving_cap_is_invisible_on_the_catalog(monkeypatch):
         tr = catalog_trace(name)
         assert trace_digest(tr) == TRACE_SHA256[name], name
         if name == "hart_inversor":
-            assert (tr.stats.iterations, tr.stats.backtracks) == (505, 1608)
+            assert (tr.stats.iterations, tr.stats.backtracks) == (504, 1605)
 
 
 def _retrace(name, spec):
@@ -374,11 +374,11 @@ def test_overflowing_seed_keeps_its_errors():
         trace(spec, 0.0, 0.1, seed=seed, seed_theta=0.0)
 
 
-@pytest.mark.parametrize("k", [10, 30])
+@pytest.mark.parametrize("k", [10, 30, 100, 1000, 10**6])
 def test_scaled_watt_traces_as_the_unscaled_one(traces, k):
-    # Newton's tolerance is raised to 4 ulp of the largest squared length
-    # (2.9e-11 for 30x, where it is 57600), so the scaled linkage takes the
-    # same steps and its pen points are k times the unscaled ones
+    # Newton solves in a frame whose unit scales with the linkage, so the
+    # scaled linkage takes the same steps and its pen points are k times the
+    # unscaled ones
     e = entry("watt")
     seed = Configuration({j: (x * k, y * k) for j, (x, y) in e.seed_config().items()})
     tr = trace(scaled(e.spec, F(k)), *e.sweep, seed=seed, seed_theta=e.theta_ref)
@@ -389,20 +389,54 @@ def test_scaled_watt_traces_as_the_unscaled_one(traces, k):
         assert math.hypot(s.x - k * b.x, s.y - k * b.y) < 2e-13 * k
 
 
-# anchors far from the origin round more coarsely than the bar lengths'
-# rounding floor: Newton does not converge there, and nothing is traced
+@pytest.mark.parametrize("name", names())
+@pytest.mark.parametrize("k", [-3, 10])
+def test_power_of_two_scaling_is_exact(name, k):
+    # scaled by 2^k, the linkage's framed system is the same bit for bit;
+    # under a tolerance below the rounding floor the floor, which is framed
+    # too, decides convergence, so the trace is the unscaled one times 2^k
+    e = entry(name)
+    settings = SolverSettings(tol=1e-300)
+    factor = 2.0**k
+    seed = Configuration({j: (x * factor, y * factor) for j, (x, y) in e.seed_config().items()})
+    tr = trace(scaled(e.spec, F(2) ** k), *e.sweep, settings, seed=seed, seed_theta=e.theta_ref)
+    base = catalog_trace(name, settings)
+    assert (tr.stats, tr.events) == (base.stats, base.events)
+    assert [(s.theta, s.x, s.y, s.residual) for s in tr.samples] == [
+        (b.theta, b.x * factor, b.y * factor, b.residual * factor * factor)
+        for b in base.samples
+    ]
+
+
+# the frame's origin is the driver's anchor, so a linkage far from the model
+# origin solves the framed system of the same linkage at the origin
 @pytest.mark.parametrize("offset", [10**6, 10**154], ids=["1e6", "1e154"])
-def test_watt_far_from_the_origin_raises_no_seed(offset):
+def test_watt_far_from_the_origin_traces_as_at_the_origin(traces, offset):
     e = entry("watt")
-    spec = replace(e.spec, joints=tuple(
-        replace(j, anchor=(j.anchor[0] + offset, j.anchor[1])) if j.is_anchored else j
-        for j in e.spec.joints
-    ))
     seed = Configuration({j: (x + offset, y) for j, (x, y) in e.seed_config().items()})
-    with pytest.raises(NoSeed):
-        trace(spec, *e.sweep, seed=seed, seed_theta=e.theta_ref)
+    tr = trace(moved(e.spec, offset), *e.sweep, seed=seed, seed_theta=e.theta_ref)
+    base = traces["watt"]
+    assert (tr.events, tr.stats.failed_calls) == ([], 0)
+    assert [s.theta for s in tr.samples] == [s.theta for s in base.samples]
+    for s, b in zip(tr.samples, base.samples):
+        assert abs(s.x - (b.x + offset)) <= math.ulp(offset) and abs(s.y - b.y) < 2e-12
+
+
+def test_watt_far_from_the_origin_traces_from_the_default_layout():
+    e = entry("watt")
+    tr = trace(moved(e.spec, 10**6), *e.sweep)
+    base = trace(e.spec, *e.sweep)
+    assert (tr.events, tr.stats.failed_calls) == ([], 0)
+    assert [s.theta for s in tr.samples] == [s.theta for s in base.samples]
+
+
+def test_watt_beyond_the_default_layouts_reach_raises_no_seed():
+    # default_layout places joints in model-unit floats, and floats near
+    # 10^154 are 2^459 apart: a layout joint's framed coordinates are off by
+    # whole multiples of 2^456 frame units (u = 8), and Newton cannot solve it
+    e = entry("watt")
     with pytest.raises(NoSeed, match=r"^no solvable configuration at theta="):
-        trace(spec, *e.sweep)
+        trace(moved(e.spec, 10**154), *e.sweep)
 
 
 # 10^155 overflows a squared bar length, 10^400 an anchor coordinate
@@ -519,11 +553,11 @@ def test_singular_seed_raises_no_seed(monkeypatch):
 # the singular-configuration events of watt's whole sweep, as float.hex of
 # their angles, recorded with one SVD per accepted step. Each of its 160
 # steps holds one Jacobian, so 64-step batches end after steps 64 and 128.
-# At 23.3 the runs of steps over the threshold are steps 1-30, 72-88 and
+# At 3.362 the runs of steps over the threshold are steps 1-30, 72-88 and
 # 130-160; 20-step batches end inside each of them.
 WATT_SINGULAR_EVENTS = {
     1.0: ["-0x1.947ae147ae148p-1"],
-    23.3: ["-0x1.947ae147ae148p-1", "-0x1.47ae147ae1455p-4", "0x1.0000000000007p-1"],
+    3.362: ["-0x1.947ae147ae148p-1", "-0x1.47ae147ae1455p-4", "0x1.0000000000007p-1"],
 }
 
 
@@ -553,9 +587,10 @@ def test_line_search_ends_a_failed_call():
     stats = SolveStats()
     _, residual, ok = solver._newton(comp, 4.5, comp.to_vec(e.seed_config()),
                                      SolverSettings(), stats)
-    assert not ok and f"{residual:.3e}" == "4.671e+00"
-    assert stats == SolveStats(calls=1, iterations=36, failed_calls=1, failed_iterations=36,
-                               backtracks=191)
+    # _newton's residual is in the frame; in model units it is (r*u)*u
+    assert not ok and f"{residual * comp.unit * comp.unit:.3e}" == "1.589e+01"
+    assert stats == SolveStats(calls=1, iterations=6, failed_calls=1, failed_iterations=6,
+                               backtracks=21)
     assert stats.iterations < solver.MAX_NEWTON_ITERS
 
 

@@ -6,6 +6,7 @@ per-point Jacobian, and against np.linalg.solve."""
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,26 +14,28 @@ import pytest
 from conftest import catalog_trace, four_bars
 from linkagekit import solver
 from linkagekit.catalog import entry, names
-from linkagekit.model import Configuration
+from linkagekit.model import Configuration, reduced_constraints
 from linkagekit.solver import SolverSettings, SolveStats
 
 # -- references --------------------------------------------------------------
 
 
 def ref_bar_rows(v, bars):
-    """Squared distance minus squared length for each (a, b, length**2);
-    every row reads inf once a square passes the float range."""
-    try:
-        return [(v[a] - v[b]) ** 2 + (v[a + 1] - v[b + 1]) ** 2 - sq for a, b, sq in bars]
-    except OverflowError:
-        return [math.inf] * len(bars)
+    """Squared distance minus squared length for each (a, b, length**2)."""
+    rows = []
+    for a, b, sq in bars:
+        dx, dy = v[a] - v[b], v[a + 1] - v[b + 1]
+        rows.append(dx * dx + dy * dy - sq)
+    return rows
 
 
 def ref_every_bar(spec, comp):
-    """(a, b, length**2) of every bar of spec, indexed as comp indexes joints."""
+    """(a, b, length**2) of every bar of spec in comp's frame, indexed as
+    comp indexes joints."""
     anchors = [j.id for j in spec.joints if j.is_anchored]
     at = {j: 2 * k for k, j in enumerate([*comp.free, *anchors])}
-    return [(at[b.a], at[b.b], float(b.length) ** 2) for b in spec.bars]
+    unit = Fraction(comp.unit)
+    return [(at[b.a], at[b.b], float((b.length / unit) ** 2)) for b in spec.bars]
 
 
 def ref_reduced_residual(comp, x, drive):
@@ -42,16 +45,16 @@ def ref_reduced_residual(comp, x, drive):
         rows += (v[mid] - u * v[a] - t * v[b], v[mid + 1] - u * v[a + 1] - t * v[b + 1])
     rows += ref_bar_rows(v, comp.quad)
     f = comp.driver
-    rows += (v[f] - drive[2], v[f + 1] - drive[3])
+    rows += (v[f] - drive[0], v[f + 1] - drive[1])
     return rows
 
 
 def ref_full_residual(comp, bars, x, drive):
+    # the driver's anchor is the frame's origin
     v = list(x) + comp.anchor_xy
     f = comp.driver
-    ax, ay = comp.driver_anchor
     rows = map(abs, ref_bar_rows(v, bars))
-    return max([0.0, *rows, abs(v[f] - ax - drive[0]), abs(v[f + 1] - ay - drive[1])])
+    return max([0.0, *rows, abs(v[f] - drive[0]), abs(v[f + 1] - drive[1])])
 
 
 # -- helpers -----------------------------------------------------------------
@@ -100,6 +103,22 @@ def check_residuals(spec, comp, x, drive):
 
 
 @pytest.mark.parametrize("name", names())
+def test_frame_is_the_driver_anchor_and_a_power_of_two(name):
+    # the unit is the least power of two no shorter than any quadric bar, and
+    # the framed anchors are rounded once from the exact rationals
+    spec = entry(name).spec
+    comp = solver._compile(spec)
+    longest = max(b.length for b in reduced_constraints(spec)[1])
+    unit = Fraction(comp.unit)
+    assert math.frexp(comp.unit)[0] == 0.5 and longest <= unit < 2 * longest
+    driver = spec.bar(spec.driver.bar)
+    origin = spec.joint(driver.a if spec.joint(driver.a).is_anchored else driver.b).anchor
+    assert comp.origin == (float(origin[0]), float(origin[1]))
+    assert comp.anchor_xy == [float((c - o) / unit) for j in spec.anchored_joints
+                              for c, o in zip(j.anchor, origin)]
+
+
+@pytest.mark.parametrize("name", names())
 def test_residuals_match_the_separate_references(name):
     spec = entry(name).spec
     comp, states = sweep_states(name, 64)
@@ -124,15 +143,16 @@ def test_residuals_match_past_the_float_range(name, far):
     quad_rows = slice(2 * len(comp.affine), 2 * len(comp.affine) + len(comp.quad))
 
     # a free end of a reduced quadric bar sits far away; a square that
-    # overflows sets every quadric row to inf, an infinite coordinate only
-    # the rows that read it
+    # overflows, or an infinite coordinate, sets only the rows that read it
+    # to inf
     for a, b, _ in comp.quad:
         moved = list(x)
-        moved[a if a < free else b] = far
+        far_index = a if a < free else b
+        moved[far_index] = far
         full, rows = check_residuals(spec, comp, moved, drive)
         assert full == math.inf
-        if far == 1e200:
-            assert rows[quad_rows] == [math.inf] * len(comp.quad)
+        for (qa, qb, _), row in zip(comp.quad, rows[quad_rows]):
+            assert row == math.inf if far_index in (qa, qb) else math.isfinite(row)
     # every free coordinate far away: at inf a bar between two free joints reads NaN
     check_residuals(spec, comp, [far] * free, drive)
 
@@ -224,7 +244,7 @@ def test_newton_solves_match_numpy_solve(monkeypatch):
     monkeypatch.setattr(solver, "_umath_linalg", Spy)
     for name in names():
         catalog_trace(name)
-    assert len(solves) == 4233
+    assert len(solves) == 4229
 
 
 def test_step_fails_as_numpy_solve():
