@@ -35,14 +35,6 @@ class CatalogEntry:
     description: str
     table_model: Optional[str]  # column in the parts table, None if absent
 
-    def seed_config(self) -> Configuration:
-        """The seed at theta_ref, anchored joints included."""
-        anchored = {
-            j.id: (float(j.anchor[0]), float(j.anchor[1]))
-            for j in self.spec.anchored_joints
-        }
-        return {**anchored, **self.seed}
-
 
 def _anchor(jid: str, x, y) -> Joint:
     return Joint(jid, (F(x), F(y)))

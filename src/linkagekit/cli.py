@@ -97,7 +97,7 @@ def _run_trace(spec, entry, args):
             EXIT_USAGE,
             f"{ex} (--step {args.step:g}, --min-step {args.min_step:g}, --tol {args.tol:g})",
         )
-    seed, seed_theta = (None, None) if entry is None else (entry.seed_config(), entry.theta_ref)
+    seed, seed_theta = (None, None) if entry is None else (entry.seed, entry.theta_ref)
     try:
         return trace(spec, start, end, settings, seed=seed, seed_theta=seed_theta)
     except SweepError as ex:

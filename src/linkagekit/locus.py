@@ -141,7 +141,11 @@ def locus_equation(spec: LinkageSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) ->
     cuts out finitely many points (isolated or embedded), so the curve is
     g = 0. A zero ideal or a constant g raises NotACurve.
     """
-    ci = constraint_ideal(spec)
+    return _locus_equation(spec, constraint_ideal(spec), pair_budget)
+
+
+def _locus_equation(spec: LinkageSpec, ci: ConstraintIdeal, pair_budget: int) -> LocusResult:
+    """locus_equation on spec's constraint ideal ci, built once by the caller."""
     basis = eliminate(ci.generators, ("x", "y"), pair_budget=pair_budget)
     if not basis:
         raise NotACurve(
@@ -410,7 +414,8 @@ def certify(
     separately by DEFAULT_PAIR_BUDGET, since that system is far smaller). An
     empty elimination ideal means the curve meets the line in infinitely
     many points, which makes the line a component of the locus without
-    ever computing it. The verdict is EXACT_LINE exactly when a line is found.
+    ever computing it. The constraint ideal is built once, for both paths.
+    The verdict is EXACT_LINE exactly when a line is found.
     """
     samples = trace.windowed(window)
     if len(samples) < 10:
@@ -418,10 +423,11 @@ def certify(
             f"straightness window {window} holds {len(samples)} samples; need at least 10"
         )
     stats = straightness_stats(trace, window)
+    ci = constraint_ideal(spec)
     try:
-        res = locus_equation(spec, pair_budget=pair_budget)
+        res = _locus_equation(spec, ci, pair_budget)
     except PairBudgetExceededError:
-        line, evidence = _certify_fallback(spec, samples, stats)
+        line, evidence = _certify_fallback(ci, samples, stats)
         via_fallback = True
     else:
         via_fallback = False
@@ -448,8 +454,9 @@ def certify(
     )
 
 
-def _certify_fallback(spec, samples, stats) -> tuple[Optional[MultiPoly], str]:
-    """The line and evidence of a certificate decided without the locus."""
+def _certify_fallback(ci, samples, stats) -> tuple[Optional[MultiPoly], str]:
+    """The line and evidence of a certificate decided without the locus, from
+    the constraint ideal ci the locus attempt built."""
     approx_base = "locus elimination exceeded its pair budget; "
     if stats.max_deviation >= EXACT_LINE_TOL:
         return None, (
@@ -465,7 +472,6 @@ def _certify_fallback(spec, samples, stats) -> tuple[Optional[MultiPoly], str]:
         )
     # eliminate solves the line, its first generator, for y (x when it is
     # vertical), the one coordinate it uses that is not kept
-    ci = constraint_ideal(spec)
     keep = "x" if line.coefficient((0, 1)) else "y"
     gens = [line.restrict(ci.variables), *ci.generators]
     if eliminate(gens, (keep,), pair_budget=DEFAULT_PAIR_BUDGET):

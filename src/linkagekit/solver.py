@@ -18,9 +18,10 @@ system: its origin is the driver's anchor and its unit u the least power of
 two no shorter than any quadric bar (a bar between two anchors is none).
 Framed anchors and squared lengths are rounded once from the exact rationals,
 so a linkage moved anywhere, or scaled by a power of two, solves the same
-framed system. to_vec maps a seed into the frame, tracer_point maps pen points
-back, and a sample's residual is reported in model units, (r*u)*u; condition
-numbers are those of the framed Jacobians.
+framed system. to_vec maps a seed into the frame, the default seed is laid out
+in it (_layout), tracer_point maps pen points back, and a sample's residual is
+reported in model units, (r*u)*u; condition numbers are those of the framed
+Jacobians.
 
 The state is a plain list of Python floats; numpy serves only LAPACK's solve,
 the Jacobians (copies of a template of the constant rows, with the quadric
@@ -53,8 +54,7 @@ batched SVD and are compared with CONDITION_THRESHOLD (10^10) in step order.
 The largest is kept in SolveStats.max_condition. A NaN or infinite angle, or a
 leg longer than MAX_SWEEP_STEPS (10^5) steps, is refused with SweepError
 before any step; a linkage whose anchor coordinates or squared bar lengths
-overflow a float in model units, or whose default layout does, with a plain
-ValueError.
+overflow a float, in model units or in the frame, with a plain ValueError.
 
 This is the one module that imports numpy, and only the commands that trace
 load it. The total-least-squares line through a traced window is fitted in
@@ -265,9 +265,17 @@ def _compile(spec: LinkageSpec) -> _Compiled:
     # the frame: the driver's anchor, and the least power of two no shorter than any quadric bar
     origin = spec.joint(anchor_id).anchor
     m, e = math.frexp(float(max(b.length for b in quadrics)))
-    unit = Fraction(2) ** (e - 1 if m == 0.5 else e)
-    anchor_xy = [float((c - o) / unit) for j in anchored for c, o in zip(j.anchor, origin)]
-    squares = {b: float((b.length / unit) ** 2) for b in spec.bars}
+    power = e - 1 if m == 0.5 else e
+    unit = Fraction(2) ** power
+    try:
+        # anchors far apart against the quadric bars can overflow in the frame alone
+        anchor_xy = [float((c - o) / unit) for j in anchored for c, o in zip(j.anchor, origin)]
+        squares = {b: float((b.length / unit) ** 2) for b in spec.bars}
+    except OverflowError:
+        raise ValueError(
+            f"{spec.name!r} has an anchor coordinate or a squared bar length "
+            f"beyond the float range in its frame's unit, 2**{power}"
+        ) from None
     free = [j.id for j in spec.joints if not j.is_anchored]
     at = {j: 2 * k for k, j in enumerate([*free, *(a.id for a in anchored)])}
 
@@ -388,21 +396,25 @@ def _newton(
     return x, full, ok
 
 
-def default_layout(spec: LinkageSpec) -> Configuration:
-    """Deterministic geometric starting guess: breadth-first placement from
-    the anchors, intersecting circles where two neighbors are already placed.
-    Newton refines it; this only has to be in the right basin often enough.
-    A layout past the float range (joints so far apart that their squared
-    distance overflows) raises ValueError."""
-    placed: dict[str, tuple[float, float]] = {
-        j.id: (float(j.anchor[0]), float(j.anchor[1])) for j in spec.joints if j.is_anchored
-    }
-    remaining = [j.id for j in spec.joints if not j.is_anchored]
+def _layout(spec: LinkageSpec, comp: _Compiled) -> list[float]:
+    """The default seed, a framed state: breadth-first placement from the
+    framed anchors, intersecting circles where two neighbors are already
+    placed. Newton refines it; this only has to be in the right basin often
+    enough. Every bar that places a joint is at most one frame unit long, a
+    quadric bar by the choice of unit and an inner bar as part of its outer
+    one, so only anchors far apart in the frame can put a point past the
+    float range, and Newton refuses such a point."""
+    xy = comp.anchor_xy
+    placed = {j.id: (xy[2 * k], xy[2 * k + 1]) for k, j in enumerate(spec.anchored_joints)}
+    unit = Fraction(comp.unit)
     golden = 2.399963229728653
     tick = 0
-    while remaining:
-        progressed = False
-        for jid in list(remaining):
+    # a pass places at least one joint while any is left, so as many passes
+    # as free joints place them all when the linkage is connected
+    for _ in comp.free:
+        for jid in comp.free:
+            if jid in placed:
+                continue
             known = [
                 (b, b.a if b.b == jid else b.b)
                 for b in spec.bars_at(jid)
@@ -414,12 +426,12 @@ def default_layout(spec: LinkageSpec) -> Configuration:
                 bar, other = known[0]
                 ox, oy = placed[other]
                 ang = golden * tick
-                L = float(bar.length)
+                L = float(bar.length / unit)
                 placed[jid] = (ox + L * math.cos(ang), oy + L * math.sin(ang))
             else:
                 (b1, o1), (b2, o2) = known[0], known[1]
                 (x1, y1), (x2, y2) = placed[o1], placed[o2]
-                r1, r2 = float(b1.length), float(b2.length)
+                r1, r2 = float(b1.length / unit), float(b2.length / unit)
                 dx, dy = x2 - x1, y2 - y1
                 d = math.sqrt(dx * dx + dy * dy)
                 if d < 1e-12:
@@ -430,20 +442,9 @@ def default_layout(spec: LinkageSpec) -> Configuration:
                     h = math.sqrt(h2) if h2 > 0 else 0.0
                     ux, uy = dx / d, dy / d
                     placed[jid] = (x1 + a * ux - h * uy, y1 + a * uy + h * ux)
-            remaining.remove(jid)
-            progressed = True
             tick += 1
-        if not progressed:
-            # disconnected leftovers; validation rejects these anyway
-            for i, jid in enumerate(remaining):
-                placed[jid] = (float(i + 1), 0.0)
-            break
-    bad = [j for j, xy in placed.items() if not all(map(math.isfinite, xy))]
-    if bad:
-        raise ValueError(
-            f"the default layout of {spec.name!r} places {bad} beyond the float range"
-        )
-    return placed
+    # a joint no bar path joins to an anchor, which validation rejects, stays at the origin
+    return [c for j in comp.free for c in placed.get(j, (0.0, 0.0))]
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +540,9 @@ def trace(
         seed_theta = theta_start
     _check_sweep(theta_start, theta_end, settings, seed_theta)
     comp = _compile(spec)
-    if seed is None:
-        seed = default_layout(spec)
-
     stats = SolveStats()
-    x, full, ok = _newton(comp, seed_theta, comp.to_vec(seed), settings, stats)
+    x0 = _layout(spec, comp) if seed is None else comp.to_vec(seed)
+    x, full, ok = _newton(comp, seed_theta, x0, settings, stats)
     if not ok:
         raise NoSeed(f"no solvable configuration at theta={seed_theta:.6g}")
     theta = seed_theta

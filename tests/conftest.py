@@ -27,7 +27,7 @@ def catalog_trace(name: str, settings: SolverSettings = None, sweep=None):
     lo, hi = sweep if sweep is not None else e.sweep
     return trace(
         e.spec, lo, hi, settings or SolverSettings(),
-        seed=e.seed_config(), seed_theta=e.theta_ref,
+        seed=e.seed, seed_theta=e.theta_ref,
     )
 
 

@@ -161,7 +161,7 @@ def test_flipped_branch_rides_the_sextic_not_the_line(traces, loci):
     # regular configuration and confirm the pen leaves the straight branch
     e = entry("hart_inversor")
     settings = SolverSettings()
-    base = solve(e.spec, 3.6, e.seed_config())
+    base = solve(e.spec, 3.6, e.seed)
     flipped = solve(e.spec, 3.6, reflect(base, "C", ("B", "D")))
     tr = trace(e.spec, 3.6, 4.1, settings, seed=flipped, seed_theta=3.6)
     assert len(tr.samples) >= 50

@@ -453,24 +453,41 @@ def test_dimensions_beyond_the_float_range_exit_one(tmp_path, command, power):
     )
 
 
-def test_layout_beyond_the_float_range_exits_one(tmp_path):
-    # every squared bar length fits a float, but the default layout squares
-    # the 1.6e154 distance from P to B while placing Q
-    e = F(10) ** 153
+def _far_apart_file(path, gap, crank, link):
+    """A four-bar file with its anchors gap apart along x."""
     spec = LinkageSpec(
         name="far_apart",
-        joints=(Joint("A", (F(0), F(0))), Joint("B", (20 * e, F(0))),
+        joints=(Joint("A", (F(0), F(0))), Joint("B", (gap, F(0))),
                 Joint("P", None), Joint("Q", None)),
-        bars=(Bar("crank", "A", "P", 4 * e), Bar("coupler", "P", "Q", 12 * e),
-              Bar("rocker", "B", "Q", 12 * e)),
+        bars=(Bar("crank", "A", "P", crank), Bar("coupler", "P", "Q", link),
+              Bar("rocker", "B", "Q", link)),
         driver=Driver("crank"),
         tracer=Tracer(joint="Q"),
     )
-    path = tmp_path / "far.json"
     path.write_text(model.save(spec))
+    return path
+
+
+def test_far_apart_linkage_traces_as_its_unscaled_copy(tmp_path, capsys):
+    # the default layout is placed in the frame, where the 1.6e154 distance
+    # from P to B that it squares while placing Q is 1.6 units
+    thetas = []
+    for e in (F(1), F(10) ** 153):
+        path = _far_apart_file(tmp_path / f"far{len(thetas)}.json", 20 * e, 4 * e, 12 * e)
+        code, out, err = run(capsys, "trace", str(path), "--from", "0", "--to", "0.1", "--json")
+        assert (code, err) == (0, "")
+        thetas.append([s["theta"] for s in json.loads(out)["samples"]])
+    assert len(thetas[0]) == 12 and thetas[1] == thetas[0]
+
+
+def test_anchors_beyond_the_float_range_in_the_frame_exit_one(tmp_path):
+    # 10^305 fits a float, but not in frame units of 2^-20
+    tiny = F(1, 2**20)
+    path = _far_apart_file(tmp_path / "far.json", F(10) ** 305, tiny, tiny)
     _exits_one_in_subprocess(
         ("trace", str(path), "--from", "0", "--to", "0.1"),
-        "linkagekit: the default layout of 'far_apart' places ['Q'] beyond the float range\n",
+        "linkagekit: 'far_apart' has an anchor coordinate or a squared bar length beyond "
+        "the float range in its frame's unit, 2**-20\n",
     )
 
 

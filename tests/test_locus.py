@@ -108,7 +108,7 @@ def test_solved_configuration_zeroes_constraint_ideal():
     # satisfy every exact generator, each residual scaled by its term sizes
     for name in names():
         e = entry(name)
-        cfg = solve(e.spec, e.theta_ref, e.seed_config())
+        cfg = solve(e.spec, e.theta_ref, e.seed)
         tracer = e.spec.tracer
         if tracer.on_bar:
             bar, off = e.spec.bar(tracer.bar), float(tracer.offset)
@@ -415,7 +415,7 @@ def test_certify_exact_line_with_coefficients_past_the_float_range():
     # stay the catalog's, while the line's integer coefficients pass 10^170
     e = entry("hart_inversor")
     spec = scaled(e.spec, 1 + F(1, 10**170))
-    tr = trace(spec, *e.sweep, seed=e.seed_config(), seed_theta=e.theta_ref)
+    tr = trace(spec, *e.sweep, seed=e.seed, seed_theta=e.theta_ref)
     cert = certify(spec, tr, e.window)
     assert cert.verdict is Verdict.EXACT_LINE
     assert cert.line == (0, 2 * 10**170, 3 * (10**170 + 1))

@@ -89,7 +89,7 @@ def test_trace_counts_newton_work(traces):
         max_condition=47407.88114014431,
     )
     e = entry("watt")
-    cfg = solve(e.spec, 0.1, e.seed_config())
+    cfg = solve(e.spec, 0.1, e.seed)
     assert trace(e.spec, 0.1, 0.1, seed=cfg, seed_theta=0.1).stats == SolveStats(calls=1)
 
 
@@ -106,7 +106,7 @@ def test_halving_cap_is_invisible_on_the_catalog(monkeypatch):
 
 def _retrace(name, spec):
     e = entry(name)
-    return trace(spec, *e.sweep, SolverSettings(), seed=e.seed_config(), seed_theta=e.theta_ref)
+    return trace(spec, *e.sweep, SolverSettings(), seed=e.seed, seed_theta=e.theta_ref)
 
 
 @pytest.mark.parametrize("name, anchors, distance", [
@@ -215,7 +215,7 @@ def test_theta_strictly_monotone(traces):
 def test_compass_closed_form():
     e = entry("compass")
     for theta, expect in ((0.0, (4.0, 0.0)), (math.pi / 2, (0.0, 4.0))):
-        cfg = solve(e.spec, theta, e.seed_config())
+        cfg = solve(e.spec, theta, e.seed)
         assert cfg["T"] == pytest.approx(expect, abs=1e-12)
 
 
@@ -271,7 +271,7 @@ def test_mirror_symmetry_axis_anchored():
         lo, hi = e.sweep
         base = catalog_trace(name)
         mirrored_seed = Configuration(
-            {jid: (-x, y) for jid, (x, y) in e.seed_config().items()}
+            {jid: (-x, y) for jid, (x, y) in e.seed.items()}
         )
         mirrored = trace(
             e.spec, math.pi - lo, math.pi - hi, SolverSettings(),
@@ -289,13 +289,9 @@ def test_mirror_symmetry_watt_swaps_rockers():
     # watt anchors sit off-axis, so the mirror image drives the other rocker
     e = entry("watt")
     spec2 = replace(e.spec, driver=Driver("rocker2"))
-    seed = e.seed_config()
+    seed = e.seed
     seed2 = Configuration(
-        {
-            "W1": seed["W1"], "W2": seed["W2"],
-            "C": (-seed["D"][0], seed["D"][1]),
-            "D": (-seed["C"][0], seed["C"][1]),
-        }
+        {"C": (-seed["D"][0], seed["D"][1]), "D": (-seed["C"][0], seed["C"][1])}
     )
     lo, hi = e.sweep
     base = catalog_trace("watt")
@@ -313,7 +309,7 @@ def test_mirror_symmetry_watt_swaps_rockers():
 
 def test_flip_branch_switches_assembly():
     e = entry("hart_inversor")
-    base = solve(e.spec, 3.6, e.seed_config())
+    base = solve(e.spec, 3.6, e.seed)
     flipped = solve(e.spec, 3.6, reflect(base, "C", ("B", "D")))
     # base rides the line y = -3/2; the parallelogram assembly leaves it
     assert abs(base["Q"][1] + 1.5) < 1e-9
@@ -354,7 +350,7 @@ def test_straightness_stats_exact_on_hart(traces):
 
 def test_tracer_on_bar_midpoint(traces):
     e = entry("watt")
-    cfg = solve(e.spec, 0.1, e.seed_config())
+    cfg = solve(e.spec, 0.1, e.seed)
     mid = ((cfg["C"][0] + cfg["D"][0]) / 2, (cfg["C"][1] + cfg["D"][1]) / 2)
     tr = trace(e.spec, 0.1, 0.1, SolverSettings(), seed=cfg, seed_theta=0.1)
     assert tr.samples[0].x == pytest.approx(mid[0], abs=1e-12)
@@ -363,7 +359,7 @@ def test_tracer_on_bar_midpoint(traces):
 
 def watt_seed(**joints):
     e = entry("watt")
-    return e.spec, Configuration({**e.seed_config(), **joints})
+    return e.spec, Configuration({**e.seed, **joints})
 
 
 def test_overflowing_seed_keeps_its_errors():
@@ -380,7 +376,7 @@ def test_scaled_watt_traces_as_the_unscaled_one(traces, k):
     # scaled linkage takes the same steps and its pen points are k times the
     # unscaled ones
     e = entry("watt")
-    seed = Configuration({j: (x * k, y * k) for j, (x, y) in e.seed_config().items()})
+    seed = Configuration({j: (x * k, y * k) for j, (x, y) in e.seed.items()})
     tr = trace(scaled(e.spec, F(k)), *e.sweep, seed=seed, seed_theta=e.theta_ref)
     base = traces["watt"]
     assert (tr.events, tr.stats.failed_calls) == ([], 0)
@@ -398,7 +394,7 @@ def test_power_of_two_scaling_is_exact(name, k):
     e = entry(name)
     settings = SolverSettings(tol=1e-300)
     factor = 2.0**k
-    seed = Configuration({j: (x * factor, y * factor) for j, (x, y) in e.seed_config().items()})
+    seed = Configuration({j: (x * factor, y * factor) for j, (x, y) in e.seed.items()})
     tr = trace(scaled(e.spec, F(2) ** k), *e.sweep, settings, seed=seed, seed_theta=e.theta_ref)
     base = catalog_trace(name, settings)
     assert (tr.stats, tr.events) == (base.stats, base.events)
@@ -413,7 +409,7 @@ def test_power_of_two_scaling_is_exact(name, k):
 @pytest.mark.parametrize("offset", [10**6, 10**154], ids=["1e6", "1e154"])
 def test_watt_far_from_the_origin_traces_as_at_the_origin(traces, offset):
     e = entry("watt")
-    seed = Configuration({j: (x + offset, y) for j, (x, y) in e.seed_config().items()})
+    seed = Configuration({j: (x + offset, y) for j, (x, y) in e.seed.items()})
     tr = trace(moved(e.spec, offset), *e.sweep, seed=seed, seed_theta=e.theta_ref)
     base = traces["watt"]
     assert (tr.events, tr.stats.failed_calls) == ([], 0)
@@ -422,21 +418,39 @@ def test_watt_far_from_the_origin_traces_as_at_the_origin(traces, offset):
         assert abs(s.x - (b.x + offset)) <= math.ulp(offset) and abs(s.y - b.y) < 2e-12
 
 
-def test_watt_far_from_the_origin_traces_from_the_default_layout():
+# the default layout is placed in the frame too, so it reaches as far as a seed
+@pytest.mark.parametrize("offset", [10**6, 10**154], ids=["1e6", "1e154"])
+def test_watt_far_from_the_origin_traces_from_the_default_layout(offset):
     e = entry("watt")
-    tr = trace(moved(e.spec, 10**6), *e.sweep)
+    tr = trace(moved(e.spec, offset), *e.sweep)
     base = trace(e.spec, *e.sweep)
     assert (tr.events, tr.stats.failed_calls) == ([], 0)
     assert [s.theta for s in tr.samples] == [s.theta for s in base.samples]
 
 
-def test_watt_beyond_the_default_layouts_reach_raises_no_seed():
-    # default_layout places joints in model-unit floats, and floats near
-    # 10^154 are 2^459 apart: a layout joint's framed coordinates are off by
-    # whole multiples of 2^456 frame units (u = 8), and Newton cannot solve it
-    e = entry("watt")
-    with pytest.raises(NoSeed, match=r"^no solvable configuration at theta="):
-        trace(moved(e.spec, 10**154), *e.sweep)
+# samples, events and failed calls with no seed; chebyshev, chebyshev_open
+# and hart_aframe have no usable default layout at their sweep start
+SEEDLESS = {
+    "compass": (630, [], 0),
+    "chebyshev": None,
+    "chebyshev_open": None,
+    "chebyshev_lambda": (630, [], 0),
+    "watt": (161, [], 0),
+    "hart_inversor": (128, [(4.207028, EventKind.WORKSPACE_BOUNDARY)], 22),
+    "hart_aframe": None,
+}
+
+
+@pytest.mark.parametrize("name", names())
+def test_catalog_traces_from_the_default_layout(name):
+    e = entry(name)
+    if SEEDLESS[name] is None:
+        with pytest.raises(NoSeed, match=rf"^no solvable configuration at theta={e.sweep[0]:.6g}$"):
+            trace(e.spec, *e.sweep)
+        return
+    tr = trace(e.spec, *e.sweep)
+    events = [(round(ev.theta, 6), ev.kind) for ev in tr.events]
+    assert (len(tr.samples), events, tr.stats.failed_calls) == SEEDLESS[name]
 
 
 # 10^155 overflows a squared bar length, 10^400 an anchor coordinate
@@ -450,7 +464,29 @@ def test_dimensions_beyond_the_float_range_are_refused(monkeypatch, power):
     with pytest.raises(ValueError, match=message):
         trace(spec, 0.0, 0.1)
     with pytest.raises(ValueError, match=message):
-        trace(spec, 0.0, 0.1, seed=e.seed_config(), seed_theta=0.0)
+        trace(spec, 0.0, 0.1, seed=e.seed, seed_theta=0.0)
+
+
+# 10^305 fits a float but not in frame units of 2^-20; a 10^154 bar between
+# the anchors squares within the float range, but not in the frame
+@pytest.mark.parametrize("gap, ground", [(F(10) ** 305, False), (F(10) ** 154, True)],
+                         ids=["anchor", "anchor-bar"])
+def test_anchors_beyond_the_float_range_in_the_frame_are_refused(monkeypatch, gap, ground):
+    tiny = F(1, 2**20)
+    spec = LinkageSpec(
+        name="far_apart",
+        joints=(Joint("A", (F(0), F(0))), Joint("B", (gap, F(0))),
+                Joint("P", None), Joint("Q", None)),
+        bars=(Bar("crank", "A", "P", tiny), Bar("coupler", "P", "Q", tiny),
+              Bar("rocker", "B", "Q", tiny), *([Bar("ground", "A", "B", gap)] if ground else [])),
+        driver=Driver("crank"),
+        tracer=Tracer(joint="Q"),
+    )
+    assert validate(spec).ok
+    monkeypatch.setattr(solver, "_newton", lambda *args: pytest.fail("Newton ran"))
+    with pytest.raises(ValueError, match=r"^'far_apart' has an anchor coordinate or a squared "
+                       r"bar length beyond the float range in its frame's unit, 2\*\*-20$"):
+        trace(spec, 0.0, 0.1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -469,7 +505,7 @@ def test_non_finite_sweep_bound_is_refused(monkeypatch, arg, bad):
     e = entry("compass")
     bounds = {"theta_start": 0.0, "theta_end": 1.0, "seed_theta": e.theta_ref, arg: bad}
     with pytest.raises(ValueError, match=rf"^{arg} must be finite, got {bad}$"):
-        trace(e.spec, settings=SolverSettings(), seed=e.seed_config(), **bounds)
+        trace(e.spec, settings=SolverSettings(), seed=e.seed, **bounds)
 
 
 class _NewtonCalled(Exception):
@@ -495,7 +531,7 @@ def test_sweep_longer_than_the_step_cap_is_refused(monkeypatch, start, end, seed
         ValueError, match=rf"^sweep from {re.escape(leg)} needs more than 100000 steps of 1$"
     ):
         trace(e.spec, start, end, SolverSettings(initial_step=1.0),
-              seed=e.seed_config(), seed_theta=seed_theta)
+              seed=e.seed, seed_theta=seed_theta)
 
 
 def test_sweep_at_the_step_cap_runs(monkeypatch):
@@ -507,7 +543,7 @@ def test_sweep_at_the_step_cap_runs(monkeypatch):
     assert solver.MAX_SWEEP_STEPS == 10**5
     with pytest.raises(_NewtonCalled):
         trace(e.spec, 0.0, 1e5, SolverSettings(initial_step=1.0),
-              seed=e.seed_config(), seed_theta=-1e5)
+              seed=e.seed, seed_theta=-1e5)
 
 
 def test_conditions_match_per_matrix_svd():
@@ -585,7 +621,7 @@ def test_line_search_ends_a_failed_call():
     e = entry("hart_inversor")
     comp = solver._compile(e.spec)
     stats = SolveStats()
-    _, residual, ok = solver._newton(comp, 4.5, comp.to_vec(e.seed_config()),
+    _, residual, ok = solver._newton(comp, 4.5, comp.to_vec(e.seed),
                                      SolverSettings(), stats)
     # _newton's residual is in the frame; in model units it is (r*u)*u
     assert not ok and f"{residual * comp.unit * comp.unit:.3e}" == "1.589e+01"
@@ -598,5 +634,5 @@ def test_condition_threshold_flags_singular_configuration(monkeypatch):
     monkeypatch.setattr(solver, "CONDITION_THRESHOLD", 1.0)
     e = entry("watt")
     tr = trace(e.spec, -0.1, 0.1, SolverSettings(),
-               seed=e.seed_config(), seed_theta=0.0)
+               seed=e.seed, seed_theta=0.0)
     assert tr.events == [BranchEvent(tr.samples[1].theta, EventKind.SINGULAR_CONFIGURATION)]

@@ -86,7 +86,7 @@ def sweep_states(name, count):
     """The compiled model and the first count states its catalog sweep
     accepts, as trace reaches them."""
     e = entry(name)
-    comp, states = accepted_states(e.spec, e.seed_config(), e.theta_ref, *e.sweep, count)
+    comp, states = accepted_states(e.spec, e.seed, e.theta_ref, *e.sweep, count)
     assert len(states) == count
     return comp, [x for _, x in states]
 
@@ -122,7 +122,7 @@ def test_frame_is_the_driver_anchor_and_a_power_of_two(name):
 def test_residuals_match_the_separate_references(name):
     spec = entry(name).spec
     comp, states = sweep_states(name, 64)
-    seed = comp.to_vec(entry(name).seed_config())
+    seed = comp.to_vec(entry(name).seed)
     rng = random.Random(name)
     points = [seed, *states]
     for scale in (1e-6, 1e-2, 1.0, 1e3):
@@ -220,7 +220,7 @@ def check_steps(comp, states):
 @pytest.mark.parametrize("name", names())
 def test_step_matches_numpy_solve_on_catalog_sweeps(name):
     e = entry(name)
-    check_steps(*accepted_states(e.spec, e.seed_config(), e.theta_ref, *e.sweep))
+    check_steps(*accepted_states(e.spec, e.seed, e.theta_ref, *e.sweep))
 
 
 def test_step_matches_numpy_solve_on_generated_four_bars():
@@ -252,7 +252,7 @@ def test_step_fails_as_numpy_solve():
     # neither, and the non-finite step is left to the line search to refuse
     e = entry("watt")
     comp = solver._compile(e.spec)
-    seed = e.seed_config()
+    seed = e.seed
     x = comp.to_vec(seed)
     J, (_, r) = comp.jacobian(x), comp.residuals(x, comp.drive(0.0))
     # the coupler's ends coincide, so its quadric row has a zero gradient

@@ -1,10 +1,12 @@
-"""The test configuration and the benchmark's checks: a failing property
-test must report its example and let the rest of the run go on, and one
-round of each gated benchmark workload must pass the checks the benchmark
-applies to its outputs, and every function its traced run wraps must
-exist."""
+"""The test configuration, the benchmark's checks and README's example: a
+failing property test must report its example and let the rest of the run go
+on, one round of each gated benchmark workload must pass the checks the
+benchmark applies to its outputs, every function its traced run wraps must
+exist, and README's library example must print what its comments say."""
 
+import contextlib
 import importlib.util
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 
 def test_failing_property_prints_its_example(tmp_path):
@@ -59,3 +62,16 @@ def test_bench_round_passes_its_checks(workload):
     assert ops
     for op in ops:
         assert op.check(op.run()) is None, op.label
+
+
+def test_readme_library_example_prints_its_comments():
+    """The Python block under README's "## Library" runs, and prints, line by
+    line, the "# ..." comments of its print calls."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.rpartition("# ")[2] for line in block.splitlines() if line.startswith("print(")]
+    assert len(expected) == 3
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected
