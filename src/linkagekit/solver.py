@@ -402,8 +402,8 @@ def _layout(spec: LinkageSpec, comp: _Compiled) -> list[float]:
     placed. Newton refines it; this only has to be in the right basin often
     enough. Every bar that places a joint is at most one frame unit long, a
     quadric bar by the choice of unit and an inner bar as part of its outer
-    one, so only anchors far apart in the frame can put a point past the
-    float range, and Newton refuses such a point."""
+    one, so only anchors far apart in the frame, whose distance squares past
+    the float range, can make a point inf or NaN; trace refuses it (NoSeed)."""
     xy = comp.anchor_xy
     placed = {j.id: (xy[2 * k], xy[2 * k + 1]) for k, j in enumerate(spec.anchored_joints)}
     unit = Fraction(comp.unit)
@@ -524,16 +524,16 @@ def trace(
     """Sweep the driver angle, recording the tracer point at every solved step.
 
     The seed (default: a geometric layout guess) is first carried to
-    theta_start by continuation; a stall there raises NoSeed. During the
-    sweep a failed step is retried with half the step length; below the
-    minimum step a workspace boundary is recorded and the sweep ends.
-    Near-singular Jacobians are flagged as singular-configuration events
-    without stopping or switching branches. The Newton work of the whole
-    trace, seed leg included, is counted in Trace.stats. seed_theta, where the
-    seed holds (default theta_start), is ignored without a seed. A NaN or
-    infinite angle, or a leg longer than MAX_SWEEP_STEPS steps, raises
-    SweepError before any step is taken; a linkage whose dimensions overflow
-    a float raises a plain ValueError.
+    theta_start by continuation; a stall there, or a seed not finite in the
+    frame, raises NoSeed. During the sweep a failed step is retried with half
+    the step length; below the minimum step a workspace boundary is recorded
+    and the sweep ends. Near-singular Jacobians are flagged as
+    singular-configuration events without stopping or switching branches.
+    The Newton work of the whole trace, seed leg included, is counted in
+    Trace.stats. seed_theta, where the seed holds (default theta_start), is
+    ignored without a seed. A NaN or infinite angle, or a leg longer than
+    MAX_SWEEP_STEPS steps, raises SweepError before any step is taken; a
+    linkage whose dimensions overflow a float raises a plain ValueError.
     """
     settings = settings or SolverSettings()
     if seed is None or seed_theta is None:
@@ -542,6 +542,8 @@ def trace(
     comp = _compile(spec)
     stats = SolveStats()
     x0 = _layout(spec, comp) if seed is None else comp.to_vec(seed)
+    if not all(map(math.isfinite, x0)):  # it could pass, as residuals skip NaN rows
+        raise NoSeed(f"no solvable configuration at theta={seed_theta:.6g}")
     x, full, ok = _newton(comp, seed_theta, x0, settings, stats)
     if not ok:
         raise NoSeed(f"no solvable configuration at theta={seed_theta:.6g}")

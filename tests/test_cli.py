@@ -480,6 +480,13 @@ def test_far_apart_linkage_traces_as_its_unscaled_copy(tmp_path, capsys):
     assert len(thetas[0]) == 12 and thetas[1] == thetas[0]
 
 
+def test_layout_past_the_float_range_exits_three(tmp_path, capsys):
+    # the default layout puts Q at NaN: its anchors are 10^200 frame units apart
+    path = _far_apart_file(tmp_path / "far.json", F(10) ** 200, F(1), F(1))
+    code, out, err = run(capsys, "trace", str(path), "--from", "0", "--to", "0.1")
+    assert (code, out, err) == (3, "", "linkagekit: no solvable configuration at theta=0\n")
+
+
 def test_anchors_beyond_the_float_range_in_the_frame_exit_one(tmp_path):
     # 10^305 fits a float, but not in frame units of 2^-20
     tiny = F(1, 2**20)

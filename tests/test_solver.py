@@ -489,6 +489,25 @@ def test_anchors_beyond_the_float_range_in_the_frame_are_refused(monkeypatch, ga
         trace(spec, 0.0, 0.1)
 
 
+# anchors 10^200 frame units apart: placing Q squares their distance to inf,
+# so the layout puts Q at NaN, which the residual's NaN-skipping max would pass
+@pytest.mark.parametrize("bar", [F(1), F(1, 2**20)], ids=["unit", "tiny"])
+def test_non_finite_default_layout_raises_no_seed(bar):
+    gap = F(10) ** 200 * bar
+    spec = LinkageSpec(
+        name="far_apart",
+        joints=(Joint("A", (F(0), F(0))), Joint("B", (gap, F(0))),
+                Joint("P", None), Joint("Q", None)),
+        bars=(Bar("crank", "A", "P", bar), Bar("coupler", "P", "Q", bar),
+              Bar("rocker", "B", "Q", bar)),
+        driver=Driver("crank"),
+        tracer=Tracer(joint="Q"),
+    )
+    assert validate(spec).ok
+    with pytest.raises(NoSeed, match=r"^no solvable configuration at theta=0$"):
+        trace(spec, 0.0, 0.1)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_seed_is_refused(bad):
     spec, seed = watt_seed(D=(1.0, bad))
