@@ -5,11 +5,12 @@ builtin name or a path to a linkage file. Data goes to stdout, diagnostics
 to stderr, and identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 usage error (bad flags, solver settings, pair
-budget, sweep or straightness window), 2 invalid input: a parse or
-validation error, an unreadable or non-UTF-8 file, or a tracer that does
-not trace a curve (locus.NotACurve), 3 no solvable configuration reached at
-the sweep start, 4 pair budget exhausted. The default --pair-budget is
-poly.DEFAULT_PAIR_BUDGET.
+budget, sweep or straightness window, or, for trace and certify, a linkage
+with an anchor coordinate or a squared bar length beyond the float range), 2
+invalid input: a parse or validation error, an unreadable or non-UTF-8 file,
+or a tracer that does not trace a curve (locus.NotACurve), 3 no solvable
+configuration reached at the sweep start, 4 pair budget exhausted. The
+default --pair-budget is poly.DEFAULT_PAIR_BUDGET.
 """
 
 from __future__ import annotations

@@ -27,16 +27,17 @@ The state is a plain list of Python floats; numpy serves only LAPACK's solve,
 the Jacobians (copies of a template of the constant rows, with the quadric
 gradients added) and their SVDs. Each Newton step calls
 numpy.linalg._umath_linalg.solve1, the gufunc np.linalg.solve calls for a 1-D
-right-hand side, under np.linalg.solve's own error settings entered once per
-Newton call: the same bits, and LinAlgError for a singular matrix. One
-evaluation of a point gives the full residual and the reduced rows, squaring
-each bar once as dx*dx + dy*dy; a row past the float range reads inf or NaN on
-its own, and Newton refuses it. Convergence is measured on the full original
-constraint set, never the rewritten rows, at settings.tol (model units, so
-tol/u**2 in the frame) or at the rounding floor of a bar row, 4 ulp of the
-largest framed squared quadric length, whichever is larger: the row's two
-squares, their sum and the rounded length**2 account for 2.5 of them, and the
-rounding of framed joint coordinates for the rest.
+right-hand side, under np.linalg.solve's own error settings, which trace enters
+once around all its Newton calls: the same bits, and LinAlgError for a singular
+matrix. One evaluation of a point gives the full residual and the reduced rows,
+squaring each bar once as dx*dx + dy*dy; a row past the float range reads inf
+or NaN on its own. Both residuals are infinity norms that a NaN row makes NaN,
+so Newton refuses such a point, a non-finite start included. Convergence is
+measured on the full original constraint set, never the rewritten rows, at
+settings.tol (model units, so tol/u**2 in the frame) or at the rounding floor
+of a bar row, 4 ulp of the largest framed squared quadric length, whichever is
+larger: the row's two squares, their sum and the rounded length**2 account for
+2.5 of them, and the rounding of framed joint coordinates for the rest.
 
 A Newton call fails at MAX_NEWTON_ITERS (50) iterations, on a singular
 Jacobian, or when its line search has halved a step MAX_HALVINGS (8) times
@@ -50,11 +51,12 @@ Each accepted step of the sweep is flagged from the Jacobian at its own
 solution, so a singular-configuration event depends on the configuration, not
 on Newton's path: CONDITION_BATCH (64) steps at a time, their Jacobians are
 built in one vectorised pass, and their condition numbers come from one
-batched SVD and are compared with CONDITION_THRESHOLD (10^10) in step order.
-The largest is kept in SolveStats.max_condition. A NaN or infinite angle, or a
-leg longer than MAX_SWEEP_STEPS (10^5) steps, is refused with SweepError
-before any step; a linkage whose anchor coordinates or squared bar lengths
-overflow a float, in model units or in the frame, with a plain ValueError.
+np.linalg.cond, a batched SVD, and are compared with CONDITION_THRESHOLD
+(10^10) in step order. The largest is kept in SolveStats.max_condition. A NaN
+or infinite angle, or a leg longer than MAX_SWEEP_STEPS (10^5) steps, is
+refused with SweepError before any step; a linkage whose anchor coordinates or
+squared bar lengths overflow a float, in model units or in the frame, with a
+plain ValueError.
 
 This is the one module that imports numpy, and only the commands that trace
 load it. The total-least-squares line through a traced window is fitted in
@@ -204,7 +206,7 @@ class _Compiled:
         return self.driver_length * math.cos(theta), self.driver_length * math.sin(theta)
 
     def residuals(self, x: list[float], drive: tuple[float, float]) -> tuple[float, list[float]]:
-        """The full residual, max |row| over every bar and the driver's
+        """The full residual, _inf_norm over every bar and the driver's
         position, and the reduced rows Newton solves, squaring each bar once."""
         v = x + self.anchor_xy
         rows = []
@@ -213,9 +215,7 @@ class _Compiled:
         checked = _bar_rows(v, self.quad)
         checked += (v[self.driver] - drive[0], v[self.driver + 1] - drive[1])
         rows += checked
-        # builtin max skips NaN rows after the leading 0.0
-        full = max([0.0, *map(abs, checked), *map(abs, _bar_rows(v, self.rest))])
-        return full, rows
+        return _inf_norm(checked + _bar_rows(v, self.rest)), rows
 
     def jacobian(self, x: list[float]) -> np.ndarray:
         v = x + self.anchor_xy
@@ -331,16 +331,6 @@ def _inf_norm(rows: list[float]) -> float:
     return math.nan if math.isnan(sum(mags)) else max(mags)
 
 
-def _conditions(jacobians: Sequence[np.ndarray]) -> list[float]:
-    """The 2-norm condition number of each Jacobian, from one batched SVD:
-    inf for an exactly singular one."""
-    if len(jacobians) == 0:
-        return []
-    sv = np.linalg.svd(np.asarray(jacobians), compute_uv=False)
-    low = sv[:, -1]
-    return np.divide(sv[:, 0], low, out=np.full(len(sv), math.inf), where=low != 0).tolist()
-
-
 def _raise_singular(err: str, flag: int) -> None:
     """The errstate handler np.linalg.solve installs: its gufunc flags a
     singular matrix as an invalid floating-point operation."""
@@ -348,9 +338,10 @@ def _raise_singular(err: str, flag: int) -> None:
 
 
 def _solve_errors() -> np.errstate:
-    """np.linalg.solve's error settings around its gufunc: a singular matrix
-    raises LinAlgError, and an inf or NaN right-hand side raises nothing,
-    its step comes out non-finite."""
+    """np.linalg.solve's error settings around its gufunc, which trace enters
+    once for all its Newton calls: a singular matrix raises LinAlgError, and
+    an inf or NaN right-hand side raises nothing, its step comes out
+    non-finite. np.linalg.cond and its SVD set their own."""
     return np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
                        under="ignore")
 
@@ -358,35 +349,35 @@ def _solve_errors() -> np.errstate:
 def _newton(
     comp: _Compiled, theta: float, x: list[float], settings: SolverSettings, stats: SolveStats
 ):
-    """Damped Newton from x. Returns (x, residual, ok) and adds its work to
-    stats. It fails at MAX_NEWTON_ITERS, on a singular step, or when
-    MAX_HALVINGS halvings of a step do not lower the reduced residual."""
+    """Damped Newton from x, under _solve_errors(). Returns (x, residual, ok)
+    and adds its work to stats. It fails at MAX_NEWTON_ITERS, on a singular
+    step, or when MAX_HALVINGS halvings of a step do not lower the reduced
+    residual; a start with a NaN or infinite residual never passes."""
     drive = comp.drive(theta)
     tol = max(settings.tol / comp.unit / comp.unit, comp.tol_floor)
     full, r = comp.residuals(x, drive)
     base = _inf_norm(r)
-    with _solve_errors():
-        for it in range(MAX_NEWTON_ITERS + 1):
-            if full < tol or it == MAX_NEWTON_ITERS:
+    for it in range(MAX_NEWTON_ITERS + 1):
+        if full < tol or it == MAX_NEWTON_ITERS:
+            break
+        try:
+            # the Newton step is -delta: x - s*delta rounds as x + s*(-delta) would
+            delta = _umath_linalg.solve1(comp.jacobian(x), r, signature="dd->d").tolist()
+        except np.linalg.LinAlgError:
+            break
+        scale = 1.0
+        for _ in range(MAX_HALVINGS):
+            xn = [c - scale * d for c, d in zip(x, delta)]
+            # the residuals of an accepted point, and their norm, are the next iteration's
+            fn, rn = comp.residuals(xn, drive)
+            bn = _inf_norm(rn)
+            if bn < base:
                 break
-            try:
-                # the Newton step is -delta: x - s*delta rounds as x + s*(-delta) would
-                delta = _umath_linalg.solve1(comp.jacobian(x), r, signature="dd->d").tolist()
-            except np.linalg.LinAlgError:
-                break
-            scale = 1.0
-            for _ in range(MAX_HALVINGS):
-                xn = [c - scale * d for c, d in zip(x, delta)]
-                # the residuals of an accepted point, and their norm, are the next iteration's
-                fn, rn = comp.residuals(xn, drive)
-                bn = _inf_norm(rn)
-                if bn < base:
-                    break
-                scale /= 2
-                stats.backtracks += 1
-            else:
-                break
-            x, full, r, base = xn, fn, rn, bn
+            scale /= 2
+            stats.backtracks += 1
+        else:
+            break
+        x, full, r, base = xn, fn, rn, bn
     ok = full < tol
     stats.calls += 1
     stats.iterations += it
@@ -396,52 +387,51 @@ def _newton(
     return x, full, ok
 
 
-def _layout(spec: LinkageSpec, comp: _Compiled) -> list[float]:
-    """The default seed, a framed state: breadth-first placement from the
-    framed anchors, intersecting circles where two neighbors are already
-    placed. Newton refines it; this only has to be in the right basin often
-    enough. Every bar that places a joint is at most one frame unit long, a
-    quadric bar by the choice of unit and an inner bar as part of its outer
-    one, so only anchors far apart in the frame, whose distance squares past
-    the float range, can make a point inf or NaN; trace refuses it (NoSeed)."""
+def _layout(spec: LinkageSpec, comp: _Compiled, theta: float) -> list[float]:
+    """The default seed at driver angle theta, a framed state: the driven
+    joint at its target, then, one at a time, the first free joint in spec
+    order with two placed neighbors, at a circle intersection, or else the
+    first with one, at a golden-angle step around it. Newton refines it; this
+    only has to be in the right basin often enough. Every bar that places a
+    joint is at most one frame unit long, a quadric bar by the choice of unit
+    and an inner bar as part of its outer one, so only anchors far apart in
+    the frame, whose distance squares past the float range, can make a point
+    inf or NaN; Newton refuses that start."""
     xy = comp.anchor_xy
     placed = {j.id: (xy[2 * k], xy[2 * k + 1]) for k, j in enumerate(spec.anchored_joints)}
+    # the frame's origin is the driver's anchor
+    placed[comp.free[comp.driver // 2]] = comp.drive(theta)
     unit = Fraction(comp.unit)
     golden = 2.399963229728653
     tick = 0
-    # a pass places at least one joint while any is left, so as many passes
-    # as free joints place them all when the linkage is connected
-    for _ in comp.free:
-        for jid in comp.free:
-            if jid in placed:
-                continue
-            known = [
-                (b, b.a if b.b == jid else b.b)
-                for b in spec.bars_at(jid)
-                if (b.a if b.b == jid else b.b) in placed
-            ]
-            if not known:
-                continue
-            if len(known) == 1:
-                bar, other = known[0]
-                ox, oy = placed[other]
-                ang = golden * tick
-                L = float(bar.length / unit)
-                placed[jid] = (ox + L * math.cos(ang), oy + L * math.sin(ang))
+
+    def known(jid: str) -> list[tuple[Bar, str]]:
+        """(bar, neighbor) for each bar from jid to a placed joint."""
+        return [(b, o) for b in spec.bars_at(jid) if (o := b.a if b.b == jid else b.b) in placed]
+
+    while ready := [(jid, k) for jid in comp.free if jid not in placed and (k := known(jid))]:
+        # the first with two placed neighbors, or else the first with one
+        jid, k = next((r for r in ready if len(r[1]) > 1), ready[0])
+        if len(k) > 1:
+            (b1, o1), (b2, o2) = k[0], k[1]
+            (x1, y1), (x2, y2) = placed[o1], placed[o2]
+            r1, r2 = float(b1.length / unit), float(b2.length / unit)
+            dx, dy = x2 - x1, y2 - y1
+            d = math.sqrt(dx * dx + dy * dy)
+            if d < 1e-12:
+                placed[jid] = (x1 + r1, y1)
             else:
-                (b1, o1), (b2, o2) = known[0], known[1]
-                (x1, y1), (x2, y2) = placed[o1], placed[o2]
-                r1, r2 = float(b1.length / unit), float(b2.length / unit)
-                dx, dy = x2 - x1, y2 - y1
-                d = math.sqrt(dx * dx + dy * dy)
-                if d < 1e-12:
-                    placed[jid] = (x1 + r1, y1)
-                else:
-                    a = (d * d + r1 * r1 - r2 * r2) / (2 * d)
-                    h2 = r1 * r1 - a * a
-                    h = math.sqrt(h2) if h2 > 0 else 0.0
-                    ux, uy = dx / d, dy / d
-                    placed[jid] = (x1 + a * ux - h * uy, y1 + a * uy + h * ux)
+                a = (d * d + r1 * r1 - r2 * r2) / (2 * d)
+                h2 = r1 * r1 - a * a
+                h = math.sqrt(h2) if h2 > 0 else 0.0
+                ux, uy = dx / d, dy / d
+                placed[jid] = (x1 + a * ux - h * uy, y1 + a * uy + h * ux)
+        else:
+            ((bar, other),) = k
+            ox, oy = placed[other]
+            ang = golden * tick
+            L = float(bar.length / unit)
+            placed[jid] = (ox + L * math.cos(ang), oy + L * math.sin(ang))
             tick += 1
     # a joint no bar path joins to an anchor, which validation rejects, stays at the origin
     return [c for j in comp.free for c in placed.get(j, (0.0, 0.0))]
@@ -523,11 +513,12 @@ def trace(
 ) -> Trace:
     """Sweep the driver angle, recording the tracer point at every solved step.
 
-    The seed (default: a geometric layout guess) is first carried to
-    theta_start by continuation; a stall there, or a seed not finite in the
-    frame, raises NoSeed. During the sweep a failed step is retried with half
-    the step length; below the minimum step a workspace boundary is recorded
-    and the sweep ends. Near-singular Jacobians are flagged as
+    The seed (default: a layout that starts at the driven joint's target) is
+    first carried to theta_start by continuation; a start Newton cannot
+    solve, a seed or layout not finite in the frame among them, or a stall
+    on the way raises NoSeed. During the sweep a failed step is retried with
+    half the step length; below the minimum step a workspace boundary is
+    recorded and the sweep ends. Near-singular Jacobians are flagged as
     singular-configuration events without stopping or switching branches.
     The Newton work of the whole trace, seed leg included, is counted in
     Trace.stats. seed_theta, where the seed holds (default theta_start), is
@@ -541,21 +532,7 @@ def trace(
     _check_sweep(theta_start, theta_end, settings, seed_theta)
     comp = _compile(spec)
     stats = SolveStats()
-    x0 = _layout(spec, comp) if seed is None else comp.to_vec(seed)
-    if not all(map(math.isfinite, x0)):  # it could pass, as residuals skip NaN rows
-        raise NoSeed(f"no solvable configuration at theta={seed_theta:.6g}")
-    x, full, ok = _newton(comp, seed_theta, x0, settings, stats)
-    if not ok:
-        raise NoSeed(f"no solvable configuration at theta={seed_theta:.6g}")
-    theta = seed_theta
-    for theta, x, full in _steps(comp, x, theta, theta_start, settings, stats):
-        pass
-    if theta != theta_start:
-        raise NoSeed(
-            f"continuation from theta={seed_theta:.6g} stalled at "
-            f"theta={theta:.6g} before reaching {theta_start:.6g}"
-        )
-
+    x0 = _layout(spec, comp, seed_theta) if seed is None else comp.to_vec(seed)
     samples: list[TraceSample] = []
     events: list[BranchEvent] = []
 
@@ -570,7 +547,7 @@ def trace(
         nonlocal near_singular
         if not steps:
             return
-        conditions = _conditions(comp.jacobians([x for _, x in steps]))
+        conditions = np.linalg.cond(comp.jacobians([x for _, x in steps])).tolist()
         stats.max_condition = max(stats.max_condition, *conditions)
         for (at, _), cond in zip(steps, conditions):
             if cond > CONDITION_THRESHOLD:
@@ -580,17 +557,30 @@ def trace(
             else:
                 near_singular = False
 
-    theta = theta_start
-    record(theta, x, full)
-    batch: list[tuple[float, list[float]]] = []
-    for theta, x, full in _steps(comp, x, theta, theta_end, settings, stats):
+    # the generators run in this frame, so the error settings cover their steps
+    with _solve_errors():
+        x, full, ok = _newton(comp, seed_theta, x0, settings, stats)
+        if not ok:
+            raise NoSeed(f"no solvable configuration at theta={seed_theta:.6g}")
+        theta = seed_theta
+        for theta, x, full in _steps(comp, x, theta, theta_start, settings, stats):
+            pass
+        if theta != theta_start:
+            raise NoSeed(
+                f"continuation from theta={seed_theta:.6g} stalled at "
+                f"theta={theta:.6g} before reaching {theta_start:.6g}"
+            )
+
+        theta = theta_start
         record(theta, x, full)
-        batch.append((theta, x))
-        if len(batch) == CONDITION_BATCH:
-            flag(batch)
-            batch = []
-    flag(batch)
+        batch: list[tuple[float, list[float]]] = []
+        for theta, x, full in _steps(comp, x, theta, theta_end, settings, stats):
+            record(theta, x, full)
+            batch.append((theta, x))
+            if len(batch) == CONDITION_BATCH:
+                flag(batch)
+                batch = []
+        flag(batch)
     if theta != theta_end:
         events.append(BranchEvent(theta, EventKind.WORKSPACE_BOUNDARY))
     return Trace(samples, events, stats)
-

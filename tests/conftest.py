@@ -152,7 +152,8 @@ def solve(spec, theta, seed):
     """The configuration, anchors included, that one Newton call from seed
     reaches with the driver at theta, or None where the call fails."""
     comp = solver._compile(spec)
-    x, _, ok = solver._newton(comp, theta, comp.to_vec(seed), SolverSettings(), SolveStats())
+    with solver._solve_errors():
+        x, _, ok = solver._newton(comp, theta, comp.to_vec(seed), SolverSettings(), SolveStats())
     if not ok:
         return None
     # x is in the solver's frame: a framed point p is origin + unit * p

@@ -20,7 +20,6 @@ from linkagekit.solver import (
     NoSeed,
     SolveStats,
     SolverSettings,
-    _conditions,
     _inf_norm,
     trace,
 )
@@ -428,29 +427,32 @@ def test_watt_far_from_the_origin_traces_from_the_default_layout(offset):
     assert [s.theta for s in tr.samples] == [s.theta for s in base.samples]
 
 
-# samples, events and failed calls with no seed; chebyshev, chebyshev_open
-# and hart_aframe have no usable default layout at their sweep start
+# samples, events and failed calls with no seed, from a layout that starts
+# at the driven joint's target; chebyshev lands on chebyshev_open's branch
 SEEDLESS = {
     "compass": (630, [], 0),
-    "chebyshev": None,
-    "chebyshev_open": None,
+    "chebyshev": (110, [], 0),
+    "chebyshev_open": (110, [], 0),
     "chebyshev_lambda": (630, [], 0),
     "watt": (161, [], 0),
     "hart_inversor": (128, [(4.207028, EventKind.WORKSPACE_BOUNDARY)], 22),
-    "hart_aframe": None,
+    "hart_aframe": (75, [(1.570796, EventKind.WORKSPACE_BOUNDARY)], 21),
 }
 
 
 @pytest.mark.parametrize("name", names())
 def test_catalog_traces_from_the_default_layout(name):
     e = entry(name)
-    if SEEDLESS[name] is None:
-        with pytest.raises(NoSeed, match=rf"^no solvable configuration at theta={e.sweep[0]:.6g}$"):
-            trace(e.spec, *e.sweep)
-        return
     tr = trace(e.spec, *e.sweep)
     events = [(round(ev.theta, 6), ev.kind) for ev in tr.events]
     assert (len(tr.samples), events, tr.stats.failed_calls) == SEEDLESS[name]
+
+
+# a window inside both catalog sweeps, started from the default layout at 0.9
+@pytest.mark.parametrize("name", ["chebyshev", "hart_aframe"])
+def test_default_layout_reaches_a_window_inside_the_sweep(name):
+    tr = trace(entry(name).spec, 0.9, 1.5)
+    assert (len(tr.samples), tr.events, tr.stats.failed_calls) == (61, [], 0)
 
 
 # 10^155 overflows a squared bar length, 10^400 an anchor coordinate
@@ -490,7 +492,7 @@ def test_anchors_beyond_the_float_range_in_the_frame_are_refused(monkeypatch, ga
 
 
 # anchors 10^200 frame units apart: placing Q squares their distance to inf,
-# so the layout puts Q at NaN, which the residual's NaN-skipping max would pass
+# so the layout puts Q at NaN, and Newton's first test fails on the NaN residual
 @pytest.mark.parametrize("bar", [F(1), F(1, 2**20)], ids=["unit", "tiny"])
 def test_non_finite_default_layout_raises_no_seed(bar):
     gap = F(10) ** 200 * bar
@@ -566,6 +568,8 @@ def test_sweep_at_the_step_cap_runs(monkeypatch):
 
 
 def test_conditions_match_per_matrix_svd():
+    # trace flags a batch with np.linalg.cond on the stacked Jacobians, under
+    # the error settings it enters for its solves
     rng = np.random.default_rng(5)
     mats = [rng.normal(size=(4, 4)) for _ in range(6)]
     mats += [np.diag([3.0, 2.0, 1.0, 0.0]), np.zeros((4, 4))]
@@ -574,10 +578,10 @@ def test_conditions_match_per_matrix_svd():
         sv = np.linalg.svd(m, compute_uv=False)
         conds.append(math.inf if sv[-1] == 0 else float(sv[0] / sv[-1]))
     assert conds[-2:] == [math.inf, math.inf]
-    assert _conditions(mats) == conds
-    assert _conditions([]) == []
-    for k in range(len(mats)):
-        assert _conditions(mats[k : k + 1]) == conds[k : k + 1]
+    with solver._solve_errors():
+        assert np.linalg.cond(np.array(mats)).tolist() == conds
+        for k in range(len(mats)):
+            assert np.linalg.cond(np.array(mats[k : k + 1])).tolist() == conds[k : k + 1]
 
 
 def test_inf_norm_matches_numpy():
@@ -599,10 +603,30 @@ def test_singular_seed_raises_no_seed(monkeypatch):
     with pytest.raises(NoSeed, match=r"^no solvable configuration at theta=0$"):
         trace(spec, 0.0, 0.1, seed=seed, seed_theta=0.0)
     assert seen == [SolveStats(calls=1, failed_calls=1)]
-    # the error settings _newton enters for its solves do not leak out of it
+    # the error settings trace enters for its solves do not leak out of it
     assert (np.geterr(), np.geterrcall()) == errors
     catalog_trace("watt")
     assert (np.geterr(), np.geterrcall()) == errors
+
+
+def test_error_settings_are_the_callers_after_a_stall_and_a_boundary():
+    # a caller's settings that would raise at any floating-point error, and
+    # a handler of its own: trace replaces both while it runs, and restores
+    # them when the seed leg stalls and when the sweep ends at a boundary
+    e = entry("hart_inversor")
+
+    def handler(err, flag):
+        pass
+
+    with np.errstate(all="raise", call=handler):
+        errors = np.geterr(), np.geterrcall()
+        with pytest.raises(NoSeed, match=r"^continuation from theta=3\.14159 stalled at "
+                           r"theta=4\.20703 before reaching 4\.5$"):
+            trace(e.spec, 4.5, 4.6, seed=e.seed, seed_theta=e.theta_ref)
+        assert (np.geterr(), np.geterrcall()) == errors
+        tr = catalog_trace("hart_inversor")
+        assert [ev.kind for ev in tr.events] == [EventKind.WORKSPACE_BOUNDARY]
+        assert (np.geterr(), np.geterrcall()) == errors
 
 
 # the singular-configuration events of watt's whole sweep, as float.hex of
@@ -619,8 +643,9 @@ WATT_SINGULAR_EVENTS = {
 @pytest.mark.parametrize("threshold", sorted(WATT_SINGULAR_EVENTS))
 def test_condition_batches_keep_the_events(monkeypatch, threshold):
     batches = []
-    conditions = solver._conditions
-    monkeypatch.setattr(solver, "_conditions", lambda js: batches.append(len(js)) or conditions(js))
+    jacobians = solver._Compiled.jacobians
+    monkeypatch.setattr(solver._Compiled, "jacobians",
+                        lambda comp, xs: batches.append(len(xs)) or jacobians(comp, xs))
     monkeypatch.setattr(solver, "CONDITION_THRESHOLD", threshold)
     settings = SolverSettings()
     batched = catalog_trace("watt", settings)
@@ -640,8 +665,8 @@ def test_line_search_ends_a_failed_call():
     e = entry("hart_inversor")
     comp = solver._compile(e.spec)
     stats = SolveStats()
-    _, residual, ok = solver._newton(comp, 4.5, comp.to_vec(e.seed),
-                                     SolverSettings(), stats)
+    with solver._solve_errors():
+        _, residual, ok = solver._newton(comp, 4.5, comp.to_vec(e.seed), SolverSettings(), stats)
     # _newton's residual is in the frame; in model units it is (r*u)*u
     assert not ok and f"{residual * comp.unit * comp.unit:.3e}" == "1.589e+01"
     assert stats == SolveStats(calls=1, iterations=6, failed_calls=1, failed_iterations=6,

@@ -50,11 +50,12 @@ def ref_reduced_residual(comp, x, drive):
 
 
 def ref_full_residual(comp, bars, x, drive):
-    # the driver's anchor is the frame's origin
+    """max |row| over every bar and the driver's position, or NaN if a row
+    is NaN; the driver's anchor is the frame's origin."""
     v = list(x) + comp.anchor_xy
     f = comp.driver
-    rows = map(abs, ref_bar_rows(v, bars))
-    return max([0.0, *rows, abs(v[f] - drive[0]), abs(v[f + 1] - drive[1])])
+    rows = [*ref_bar_rows(v, bars), v[f] - drive[0], v[f + 1] - drive[1]]
+    return math.nan if any(map(math.isnan, rows)) else max(map(abs, rows))
 
 
 # -- helpers -----------------------------------------------------------------
@@ -70,15 +71,16 @@ def accepted_states(spec, seed, seed_theta, lo, hi, count=None):
     them, that a sweep from lo to hi accepts, as trace reaches them."""
     comp = solver._compile(spec)
     settings, stats = SolverSettings(), SolveStats()
-    x, _, ok = solver._newton(comp, seed_theta, comp.to_vec(seed), settings, stats)
-    assert ok
-    for _, x, _ in solver._steps(comp, x, seed_theta, lo, settings, stats):
-        pass
     states = []
-    for theta, x, _ in solver._steps(comp, x, lo, hi, settings, stats):
-        states.append((theta, x))
-        if len(states) == count:
-            break
+    with solver._solve_errors():
+        x, _, ok = solver._newton(comp, seed_theta, comp.to_vec(seed), settings, stats)
+        assert ok
+        for _, x, _ in solver._steps(comp, x, seed_theta, lo, settings, stats):
+            pass
+        for theta, x, _ in solver._steps(comp, x, lo, hi, settings, stats):
+            states.append((theta, x))
+            if len(states) == count:
+                break
     return comp, states
 
 
@@ -153,8 +155,11 @@ def test_residuals_match_past_the_float_range(name, far):
         assert full == math.inf
         for (qa, qb, _), row in zip(comp.quad, rows[quad_rows]):
             assert row == math.inf if far_index in (qa, qb) else math.isfinite(row)
-    # every free coordinate far away: at inf a bar between two free joints reads NaN
-    check_residuals(spec, comp, [far] * free, drive)
+    # every free coordinate far away: at inf a bar between two free joints
+    # reads NaN, and so does the full residual
+    full, _ = check_residuals(spec, comp, [far] * free, drive)
+    free_bar = any(a < free and b < free for a, b, _ in ref_every_bar(spec, comp))
+    assert bits([full]) == bits([math.nan if far == math.inf and free_bar else math.inf])
 
     # only the driver bar, checked but not solved, reaches the driver anchor
     anchor = next(j.id for j in spec.joints if j.is_anchored
