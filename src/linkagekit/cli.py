@@ -149,7 +149,7 @@ def _cmd_trace(args) -> int:
         st = tr.stats
         print(f"newton: {st.calls} calls, {st.iterations} iterations, {st.failed_calls} "
               f"failed calls ({st.failed_iterations} iterations), {st.backtracks} backtracks, "
-              f"max condition {st.max_condition:.3e}",
+              f"{st.halvings} step halvings, max condition {st.max_condition:.3e}",
               file=sys.stderr)
     description = entry.description if entry is not None else spec.name
     if args.svg:

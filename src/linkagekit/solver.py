@@ -1,17 +1,35 @@
 """Numeric constraint solving and coupler-curve tracing.
 
 The bar-length system is solved by damped Newton iteration at a fixed driver
-angle, and curves are traced by predictor-corrector continuation: each angle
-step starts Newton from the secant through the last two accepted solutions
-(the last solution alone at first), halving the step on failure. One
-continuation loop both carries the seed to the sweep start and sweeps the
-window; a stall is NoSeed in the first use and a workspace boundary in the
-second. Newton runs on the rows of model.reduced_constraints, the encoding the
-locus builder shares: collinear bar triples (rigid beams with interior joints)
-become affine rows plus the outer bar's quadric, since the raw triple encoding
-has an everywhere-singular Jacobian, and the driver's quadric gives way to two
-driver-angle rows. _compile turns those rows, once per trace, into integer
-index tables over one coordinate list (free coordinates, then anchors).
+angle, and curves are traced by predictor-corrector continuation, halving the
+step on failure. One continuation loop both carries the seed to the sweep
+start and sweeps the window; a stall is NoSeed in the first use and a
+workspace boundary in the second. Newton runs on the rows of
+model.reduced_constraints, the encoding the locus builder shares: collinear
+bar triples (rigid beams with interior joints) become affine rows plus the
+outer bar's quadric, since the raw triple encoding has an everywhere-singular
+Jacobian, and the driver's quadric gives way to two driver-angle rows.
+_compile turns those rows, once per trace, into integer index tables over one
+coordinate list (free coordinates, then anchors).
+
+The predictor places joints by construction where it can, as
+graph-constructive solvers do (Owen 1991; Fudos and Hoffmann 1997). _compile
+builds the plan from reduced_constraints and the framed squared length of
+every bar, inner bars included: starting from the anchors and the driven
+joint, it places the first unplaced free joint, in spec order, that is either
+an affine point of a collinear triple (the interior joint from both ends, or
+an end from the interior joint and the other end) or a dyad, a joint with bars
+to two placed joints. A step takes the secant through the last two accepted
+solutions (the last solution alone at the start of a leg), then puts the
+driven joint at its target and each planned joint at its construction; a dyad
+keeps the side of its parents it had in the last accepted state, the sign of a
+cross product. Newton stays the one judge: the constructed point must pass its
+first test, or it iterates from there. A joint the plan cannot place, one of a
+triad (a class-III Assur group) for example, keeps the secant guess, and so
+does a dyad whose parents coincide. Where the plan places every free joint and
+a dyad's parents are apart but its bars cannot meet, the branch has no
+configuration at the new angle, and the step is halved without a Newton call.
+SolveStats counts the halvings, whatever refused the step.
 
 The system is solved in a frame, the usual diagonal scaling of a nonlinear
 system: its origin is the driver's anchor and its unit u the least power of
@@ -144,6 +162,7 @@ class SolveStats:
     failed_calls: int = 0
     failed_iterations: int = 0  # iterations run by the failed calls
     backtracks: int = 0  # line-search step halvings
+    halvings: int = 0  # continuation step halvings, whatever refused the step
     max_condition: float = 0.0  # largest over the sweep's steps; 0.0 with no step
 
 
@@ -190,6 +209,11 @@ class _Compiled:
     heads: np.ndarray  # slot k's gradient is 2 * (v[heads[k]] - v[tails[k]]),
     tails: np.ndarray  # up to the sign of a zero
     tol_floor: float  # 4 ulp of the largest framed squared quadric length
+    # the constructive plan, in order: (joint, p, q, a, b, dyad). A dyad
+    # puts the joint where bars of squared lengths a from p and b from q
+    # meet; an affine step puts it at a*p + b*q
+    plan: list[tuple[int, int, int, float, float, bool]]
+    complete: bool  # the plan and the driver place every free joint
 
     def to_vec(self, cfg: Configuration) -> list[float]:
         missing = [j for j in self.free if j not in cfg]
@@ -204,6 +228,38 @@ class _Compiled:
     def drive(self, theta: float) -> tuple[float, float]:
         """The driven joint's target, L cos(theta) and L sin(theta)."""
         return self.driver_length * math.cos(theta), self.driver_length * math.sin(theta)
+
+    def construct(self, x: list[float], last: list[float], theta: float) -> Optional[list[float]]:
+        """x with the driven joint at its target at theta and each planned
+        joint at its construction, a dyad on the side of its parents it has
+        in last. A dyad whose parents coincide keeps x's point; so does one
+        whose bars cannot meet, unless the plan is complete: then no
+        configuration with last's dyad sides exists at theta, and the result
+        is None."""
+        v = x + self.anchor_xy
+        w = last + self.anchor_xy
+        v[self.driver], v[self.driver + 1] = self.drive(theta)
+        for j, p, q, a, b, dyad in self.plan:
+            px, py, qx, qy = v[p], v[p + 1], v[q], v[q + 1]
+            if not dyad:
+                v[j], v[j + 1] = a * px + b * qx, a * py + b * qy
+                continue
+            dx, dy = qx - px, qy - py
+            dd = dx * dx + dy * dy
+            if dd == 0:
+                continue
+            # the joint's foot on p-q lies s along it, the joint k off it, in units of |q - p|
+            s = (dd + a - b) / (2 * dd)
+            kk = a / dd - s * s
+            if kk < 0:
+                if self.complete:
+                    return None
+                continue
+            k = math.sqrt(kk)
+            if (w[q] - w[p]) * (w[j + 1] - w[p + 1]) < (w[q + 1] - w[p + 1]) * (w[j] - w[p]):
+                k = -k
+            v[j], v[j + 1] = px + s * dx - k * dy, py + s * dy + k * dx
+        return v[: len(x)]
 
     def residuals(self, x: list[float], drive: tuple[float, float]) -> tuple[float, list[float]]:
         """The full residual, _inf_norm over every bar and the driver's
@@ -302,6 +358,31 @@ def _compile(spec: LinkageSpec) -> _Compiled:
     tr = spec.tracer
     ends = (spec.bar(tr.bar).a, spec.bar(tr.bar).b) if tr.on_bar else (tr.joint, tr.joint)
     tracer = (at[ends[0]], at[ends[1]], float(tr.offset) if tr.on_bar else 0.0)
+
+    # the constructive plan: again and again, the first free joint in spec
+    # order that placement can place, an affine point before a dyad
+    placed = {j.id for j in anchored} | {free_id}
+    plan = []
+
+    def placement(jid: str) -> Optional[tuple[int, int, int, float, float, bool]]:
+        for tri in triples:
+            t = float(tri.t)
+            if jid == tri.mid and {tri.a, tri.b} <= placed:
+                return at[jid], at[tri.a], at[tri.b], 1 - t, t, False
+            # an end from the interior joint and the other end
+            if jid == tri.a and {tri.mid, tri.b} <= placed:
+                return at[jid], at[tri.mid], at[tri.b], 1 / (1 - t), -t / (1 - t), False
+            if jid == tri.b and {tri.mid, tri.a} <= placed:
+                return at[jid], at[tri.mid], at[tri.a], 1 / t, -(1 - t) / t, False
+        known = [(b, o) for b in spec.bars_at(jid) if (o := b.a if b.b == jid else b.b) in placed]
+        if len(known) < 2:
+            return None
+        (b1, o1), (b2, o2) = known[:2]
+        return at[jid], at[o1], at[o2], squares[b1], squares[b2], True
+
+    while step := next(((j, s) for j in free if j not in placed and (s := placement(j))), None):
+        placed.add(step[0])
+        plan.append(step[1])
     return _Compiled(
         free=free,
         origin=(float(origin[0]), float(origin[1])),
@@ -318,6 +399,8 @@ def _compile(spec: LinkageSpec) -> _Compiled:
         heads=np.array([i for a, b, _ in quad for i in (a, a + 1, b, b + 1)], dtype=np.intp),
         tails=np.array([i for a, b, _ in quad for i in (b, b + 1, a, a + 1)], dtype=np.intp),
         tol_floor=4 * math.ulp(max(squares[b] for b in quadrics)),
+        plan=plan,
+        complete=len(placed) == len(at),
     )
 
 
@@ -452,10 +535,11 @@ def _steps(
     """Continuation from the solution x at theta toward theta_to.
 
     Yields (theta, x, residual) after every accepted step, with the full
-    residual at x. Newton starts from the secant prediction through the last
-    two accepted points, or from x while only x has been accepted. A failed
-    step is retried with half the step length, and an accepted one grows a
-    shortened step back toward the initial step.
+    residual at x. Newton starts from the construction (comp.construct) on
+    the secant prediction through the last two accepted points, or on x
+    while only x has been accepted. A step that has no configuration or that
+    Newton fails is retried with half the step length, and an accepted one
+    grows a shortened step back toward the initial step.
     The generator ends at theta_to, or at the last accepted angle once the
     step falls below the minimum (a stall).
     """
@@ -471,7 +555,10 @@ def _steps(
         else:
             ahead, back = nxt - theta, theta - theta_prev
             guess = [c + (c - p) * ahead / back for c, p in zip(x, x_prev)]
-        xn, full, ok = _newton(comp, nxt, guess, settings, stats)
+        guess = comp.construct(guess, x, nxt)
+        ok = guess is not None
+        if ok:
+            xn, full, ok = _newton(comp, nxt, guess, settings, stats)
         if ok:
             x_prev, theta_prev = x, theta
             theta = nxt
@@ -481,6 +568,7 @@ def _steps(
                 step = sign * min(abs(step) * 1.5, settings.initial_step)
         else:
             step /= 2
+            stats.halvings += 1
             if abs(step) < settings.min_step:
                 return
 

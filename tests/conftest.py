@@ -2,9 +2,9 @@
 once per run. to_sympy and sympy_divide serve oracle tests, which skip
 themselves when sympy is missing. leading_term, spoly and reduce are plain
 rational references, independent of poly's integer engine, for checking the
-bases it produces; Lex, evaluate, reflect, scaled, moved, solve and the generated
-four-bars (four_bar, four_bars) serve tests only, so the package does not
-carry them."""
+bases it produces; Lex, evaluate, reflect, scaled, moved, solve, the
+Peaucellier-Lipkin cell and the generated four-bars (four_bar, four_bars)
+serve tests only, so the package does not carry them."""
 
 import math
 import random
@@ -181,6 +181,24 @@ def moved(spec, offset):
         replace(j, anchor=(j.anchor[0] + offset, j.anchor[1])) if j.is_anchored else j
         for j in spec.joints
     ))
+
+
+def cell(shift=F(0)):
+    """The Peaucellier-Lipkin cell: anchors O = (0, 0) and C = (2 + shift, 0),
+    OA = OB = 3, AP = BP = AQ = BQ = 2 and the crank CP = 2, driven at C, pen
+    Q. Unshifted, the pen draws the line 4x - 5 = 0; shifted 10^-9, a circle
+    about 2.5*10^9 units in radius. Its folded configurations, A = B, form a
+    second component on which Q turns freely about A."""
+    return LinkageSpec(
+        name="cell",
+        joints=(Joint("O", (F(0), F(0))), Joint("C", (F(2) + shift, F(0))), Joint("P", None),
+                Joint("A", None), Joint("B", None), Joint("Q", None)),
+        bars=(Bar("oa", "O", "A", F(3)), Bar("ob", "O", "B", F(3)), Bar("ap", "A", "P", F(2)),
+              Bar("bp", "B", "P", F(2)), Bar("aq", "A", "Q", F(2)), Bar("bq", "B", "Q", F(2)),
+              Bar("crank", "C", "P", F(2))),
+        driver=Driver("crank"),
+        tracer=Tracer(joint="Q"),
+    )
 
 
 def four_bar(rng):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import moved, scaled
+from conftest import cell, moved, scaled
 from linkagekit import model
 from linkagekit.catalog import entry
 from linkagekit.cli import main
@@ -159,8 +159,8 @@ def test_stats_flag_only_adds_a_stderr_line(capsys, tmp_path):
     assert flagged == plain
     assert err_stats[:2] == [
         "workspace boundary at theta = 4.207028",
-        "newton: 163 calls, 428 iterations, 22 failed calls (58 iterations), 351 backtracks, "
-        "max condition 2.521e+04",
+        "newton: 141 calls, 0 iterations, 0 failed calls (0 iterations), 0 backtracks, "
+        "22 step halvings, max condition 2.521e+04",
     ]
     assert len(err_stats) == len(err) + 1
 
@@ -323,6 +323,19 @@ def test_linkage_far_from_the_origin_traces(capsys, tmp_path):
     code, out, _ = run(capsys, "trace", str(path), "--from", "-0.8", "--to", "0.8", "--json")
     assert code == 0
     assert len(json.loads(out)["samples"]) == 161
+
+
+@pytest.mark.parametrize("budget", [[], ["--pair-budget", "30"]], ids=["primary", "fallback"])
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+def test_shifted_cell_file_is_never_certified_a_line(capsys, tmp_path, budget, form):
+    # with C shifted 10^-9 the cell's pen draws a circle, not the line
+    # 4x - 5 = 0; whatever the command makes of the file, it must not print
+    # an exact line
+    path = tmp_path / "cell.json"
+    path.write_text(model.save(cell(F(1, 10**9))))
+    _, out, err = run(capsys, "certify", str(path), "--from", "-0.5", "--to", "0.5",
+                      "--window", "-0.5", "0.5", *budget, *form)
+    assert "EXACT LINE" not in out and '"exact_line"' not in out
 
 
 def test_file_trace_requires_sweep_bounds(capsys, tmp_path):

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import catalog_trace, four_bars, moved, reflect, scaled, solve
+from conftest import catalog_trace, cell, four_bars, moved, reflect, scaled, solve
 from linkagekit import solver
 from linkagekit.catalog import entry, names
 from linkagekit.model import Bar, Driver, Joint, LinkageSpec, Tracer, validate
@@ -51,13 +51,13 @@ def nearest_theta_pairs(a, b, tol=1e-9, map_b=lambda t: t, min_fraction=0.5):
 # Recorded on x86-64 Linux, CPython 3.11, numpy 2.4; another libm or LAPACK
 # build may move the last bit.
 TRACE_SHA256 = {
-    "compass": "5c57dea1060e3fd09ea132f9e450047e34c43f6101b953723d92d88ed7dc0950",
-    "chebyshev": "822767fe1d21370e0b9f0abfafb74f9590038e632df09cd67fb50c5085161e75",
-    "chebyshev_open": "31574bf7637cbada49009c43cd84a8eded3915826456fdafe32a9a298aa740c6",
-    "chebyshev_lambda": "5aa66c8415d7ea55b4c72544301c48ed449132ba8df9a08615c65b62950b7ce6",
-    "watt": "99755a028e40060237aaf70fff9a1987d7f174217e036de99fa49a90fb3c0861",
-    "hart_inversor": "e2fcaa5f38151976f3142b6808c3299876e276757d8871ace41710029a53cc1c",
-    "hart_aframe": "5695cd9a04c24dc4d0d2220db861b43f43b232517483a0c5cb194c07925ce311",
+    "compass": "cc5c71022fa409f49c093565029cab753813a759d2068ccb33c8da2f6d3c97c5",
+    "chebyshev": "9f3b2212faa6b9b07930fa99453f3c8202ce8201f42aee339f610ff853d207eb",
+    "chebyshev_open": "7fee08bbf782b02d8ef750f41fa1ba605030662f768c2d90236998489bd07bb7",
+    "chebyshev_lambda": "172604a09b14dfffc39396e91621c6fd5c1419bade87ec1e3efea6ef0e74f614",
+    "watt": "cf927f98bc0cf3724b670849c340ba9339df994682639c5d6e8601d1a6dddff5",
+    "hart_inversor": "27d7b9e9906a84e895fed59c114b689416cd69a37b8297b81720812405557d87",
+    "hart_aframe": "fb0b8fa8cc6f2da3e31df94dca00f6a6ee6ae0ffd859e40e79fdf39b03687b86",
 }
 
 
@@ -77,30 +77,132 @@ def test_catalog_traces_are_pinned_bit_for_bit(traces):
 
 
 def test_trace_counts_newton_work(traces):
-    # hart_inversor's 163 calls: the seed solve, 13 steps of the seed leg from
-    # pi to 3.02, then 127 accepted and 22 failed steps of the sweep
+    # hart_inversor's 141 calls: the seed solve, 13 steps of the seed leg from
+    # pi to 3.02, then 127 accepted steps of the sweep; each accepted step is
+    # constructed, so no call iterates, and the 22 halvings at the workspace
+    # boundary are refused without a call
     assert traces["hart_inversor"].stats == SolveStats(
-        calls=163, iterations=428, failed_calls=22, failed_iterations=58, backtracks=351,
-        max_condition=25212.36700783836,
+        calls=141, halvings=22, max_condition=25212.36700599835,
     )
     assert traces["hart_aframe"].stats == SolveStats(
-        calls=134, iterations=319, failed_calls=21, failed_iterations=52, backtracks=357,
-        max_condition=47407.88114014431,
+        calls=113, halvings=21, max_condition=47407.902402769985,
     )
     e = entry("watt")
     cfg = solve(e.spec, 0.1, e.seed)
     assert trace(e.spec, 0.1, 0.1, seed=cfg, seed_theta=0.1).stats == SolveStats(calls=1)
 
 
+# the constructive plan of each linkage: (joint, parent, parent, kind) in the
+# order _compile places the joints; the driver places the driven joint
+PLANS = {
+    "compass": [],
+    "chebyshev": [("D", "C", "A2", "dyad")],
+    "chebyshev_open": [("D", "C", "A2", "dyad")],
+    "chebyshev_lambda": [("B", "A", "O2", "dyad"), ("T", "B", "A", "affine")],
+    "watt": [("D", "C", "W2", "dyad")],
+    "hart_inversor": [("A", "O", "P", "dyad"), ("B", "O", "A", "affine"),
+                      ("D", "P", "A", "affine"), ("C", "B", "D", "dyad"),
+                      ("Q", "B", "C", "affine")],
+    "hart_aframe": [("M1", "F1", "T1", "affine"), ("M2", "F2", "M1", "dyad"),
+                    ("T2", "M2", "F2", "affine"), ("C", "T1", "T2", "dyad")],
+    "cell": [("A", "O", "P", "dyad"), ("B", "O", "P", "dyad"), ("Q", "A", "B", "dyad")],
+}
+
+
+def plan_of(spec):
+    """The compiled plan with joint names, and whether it is complete."""
+    comp = solver._compile(spec)
+    ids = [*comp.free, *(j.id for j in spec.anchored_joints)]
+    steps = [(ids[j // 2], ids[p // 2], ids[q // 2], "dyad" if dyad else "affine")
+             for j, p, q, _, _, dyad in comp.plan]
+    return steps, comp.complete
+
+
+@pytest.mark.parametrize("name", [*names(), "cell"])
+def test_plan_places_every_free_joint(name):
+    spec = cell() if name == "cell" else entry(name).spec
+    assert plan_of(spec) == (PLANS[name], True)
+
+
+def triad():
+    """A rigid triangle U-V-W tied to the anchors A1 and A2 and to the driven
+    joint P by one bar each, a class-III Assur group that no dyad or affine
+    point places, with a seed at theta = pi/2: (spec, seed, theta)."""
+    spec = LinkageSpec(
+        name="triad",
+        joints=(Joint("O", (F(0), F(0))), Joint("A1", (F(-6), F(11))),
+                Joint("A2", (F(7), F(10))), Joint("P", None), Joint("U", None),
+                Joint("V", None), Joint("W", None)),
+        bars=(Bar("crank", "O", "P", F(1)), Bar("uv", "U", "V", F(6)), Bar("vw", "V", "W", F(5)),
+              Bar("wu", "W", "U", F(5)), Bar("ua", "U", "A1", F(5)), Bar("va", "V", "A2", F(5)),
+              Bar("wp", "W", "P", F(2))),
+        driver=Driver("crank"),
+        tracer=Tracer(joint="W"),
+    )
+    seed = {"P": (0.0, 1.0), "U": (-3.0, 7.0), "V": (3.0, 7.0), "W": (0.0, 3.0)}
+    return spec, seed, math.pi / 2
+
+
+def test_linkage_the_plan_cannot_place_traces_with_newton():
+    # the triad's joints keep the secant guess and Newton places them; the
+    # grid and the boundary are those traced before steps were constructed
+    spec, seed, theta = triad()
+    assert plan_of(spec) == ([], False)
+    tr = trace(spec, theta, theta + 3, seed=seed, seed_theta=theta)
+    grid = hashlib.sha256("\n".join(s.theta.hex() for s in tr.samples).encode()).hexdigest()
+    assert (len(tr.samples), grid) == (
+        30, "e04bf9e9c0ba076b8a3adec1c68f76bbeb51e4c29a3bda8ae7b248e2305383c4")
+    assert tr.events == [BranchEvent(float.fromhex("0x1.cafbd45e80423p+0"),
+                                     EventKind.WORKSPACE_BOUNDARY)]
+    assert max(s.residual for s in tr.samples) < 1e-12
+    st = tr.stats
+    assert st.iterations > 0 and st.failed_calls == st.halvings == 21
+
+
+def test_partial_plan_leaves_a_fold_to_newton():
+    # a dyad D on the driven joint and a third anchor joins the triad: the
+    # plan places D but not the triad, so a step past D's fold is not
+    # refused; Newton fails it, and the boundary is recorded at the fold,
+    # where |P - A3| = PD + DA3, cos(theta) = -3/32
+    spec, seed, theta = triad()
+    spec = replace(spec, joints=(*spec.joints, Joint("A3", (F(3), F(0))), Joint("D", None)),
+                   bars=(*spec.bars, Bar("pd", "P", "D", F(2)), Bar("da", "D", "A3", F(5, 4))))
+    steps, complete = plan_of(spec)
+    assert (steps, complete) == ([("D", "P", "A3", "dyad")], False)
+    seed = {**seed, "D": (1.98, 0.72)}
+    tr = trace(spec, theta, theta + 3, seed=seed, seed_theta=theta)
+    (event,) = tr.events
+    assert event.kind is EventKind.WORKSPACE_BOUNDARY
+    assert abs(event.theta - math.acos(-3 / 32)) < 1e-6
+    assert tr.stats.failed_calls == tr.stats.halvings > 0
+
+
+def test_dyad_on_coincident_parents_falls_back_to_newton():
+    # the cell's default layout is folded: A and B, the dyads on O and P,
+    # take the same side and coincide, so Q's parents do. Q keeps its guess,
+    # and the step goes to Newton, which fails on the folded cell's singular
+    # Jacobian; no step is refused without a Newton call
+    spec = cell()
+    comp = solver._compile(spec)
+    x = solver._layout(spec, comp, -0.5)
+    a, b, q = (2 * comp.free.index(j) for j in "ABQ")
+    assert x[a : a + 2] == x[b : b + 2]
+    guess = [c + 0.01 for c in x]
+    placed = comp.construct(guess, x, -0.49)
+    assert placed[a : a + 2] == placed[b : b + 2] != x[a : a + 2]
+    assert placed[q : q + 2] == guess[q : q + 2]
+    st = trace(spec, -0.5, 0.0).stats
+    assert st.calls == st.failed_calls + 1 and st.failed_calls == st.halvings > 0
+
+
 def test_halving_cap_is_invisible_on_the_catalog(monkeypatch):
-    # with 20 halvings the failed calls at hart_inversor's workspace boundary
-    # search longer, and fail all the same
+    # no catalog step runs a line search: the accepted ones are constructed,
+    # and the refused ones at the workspace boundaries call no Newton
     monkeypatch.setattr(solver, "MAX_HALVINGS", 20)
     for name in names():
         tr = catalog_trace(name)
         assert trace_digest(tr) == TRACE_SHA256[name], name
-        if name == "hart_inversor":
-            assert (tr.stats.iterations, tr.stats.backtracks) == (504, 1605)
+        assert (tr.stats.iterations, tr.stats.backtracks) == (0, 0), name
 
 
 def _retrace(name, spec):
@@ -156,11 +258,15 @@ def test_boundaries_of_generated_four_bars_sit_on_exact_folds():
     # A four-bar's dyad folds where the crank pin's distance to the rocker
     # pivot reaches b + c or |b - c|, at rational cosines. Every workspace
     # boundary must be recorded there; a sweep that meets none turns fully.
+    # Each accepted step is constructed, so no Newton call iterates, and a
+    # step past a fold is refused without one.
     linkages = four_bars(range(3))
-    boundaries = 0
+    boundaries = halvings = 0
     for spec, seed, theta in linkages:
         tr = trace(spec, theta, theta + 2 * math.pi, seed=seed, seed_theta=theta)
         assert max(s.residual for s in tr.samples) < 1e-12
+        assert (tr.stats.iterations, tr.stats.failed_calls) == (0, 0)
+        halvings += tr.stats.halvings
         for e in tr.events:
             if e.kind is EventKind.WORKSPACE_BOUNDARY:
                 boundaries += 1
@@ -168,7 +274,7 @@ def test_boundaries_of_generated_four_bars_sit_on_exact_folds():
         if not tr.events:
             first, last = tr.samples[0], tr.samples[-1]
             assert math.hypot(first.x - last.x, first.y - last.y) < 1e-9
-    assert (len(linkages), boundaries) == (68, 43)
+    assert (len(linkages), boundaries, halvings) == (68, 43, 924)
 
 
 def test_generated_four_bar_loci_are_circular():
@@ -427,16 +533,17 @@ def test_watt_far_from_the_origin_traces_from_the_default_layout(offset):
     assert [s.theta for s in tr.samples] == [s.theta for s in base.samples]
 
 
-# samples, events and failed calls with no seed, from a layout that starts
-# at the driven joint's target; chebyshev lands on chebyshev_open's branch
+# samples, events, failed calls and step halvings with no seed, from a layout
+# that starts at the driven joint's target; chebyshev lands on
+# chebyshev_open's branch
 SEEDLESS = {
-    "compass": (630, [], 0),
-    "chebyshev": (110, [], 0),
-    "chebyshev_open": (110, [], 0),
-    "chebyshev_lambda": (630, [], 0),
-    "watt": (161, [], 0),
-    "hart_inversor": (128, [(4.207028, EventKind.WORKSPACE_BOUNDARY)], 22),
-    "hart_aframe": (75, [(1.570796, EventKind.WORKSPACE_BOUNDARY)], 21),
+    "compass": (630, [], 0, 0),
+    "chebyshev": (110, [], 0, 0),
+    "chebyshev_open": (110, [], 0, 0),
+    "chebyshev_lambda": (630, [], 0, 0),
+    "watt": (161, [], 0, 0),
+    "hart_inversor": (128, [(4.207028, EventKind.WORKSPACE_BOUNDARY)], 0, 22),
+    "hart_aframe": (75, [(1.570796, EventKind.WORKSPACE_BOUNDARY)], 0, 21),
 }
 
 
@@ -445,7 +552,8 @@ def test_catalog_traces_from_the_default_layout(name):
     e = entry(name)
     tr = trace(e.spec, *e.sweep)
     events = [(round(ev.theta, 6), ev.kind) for ev in tr.events]
-    assert (len(tr.samples), events, tr.stats.failed_calls) == SEEDLESS[name]
+    st = tr.stats
+    assert (len(tr.samples), events, st.failed_calls, st.halvings) == SEEDLESS[name]
 
 
 # a window inside both catalog sweeps, started from the default layout at 0.9

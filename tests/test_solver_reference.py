@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import catalog_trace, four_bars
+from conftest import four_bars
 from linkagekit import solver
 from linkagekit.catalog import entry, names
 from linkagekit.model import Configuration, reduced_constraints
@@ -234,8 +234,18 @@ def test_step_matches_numpy_solve_on_generated_four_bars():
 
 
 def test_newton_solves_match_numpy_solve(monkeypatch):
-    # every solve _newton makes over the catalog sweeps, at its own iterates;
-    # none of them meets a singular matrix
+    # the continuation constructs each catalog step, so no accepted step
+    # iterates; Newton's solves are taken instead from the secant guess
+    # through the last two accepted states at each accepted angle of the
+    # catalog sweeps, where the continuation started before, at its own
+    # iterates; none of them meets a singular matrix
+    starts = []
+    for name in names():
+        e = entry(name)
+        comp, states = accepted_states(e.spec, e.seed, e.theta_ref, *e.sweep)
+        for (t0, x0), (t1, x1), (t2, _) in zip(states, states[1:], states[2:]):
+            ahead, back = t2 - t1, t1 - t0
+            starts.append((comp, t2, [c + (c - p) * ahead / back for c, p in zip(x1, x0)]))
     gufuncs, solves = solver._umath_linalg, []
 
     class Spy:
@@ -247,9 +257,10 @@ def test_newton_solves_match_numpy_solve(monkeypatch):
             return delta
 
     monkeypatch.setattr(solver, "_umath_linalg", Spy)
-    for name in names():
-        catalog_trace(name)
-    assert len(solves) == 4229
+    with solver._solve_errors():
+        for comp, theta, guess in starts:
+            assert solver._newton(comp, theta, guess, SolverSettings(), SolveStats())[2]
+    assert (len(starts), len(solves)) == (1823, 3260)
 
 
 def test_step_fails_as_numpy_solve():
