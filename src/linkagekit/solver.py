@@ -26,10 +26,11 @@ keeps the side of its parents it had in the last accepted state, the sign of a
 cross product. Newton stays the one judge: the constructed point must pass its
 first test, or it iterates from there. A joint the plan cannot place, one of a
 triad (a class-III Assur group) for example, keeps the secant guess, and so
-does a dyad whose parents coincide. Where the plan places every free joint and
-a dyad's parents are apart but its bars cannot meet, the branch has no
-configuration at the new angle, and the step is halved without a Newton call.
-SolveStats counts the halvings, whatever refused the step.
+does a dyad whose parents coincide. A planned joint hangs only on anchors, the
+driven joint and joints placed before it, so where a dyad's parents are apart
+but its bars cannot meet, the branch has no configuration at the new angle,
+and the step is halved without a Newton call. SolveStats counts the halvings,
+whatever refused the step.
 
 The system is solved in a frame, the usual diagonal scaling of a nonlinear
 system: its origin is the driver's anchor and its unit u the least power of
@@ -87,7 +88,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -213,7 +214,6 @@ class _Compiled:
     # puts the joint where bars of squared lengths a from p and b from q
     # meet; an affine step puts it at a*p + b*q
     plan: list[tuple[int, int, int, float, float, bool]]
-    complete: bool  # the plan and the driver place every free joint
 
     def to_vec(self, cfg: Configuration) -> list[float]:
         missing = [j for j in self.free if j not in cfg]
@@ -232,10 +232,9 @@ class _Compiled:
     def construct(self, x: list[float], last: list[float], theta: float) -> Optional[list[float]]:
         """x with the driven joint at its target at theta and each planned
         joint at its construction, a dyad on the side of its parents it has
-        in last. A dyad whose parents coincide keeps x's point; so does one
-        whose bars cannot meet, unless the plan is complete: then no
-        configuration with last's dyad sides exists at theta, and the result
-        is None."""
+        in last. A dyad whose parents coincide keeps x's point. None if a
+        dyad's parents are apart but its bars cannot meet: no configuration
+        with last's dyad sides exists at theta."""
         v = x + self.anchor_xy
         w = last + self.anchor_xy
         v[self.driver], v[self.driver + 1] = self.drive(theta)
@@ -252,9 +251,7 @@ class _Compiled:
             s = (dd + a - b) / (2 * dd)
             kk = a / dd - s * s
             if kk < 0:
-                if self.complete:
-                    return None
-                continue
+                return None
             k = math.sqrt(kk)
             if (w[q] - w[p]) * (w[j + 1] - w[p + 1]) < (w[q + 1] - w[p + 1]) * (w[j] - w[p]):
                 k = -k
@@ -299,6 +296,12 @@ class _Compiled:
         a, b, off = self.tracer
         px, py = (1 - off) * v[a] + off * v[b], (1 - off) * v[a + 1] + off * v[b + 1]
         return self.origin[0] + self.unit * px, self.origin[1] + self.unit * py
+
+
+def _bars_to(spec: LinkageSpec, jid: str, placed: Container[str]) -> list[tuple[Bar, str]]:
+    """(bar, neighbor) for each bar from jid to a placed joint, in spec order:
+    the bars that place jid, in the constructive plan and in _layout alike."""
+    return [(b, o) for b in spec.bars_at(jid) if (o := b.a if b.b == jid else b.b) in placed]
 
 
 def _compile(spec: LinkageSpec) -> _Compiled:
@@ -374,7 +377,7 @@ def _compile(spec: LinkageSpec) -> _Compiled:
                 return at[jid], at[tri.mid], at[tri.b], 1 / (1 - t), -t / (1 - t), False
             if jid == tri.b and {tri.mid, tri.a} <= placed:
                 return at[jid], at[tri.mid], at[tri.a], 1 / t, -(1 - t) / t, False
-        known = [(b, o) for b in spec.bars_at(jid) if (o := b.a if b.b == jid else b.b) in placed]
+        known = _bars_to(spec, jid, placed)
         if len(known) < 2:
             return None
         (b1, o1), (b2, o2) = known[:2]
@@ -400,7 +403,6 @@ def _compile(spec: LinkageSpec) -> _Compiled:
         tails=np.array([i for a, b, _ in quad for i in (b, b + 1, a, a + 1)], dtype=np.intp),
         tol_floor=4 * math.ulp(max(squares[b] for b in quadrics)),
         plan=plan,
-        complete=len(placed) == len(at),
     )
 
 
@@ -488,11 +490,8 @@ def _layout(spec: LinkageSpec, comp: _Compiled, theta: float) -> list[float]:
     golden = 2.399963229728653
     tick = 0
 
-    def known(jid: str) -> list[tuple[Bar, str]]:
-        """(bar, neighbor) for each bar from jid to a placed joint."""
-        return [(b, o) for b in spec.bars_at(jid) if (o := b.a if b.b == jid else b.b) in placed]
-
-    while ready := [(jid, k) for jid in comp.free if jid not in placed and (k := known(jid))]:
+    while ready := [(jid, k) for jid in comp.free
+                    if jid not in placed and (k := _bars_to(spec, jid, placed))]:
         # the first with two placed neighbors, or else the first with one
         jid, k = next((r for r in ready if len(r[1]) > 1), ready[0])
         if len(k) > 1:

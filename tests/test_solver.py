@@ -110,18 +110,20 @@ PLANS = {
 
 
 def plan_of(spec):
-    """The compiled plan with joint names, and whether it is complete."""
+    """The compiled plan with joint names, and the free joints that neither
+    the plan nor the driver places."""
     comp = solver._compile(spec)
     ids = [*comp.free, *(j.id for j in spec.anchored_joints)]
     steps = [(ids[j // 2], ids[p // 2], ids[q // 2], "dyad" if dyad else "affine")
              for j, p, q, _, _, dyad in comp.plan]
-    return steps, comp.complete
+    placed = {ids[comp.driver // 2], *(j for j, *_ in steps)}
+    return steps, [j for j in comp.free if j not in placed]
 
 
 @pytest.mark.parametrize("name", [*names(), "cell"])
 def test_plan_places_every_free_joint(name):
     spec = cell() if name == "cell" else entry(name).spec
-    assert plan_of(spec) == (PLANS[name], True)
+    assert plan_of(spec) == (PLANS[name], [])
 
 
 def triad():
@@ -143,11 +145,20 @@ def triad():
     return spec, seed, math.pi / 2
 
 
-def test_linkage_the_plan_cannot_place_traces_with_newton():
+# the triad's Newton iterations and line-search backtracks at each cap on
+# the line search's halvings
+TRIAD_SEARCH = {8: (149, 329), 20: (216, 1457)}
+
+
+@pytest.mark.parametrize("cap", TRIAD_SEARCH)
+def test_linkage_the_plan_cannot_place_traces_with_newton(monkeypatch, cap):
     # the triad's joints keep the secant guess and Newton places them; the
-    # grid and the boundary are those traced before steps were constructed
+    # grid and the boundary are those traced before steps were constructed.
+    # Newton fails the 21 steps past the boundary; a longer line search
+    # works longer on them, and the trace is the same
+    monkeypatch.setattr(solver, "MAX_HALVINGS", cap)
     spec, seed, theta = triad()
-    assert plan_of(spec) == ([], False)
+    assert plan_of(spec) == ([], ["U", "V", "W"])
     tr = trace(spec, theta, theta + 3, seed=seed, seed_theta=theta)
     grid = hashlib.sha256("\n".join(s.theta.hex() for s in tr.samples).encode()).hexdigest()
     assert (len(tr.samples), grid) == (
@@ -156,25 +167,26 @@ def test_linkage_the_plan_cannot_place_traces_with_newton():
                                      EventKind.WORKSPACE_BOUNDARY)]
     assert max(s.residual for s in tr.samples) < 1e-12
     st = tr.stats
-    assert st.iterations > 0 and st.failed_calls == st.halvings == 21
+    assert (st.iterations, st.backtracks) == TRIAD_SEARCH[cap]
+    assert st.failed_calls == st.halvings == 21
 
 
-def test_partial_plan_leaves_a_fold_to_newton():
+def test_partial_plan_refuses_a_fold_without_newton():
     # a dyad D on the driven joint and a third anchor joins the triad: the
-    # plan places D but not the triad, so a step past D's fold is not
-    # refused; Newton fails it, and the boundary is recorded at the fold,
-    # where |P - A3| = PD + DA3, cos(theta) = -3/32
+    # plan places D but not the triad. D hangs on P and A3 alone, so a step
+    # past D's fold has no configuration and is refused without a Newton
+    # call; the boundary is recorded at the fold, where |P - A3| = PD + DA3,
+    # cos(theta) = -3/32
     spec, seed, theta = triad()
     spec = replace(spec, joints=(*spec.joints, Joint("A3", (F(3), F(0))), Joint("D", None)),
                    bars=(*spec.bars, Bar("pd", "P", "D", F(2)), Bar("da", "D", "A3", F(5, 4))))
-    steps, complete = plan_of(spec)
-    assert (steps, complete) == ([("D", "P", "A3", "dyad")], False)
+    assert plan_of(spec) == ([("D", "P", "A3", "dyad")], ["U", "V", "W"])
     seed = {**seed, "D": (1.98, 0.72)}
     tr = trace(spec, theta, theta + 3, seed=seed, seed_theta=theta)
     (event,) = tr.events
     assert event.kind is EventKind.WORKSPACE_BOUNDARY
     assert abs(event.theta - math.acos(-3 / 32)) < 1e-6
-    assert tr.stats.failed_calls == tr.stats.halvings > 0
+    assert tr.stats.failed_calls == 0 and tr.stats.halvings > 0
 
 
 def test_dyad_on_coincident_parents_falls_back_to_newton():
@@ -197,7 +209,8 @@ def test_dyad_on_coincident_parents_falls_back_to_newton():
 
 def test_halving_cap_is_invisible_on_the_catalog(monkeypatch):
     # no catalog step runs a line search: the accepted ones are constructed,
-    # and the refused ones at the workspace boundaries call no Newton
+    # and the refused ones at the workspace boundaries call no Newton. So the
+    # cap cannot move a catalog trace; the triad above is where it still acts
     monkeypatch.setattr(solver, "MAX_HALVINGS", 20)
     for name in names():
         tr = catalog_trace(name)
